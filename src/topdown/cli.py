@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import ensemble as ensemble_mod
@@ -46,10 +47,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a unique temp file next to ``path``, then rename it into place.
+
+    The temp file is removed if the write or the rename fails.  The output
+    gets the permissions a plain ``open`` would give it, not ``mkstemp``'s 0600.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_text(path: str) -> str:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import BBox, Pose
 
 __all__ = [
@@ -11,6 +13,7 @@ __all__ = [
     "DegenerateGeometryError",
     "bbox_from_keypoints",
     "iou",
+    "iou_matrix",
     "prune_candidates",
     "nms_boxes",
     "detection_pr",
@@ -74,6 +77,22 @@ def iou(a: BBox, b: BBox) -> float:
     inter = ix * iy
     union = a.area + b.area - inter
     return inter / union if union > 0.0 else 0.0
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise :func:`iou` of two ``(n, 4)`` / ``(m, 4)`` corner arrays, shape ``(n, m)``.
+
+    Rows are ``[x1, y1, x2, y2]``; each cell follows the scalar rule, with
+    the same arithmetic, so it equals ``iou`` on the corresponding boxes.
+    """
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = ix * iy
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    union = area_a[:, None] + area_b[None, :] - inter
+    valid = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+    return np.where(valid, inter / np.where(valid, union, 1.0), 0.0)
 
 
 def prune_candidates(poses: list[Pose], threshold: float) -> list[Pose]:

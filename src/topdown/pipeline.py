@@ -81,7 +81,6 @@ class PipelineConfig:
                 "similarity_min": self.tracker.similarity_min,
                 "retention_window": self.tracker.retention_window,
                 "method": self.tracker.method,
-                "keypoint_drop_threshold": self.tracker.keypoint_drop_threshold,
                 "kappa": self.tracker.kappa,
             },
             "pckh": {
@@ -93,6 +92,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """Build a config from a schema-1 document, as written by :meth:`to_dict`.
+
+        Earlier schema-1 documents also carry ``keypoint_drop_threshold`` in
+        their ``tracker`` section; the tracker never read it (keypoints are
+        pruned with the top-level field), so it is dropped without effect.
+        """
         doc = dict(doc)
         schema = doc.pop("schema", 1)
         if schema != 1:
@@ -105,7 +110,9 @@ class PipelineConfig:
                     by_name[name]: Route(route) for name, route in doc["expert_map"].items()
                 }
             if "tracker" in doc:
-                doc["tracker"] = TrackerConfig(**doc["tracker"])
+                tracker = dict(doc["tracker"])
+                tracker.pop("keypoint_drop_threshold", None)
+                doc["tracker"] = TrackerConfig(**tracker)
             if "pckh" in doc:
                 doc["pckh"] = PckhThreshold(**doc["pckh"])
             return cls(**doc)
@@ -243,6 +250,10 @@ def detection_pr_at(
     tp = fp = fn = 0
     for det, gt in _pair_by_name(det_seqs, gt_seqs, "ground truth"):
         assert gt is not None
+        if tuple(f.index for f in det.frames) != tuple(f.index for f in gt.frames):
+            raise PipelineContractError(
+                f"sequence {det.name!r}: ground truth frame indices do not align"
+            )
         for det_frame, gt_frame in zip(det.frames, gt.frames):
             det_boxes = [
                 p.bbox

@@ -3,18 +3,22 @@
 Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
+Each frame is scored as one array operation: a pose is converted once into
+joint positions, presence flags and box corners (:func:`pose_arrays`), a
+track keeps the arrays of its latest pose, and :func:`similarity_matrix`
+broadcasts the whole tracks x poses matrix in one call.
 Unmatched ids survive a configurable retention window and are then discarded;
 ids are never reused within a sequence.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import bbox_from_keypoints, iou
+from .geometry import bbox_from_keypoints, iou_matrix
 from .model import (
     GROUPS,
     JOINTS,
@@ -44,7 +48,6 @@ class TrackerConfig:
     similarity_min: float = 0.3
     retention_window: int = 8
     method: str = "hungarian"
-    keypoint_drop_threshold: float = 0.0
     kappa: float | tuple[float, ...] = 0.1
 
     def __post_init__(self) -> None:
@@ -56,8 +59,6 @@ class TrackerConfig:
             raise ValueError(f"retention_window must be >= 1, got {self.retention_window!r}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not 0.0 <= self.keypoint_drop_threshold <= 1.0:
-            raise ValueError("keypoint_drop_threshold must be within [0, 1]")
         if isinstance(self.kappa, (list, tuple)):
             object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
             if len(self.kappa) != len(JOINTS):
@@ -67,16 +68,31 @@ class TrackerConfig:
         elif self.kappa <= 0.0:
             raise ValueError(f"kappa must be positive, got {self.kappa!r}")
 
-    def kappa_for(self, joint) -> float:
-        if isinstance(self.kappa, tuple):
-            return self.kappa[joint.index]
-        return self.kappa
+
+class PoseArrays(NamedTuple):
+    """Poses as arrays: ``xy`` (n, 15, 2), ``present`` (n, 15), ``box`` (n, 4) corners.
+
+    :meth:`row` gives one pose's arrays without the leading axis; :meth:`stack`
+    joins such rows back into the stacked form.
+    """
+
+    xy: np.ndarray
+    present: np.ndarray
+    box: np.ndarray
+
+    def row(self, i: int) -> "PoseArrays":
+        return PoseArrays(self.xy[i], self.present[i], self.box[i])
+
+    @staticmethod
+    def stack(rows: list["PoseArrays"]) -> "PoseArrays":
+        return PoseArrays(*(np.stack(parts) for parts in zip(*rows)))
 
 
 @dataclass(slots=True)
 class _Track:
     pose: Pose
     last_frame: int
+    arrays: PoseArrays | None = None  # the pose's row, set when it is first scored
 
 
 @dataclass(slots=True)
@@ -157,42 +173,73 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     return RetentionTable(per_group=per_group, total=total)
 
 
-def _pose_box(pose: Pose):
-    return pose.bbox if pose.bbox is not None else bbox_from_keypoints(pose)
+def _corners(pose: Pose) -> tuple[float, float, float, float]:
+    box = pose.bbox if pose.bbox is not None else bbox_from_keypoints(pose)
+    return (box.x1, box.y1, box.x2, box.y2)
+
+
+def pose_arrays(poses: Iterable[Pose]) -> PoseArrays:
+    """Stack poses into :class:`PoseArrays`, inferring missing boxes from keypoints.
+
+    Raises :class:`~topdown.geometry.DegenerateGeometryError` for a pose with
+    no box and no inferable one.
+    """
+    poses = list(poses)
+    n = len(poses)
+    xy = np.array([[(kp.x, kp.y) for kp in p.keypoints] for p in poses], dtype=float)
+    present = np.array([[kp.present for kp in p.keypoints] for p in poses], dtype=bool)
+    box = np.array([_corners(p) for p in poses], dtype=float)
+    return PoseArrays(
+        xy.reshape(n, len(JOINTS), 2), present.reshape(n, len(JOINTS)), box.reshape(n, 4)
+    )
+
+
+def _kappa_vector(config: TrackerConfig) -> np.ndarray:
+    return np.broadcast_to(np.asarray(config.kappa, dtype=float), (len(JOINTS),))
+
+
+def similarity_matrix(
+    tracks: PoseArrays,
+    poses: PoseArrays,
+    kappa: np.ndarray,
+    w_iou: float,
+    w_pose: float,
+) -> np.ndarray:
+    """Similarity of every track (rows) to every pose (columns), in [0, 1].
+
+    Each cell blends box IoU with a keypoint kernel by the weights ``w_iou``
+    and ``w_pose``.  The kernel is exp(-d^2 / (2 (s * kappa_j)^2)) averaged
+    over joints present in both poses, with s the square root of the track
+    box's area and ``kappa`` the per-joint width (15,); where that
+    denominator is 0 a joint scores 1 at distance 0 and 0 otherwise, and a
+    pair with no common joint scores 0 on the kernel.
+    """
+    overlap = iou_matrix(tracks.box, poses.box)
+    box = tracks.box
+    size = np.sqrt((box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1]))
+    scale = size[:, None] * kappa
+    denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
+    d = tracks.xy[:, None] - poses.xy[None, :]
+    d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
+    common = tracks.present[:, None, :] & poses.present[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(denom > 0.0, np.exp(-d2 / denom), d2 == 0.0)
+    kernel = np.where(common, kernel, 0.0)
+    # joint by joint, in joint order: np.sum's pairwise order would change the last bits
+    total = kernel[..., 0]
+    for j in range(1, len(JOINTS)):
+        total = total + kernel[..., j]
+    count = common.sum(axis=-1)
+    kp_sim = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    return (w_iou * overlap + w_pose * kp_sim) / (w_iou + w_pose)
 
 
 def pose_similarity(a: Pose, b: Pose, config: TrackerConfig = TrackerConfig()) -> float:
-    """Blend of box IoU and a keypoint-distance kernel, in [0, 1].
-
-    The kernel is exp(-d^2 / (2 (s * kappa)^2)) averaged over joints present in
-    both poses, with s the square root of the first pose's box area; the IoU
-    and kernel terms are combined with the configured weights.
-    """
-    box_a = _pose_box(a)
-    box_b = _pose_box(b)
-    overlap = iou(box_a, box_b)
-    common = [
-        j
-        for j in JOINTS
-        if a.keypoints[j.index].present and b.keypoints[j.index].present
-    ]
-    if common:
-        size = math.sqrt(box_a.area)
-        total = 0.0
-        for j in common:
-            ka = a.keypoints[j.index]
-            kb = b.keypoints[j.index]
-            d2 = (ka.x - kb.x) ** 2 + (ka.y - kb.y) ** 2
-            scale = size * config.kappa_for(j)
-            denom = 2.0 * scale * scale
-            if denom > 0.0:
-                total += math.exp(-d2 / denom)
-            else:
-                total += 1.0 if d2 == 0.0 else 0.0
-        kp_sim = total / len(common)
-    else:
-        kp_sim = 0.0
-    return (config.w_iou * overlap + config.w_pose * kp_sim) / (config.w_iou + config.w_pose)
+    """Similarity of track pose ``a`` to pose ``b``: one cell of :func:`similarity_matrix`."""
+    matrix = similarity_matrix(
+        pose_arrays([a]), pose_arrays([b]), _kappa_vector(config), config.w_iou, config.w_pose
+    )
+    return float(matrix[0, 0])
 
 
 def solve_assignment(cost, method: str = "hungarian") -> list[tuple[int, int]]:
@@ -239,6 +286,7 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     gets a fresh id.  Tracks unmatched for more than ``retention_window``
     frames (by frame index) are discarded first.
     """
+    kappa = _kappa_vector(config)
     state = TrackerState()
     frames_out = []
     for frame in seq.frames:
@@ -250,17 +298,22 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
         state.expire(frame.index, config.retention_window)
         track_ids = list(state.active)
         assigned: dict[int, int] = {}
+        candidates = None
         if track_ids and frame.poses:
-            similarity = [
-                [
-                    pose_similarity(state.active[tid].pose, pose, config)
-                    for pose in frame.poses
-                ]
-                for tid in track_ids
-            ]
-            cost = 1.0 - np.asarray(similarity)
-            for row, col in solve_assignment(cost, config.method):
-                if similarity[row][col] >= config.similarity_min:
+            tracks = [state.active[tid] for tid in track_ids]
+            for track in tracks:
+                if track.arrays is None:
+                    track.arrays = pose_arrays([track.pose]).row(0)
+            candidates = pose_arrays(frame.poses)
+            similarity = similarity_matrix(
+                PoseArrays.stack([t.arrays for t in tracks]),
+                candidates,
+                kappa,
+                config.w_iou,
+                config.w_pose,
+            )
+            for row, col in solve_assignment(1.0 - similarity, config.method):
+                if similarity[row, col] >= config.similarity_min:
                     assigned[col] = track_ids[row]
         new_poses = []
         for idx, pose in enumerate(frame.poses):
@@ -268,7 +321,8 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
             if tid is None:
                 tid = state.fresh_id()
             tracked = replace(pose, track_id=tid)
-            state.active[tid] = _Track(pose=tracked, last_frame=frame.index)
+            arrays = candidates.row(idx) if candidates is not None else None
+            state.active[tid] = _Track(pose=tracked, last_frame=frame.index, arrays=arrays)
             new_poses.append(tracked)
         frames_out.append(replace(frame, poses=tuple(new_poses)))
     return replace(seq, frames=tuple(frames_out))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from topdown.geometry import (
     bbox_from_keypoints,
     detection_pr,
     iou,
+    iou_matrix,
     nms_boxes,
     prune_candidates,
 )
@@ -123,6 +125,30 @@ def test_iou_symmetric_and_bounded_1000_cases():
         v = iou(a, b)
         assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
+
+
+# small integer corners make touching, nested, identical and zero-area boxes common
+_coord = st.one_of(st.integers(-5, 5).map(float), st.floats(-100, 100))
+
+
+@st.composite
+def _boxes(draw):
+    x1, y1 = draw(_coord), draw(_coord)
+    w = draw(st.one_of(st.just(0.0), st.integers(0, 6).map(float), st.floats(0, 80)))
+    h = draw(st.one_of(st.just(0.0), st.integers(0, 6).map(float), st.floats(0, 80)))
+    return BBox(x1, y1, x1 + w, y1 + h)
+
+
+@given(st.lists(_boxes(), max_size=6), st.lists(_boxes(), max_size=6))
+def test_iou_matrix_equals_scalar_iou_cell_by_cell(rows, cols):
+    def corners(boxes):
+        return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+    matrix = iou_matrix(corners(rows), corners(cols))
+    assert matrix.shape == (len(rows), len(cols))
+    for r, a in enumerate(rows):
+        for c, b in enumerate(cols):
+            assert matrix[r, c] == iou(a, b)
 
 
 # ---------------------------------------------------------------------------

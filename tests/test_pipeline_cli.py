@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -47,6 +48,13 @@ def test_config_round_trip_through_json_with_per_joint_kappa():
     config = PipelineConfig(tracker=TrackerConfig(kappa=tuple([0.08] * len(JOINTS))))
     reloaded = PipelineConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert reloaded == config
+
+
+def test_config_drops_unused_tracker_keypoint_threshold_of_older_documents():
+    doc = PipelineConfig().to_dict()
+    assert "keypoint_drop_threshold" not in doc["tracker"]
+    doc["tracker"]["keypoint_drop_threshold"] = 0.6
+    assert PipelineConfig.from_dict(doc) == PipelineConfig()
 
 
 def test_config_rejects_unknown_schema_and_bad_values():
@@ -129,6 +137,15 @@ def test_pipeline_ensemble_pose_count_mismatch_raises():
         )
 
 
+def test_detection_pr_rejects_misaligned_frame_indices():
+    det = synth.generate(synth.calibrated_benchmark_spec(n_frames=20)).det
+    gt = replace(det, frames=det.frames[:5])
+    with pytest.raises(PipelineContractError):
+        pipeline.detection_pr_at([det], [gt], 0.5)
+    with pytest.raises(PipelineContractError):
+        pipeline.sweep([det], [gt], PipelineConfig(), "bbox_threshold", [0.4, 0.6])
+
+
 def test_sweep_input_validation():
     out = _noiseless(n_frames=3)
     with pytest.raises(ValueError):
@@ -185,6 +202,18 @@ def test_cli_run_writes_reports_and_is_deterministic(tmp_path):
     assert all(p.track_id is not None for _, p in tracked.iter_poses())
     # atomic writes leave no temp files behind
     assert not list((tmp_path / "out1").glob("*.tmp"))
+
+
+def test_write_atomic_failure_keeps_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    cli._write_atomic(target, "old")
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(target, "\ud800")  # a lone surrogate cannot be encoded
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_cli_missing_input_exits_2_with_path(tmp_path, capsys):

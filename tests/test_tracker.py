@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -10,15 +11,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import points_pose, template_pose
+from topdown import synth, tracker
+from topdown.geometry import DegenerateGeometryError, bbox_from_keypoints, iou
 from topdown.metrics import evaluate_mot
-from topdown.model import Frame, JOINTS, Joint, Keypoint, Pose, Sequence
+from topdown.model import BBox, Frame, JOINTS, Joint, Keypoint, Pose, Sequence, save_predictions
 from topdown.tracker import (
+    PoseArrays,
     RetentionTable,
     TrackerConfig,
     TrackingError,
+    pose_arrays,
     pose_similarity,
     prune_keypoints,
     retention_stats,
+    similarity_matrix,
     solve_assignment,
     track_sequence,
 )
@@ -144,6 +150,98 @@ def test_per_joint_kappa_matches_uniform_scalar():
         TrackerConfig(kappa=[0.1] * 3)
     with pytest.raises(ValueError):
         TrackerConfig(kappa=-0.1)
+
+
+def reference_similarity_matrix(
+    tracks: PoseArrays, poses: PoseArrays, kappa, w_iou: float, w_pose: float
+) -> np.ndarray:
+    """Scalar reference for ``similarity_matrix``: one Python loop per cell and joint."""
+    out = np.empty((len(tracks.box), len(poses.box)))
+    for r in range(len(tracks.box)):
+        box_a = BBox(*(float(v) for v in tracks.box[r]))
+        for c in range(len(poses.box)):
+            box_b = BBox(*(float(v) for v in poses.box[c]))
+            overlap = iou(box_a, box_b)
+            common = [
+                j for j in range(len(JOINTS)) if tracks.present[r, j] and poses.present[c, j]
+            ]
+            if common:
+                size = math.sqrt(box_a.area)
+                total = 0.0
+                for j in common:
+                    ax, ay = (float(v) for v in tracks.xy[r, j])
+                    bx, by = (float(v) for v in poses.xy[c, j])
+                    d2 = (ax - bx) ** 2 + (ay - by) ** 2
+                    scale = size * float(kappa[j])
+                    denom = 2.0 * scale * scale
+                    if denom > 0.0:
+                        total += math.exp(-d2 / denom)
+                    else:
+                        total += 1.0 if d2 == 0.0 else 0.0
+                kp_sim = total / len(common)
+            else:
+                kp_sim = 0.0
+            out[r, c] = (w_iou * overlap + w_pose * kp_sim) / (w_iou + w_pose)
+    return out
+
+
+# a small integer grid makes equal positions (distance 0) and equal corners common
+_coord = st.one_of(st.integers(0, 30).map(float), st.floats(0, 400))
+
+
+@st.composite
+def _scored_pose(draw) -> Pose:
+    """A pose with random absent joints and a box that is inferred, explicit or zero-area."""
+    present = draw(st.lists(st.booleans(), min_size=len(JOINTS), max_size=len(JOINTS)))
+    keypoints = tuple(
+        Keypoint(joint=j, x=draw(_coord), y=draw(_coord), confidence=1.0, present=p)
+        for j, p in zip(JOINTS, present)
+    )
+    pose = Pose(keypoints=keypoints)
+    kind = draw(st.sampled_from(("inferred", "explicit", "zero_area")))
+    if kind == "inferred":
+        try:
+            bbox_from_keypoints(pose)
+            return pose
+        except DegenerateGeometryError:
+            kind = "explicit"  # too few distinct points to infer a box
+    x1, y1 = draw(_coord), draw(_coord)
+    if kind == "zero_area":
+        x2, y2 = x1 + draw(st.sampled_from((0.0, 5.0))), y1
+    else:
+        x2, y2 = x1 + draw(st.floats(1, 300)), y1 + draw(st.floats(1, 300))
+    return replace(pose, bbox=BBox(x1, y1, x2, y2))
+
+
+def _disjoint(pose: Pose) -> Pose:
+    """The same pose with its presence flags flipped: no joint in common with the original."""
+    flipped = tuple(replace(kp, present=not kp.present) for kp in pose.keypoints)
+    return replace(pose, keypoints=flipped)
+
+
+@given(
+    st.lists(_scored_pose(), min_size=1, max_size=4),
+    st.lists(_scored_pose(), max_size=4),
+    st.one_of(
+        st.floats(0.01, 2.0),
+        st.lists(st.floats(0.01, 2.0), min_size=len(JOINTS), max_size=len(JOINTS)),
+    ),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0),
+)
+def test_similarity_matrix_matches_scalar_reference(track_poses, poses, kappa, w_iou, w_pose):
+    if w_iou + w_pose <= 0.0:
+        w_pose = 1.0
+    config = TrackerConfig(w_iou=w_iou, w_pose=w_pose, kappa=kappa)
+    poses = poses + [_disjoint(p) for p in track_poses if p.bbox is not None]
+    tracks, candidates = pose_arrays(track_poses), pose_arrays(poses)
+    kappa_vector = tracker._kappa_vector(config)
+    matrix = similarity_matrix(tracks, candidates, kappa_vector, w_iou, w_pose)
+    expected = reference_similarity_matrix(tracks, candidates, kappa_vector, w_iou, w_pose)
+    assert matrix.shape == expected.shape == (len(track_poses), len(poses))
+    np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-12)
+    if poses:
+        assert pose_similarity(track_poses[0], poses[0], config) == matrix[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +442,32 @@ def test_crossing_persons_with_separated_lanes_have_zero_switches():
     report = evaluate_mot([tracked], [gt])
     assert report.total_counts.idsw == 0
     assert report.mota_total == 100.0
+
+
+@pytest.mark.parametrize("method", ["greedy", "hungarian"])
+def test_track_ids_equal_scalar_reference(monkeypatch, method):
+    """The array kernel assigns exactly the ids the scalar scoring assigns."""
+    config = TrackerConfig(method=method)
+    specs = [synth.calibrated_benchmark_spec(n_frames=40, seed=seed) for seed in (0, 1, 2)]
+    specs.append(synth.calibrated_benchmark_spec(n_persons=10, n_frames=12, seed=3))
+    dets = [synth.generate(spec).det for spec in specs]
+    fast = [save_predictions(track_sequence(det, config)) for det in dets]
+    monkeypatch.setattr(tracker, "similarity_matrix", reference_similarity_matrix)
+    slow = [save_predictions(track_sequence(det, config)) for det in dets]
+    assert [s.encode() for s in fast] == [s.encode() for s in slow]
+
+
+def test_similarity_matrix_called_once_per_scored_frame(monkeypatch):
+    """One matrix per frame with active tracks and poses, never one call per pair."""
+    shapes = []
+
+    def counting(tracks, poses, *args):
+        shapes.append((len(tracks.box), len(poses.box)))
+        return similarity_matrix(tracks, poses, *args)
+
+    monkeypatch.setattr(tracker, "similarity_matrix", counting)
+    two = [template_pose((200, 200)), template_pose((800, 200))]
+    frames = [two, two, [], [], [], two, [two[0]], two]
+    track_sequence(_sequence_of(frames), TrackerConfig(retention_window=2))
+    # frame 0: no tracks yet; 2-4: no poses; 5: both tracks expired (gap 4 > 2)
+    assert shapes == [(2, 2), (2, 1), (2, 2)]
