@@ -16,13 +16,14 @@ import logging
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from . import ensemble as ensemble_mod
 from . import heatmaps, metrics, pipeline, synth
-from .geometry import DegenerateGeometryError, bbox_from_keypoints
+from .ensemble import fuse
+from .geometry import DegenerateGeometryError, with_box
 from .metrics import EvaluationError
-from .model import Sequence, SequenceError, load_sequence, save_predictions
+from .model import Sequence, SequenceError, load_sequence, pair_by_name, save_predictions
 from .pipeline import PipelineConfig, PipelineContractError
 from .tracker import TrackingError
 
@@ -103,8 +104,6 @@ def _load_config(args) -> PipelineConfig:
         if value is not None:
             overrides[name] = value
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
 
@@ -116,6 +115,18 @@ def _dump_reports(out_dir: Path, result: pipeline.PipelineResult) -> None:
     _write_atomic(out_dir / "ap_report.csv", result.ap.to_csv())
     _write_atomic(out_dir / "mot_report.json", json.dumps(result.mot.to_dict(), indent=2))
     _write_atomic(out_dir / "mot_report.csv", result.mot.to_csv())
+
+
+def _emit_sequences(seqs: list[Sequence], out: str | None, prefix: str, what: str) -> None:
+    """Write each sequence to ``<out>/<prefix><name>.json``, or print them all without ``out``."""
+    if out:
+        out_dir = Path(out)
+        for seq in seqs:
+            _write_atomic(out_dir / f"{prefix}{seq.name}.json", save_predictions(seq))
+        print(f"{what} written to {out_dir}")
+    else:
+        for seq in seqs:
+            print(save_predictions(seq))
 
 
 def _cmd_run(args) -> int:
@@ -142,6 +153,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad --values: {exc}") from exc
     if len(values) < 2:
         raise _UsageError("--values needs at least 2 comma-separated thresholds")
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     rows = pipeline.sweep(det_seqs, gt_seqs, config, args.axis, values, jobs=args.jobs)
     csv_text = pipeline.sweep_csv(args.axis, rows)
     json_text = json.dumps([r.to_dict() for r in rows], indent=2)
@@ -154,15 +167,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_synth(args) -> int:
     doc = json.loads(_read_text(args.spec))
-    if "synth" in doc:  # generator section embedded in a pipeline config
+    if isinstance(doc, dict) and "synth" in doc:  # section of a pipeline config
         doc = doc["synth"]
     try:
         spec = synth.SynthSpec.from_dict(doc)
     except ValueError as exc:
         raise _InputError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     out = synth.generate(spec)
     out_dir = Path(args.out)
@@ -193,7 +204,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    stack = heatmaps.load_stack_json(_read_text(args.maps))
+    try:
+        stack = heatmaps.load_stack_json(_read_text(args.maps))
+    except ValueError as exc:
+        raise _InputError(f"{args.maps}: {exc}") from exc
     if args.radius is not None:
         decoded = heatmaps.decode_stack(stack, radius=args.radius, refine=not args.no_refine)
         keypoints = decoded.keypoints
@@ -220,72 +234,37 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bbox_infer(args) -> int:
-    from dataclasses import replace
-
-    seqs = _load_sequences(args.input)
     out = []
-    for seq in seqs:
-        frames = []
-        for frame in seq.frames:
-            poses = []
-            for pose in frame.poses:
-                if pose.bbox is None:
-                    pose = replace(pose, bbox=bbox_from_keypoints(pose, args.enlarge))
-                poses.append(pose)
-            frames.append(replace(frame, poses=tuple(poses)))
-        out.append(replace(seq, frames=tuple(frames)))
-    if args.out:
-        out_dir = Path(args.out)
-        for seq in out:
-            _write_atomic(out_dir / f"{seq.name}.json", save_predictions(seq))
-        print(f"sequences written to {out_dir}")
-    else:
-        for seq in out:
-            print(save_predictions(seq))
+    for seq in _load_sequences(args.input):
+        frames = tuple(
+            replace(frame, poses=tuple(with_box(p, args.enlarge) for p in frame.poses))
+            for frame in seq.frames
+        )
+        out.append(replace(seq, frames=frames))
+    _emit_sequences(out, args.out, "", "sequences")
     return 0
 
 
 def _cmd_ensemble(args) -> int:
     config = _load_config(args)
-    seqs_a = _load_sequences(args.a)
-    seqs_b = _load_sequences(args.b)
-    if len(seqs_a) != len(seqs_b):
-        raise PipelineContractError(
-            f"model A has {len(seqs_a)} sequences, model B has {len(seqs_b)}"
-        )
-    from dataclasses import replace
-
+    seqs_a = sorted(_load_sequences(args.a), key=lambda s: s.name)
+    pairs = pair_by_name(
+        seqs_a, _load_sequences(args.b), "model B predictions", PipelineContractError
+    )
     fused_seqs = []
-    seqs_a = sorted(seqs_a, key=lambda s: s.name)
-    seqs_b = sorted(seqs_b, key=lambda s: s.name)
-    for a, b in zip(seqs_a, seqs_b):
-        if a.name != b.name or len(a.frames) != len(b.frames):
-            raise PipelineContractError(f"sequences misaligned: {a.name!r} vs {b.name!r}")
+    for a, b in pairs:
         frames = []
         for fa, fb in zip(a.frames, b.frames):
             if len(fa.poses) != len(fb.poses):
                 raise PipelineContractError(
                     f"frame {fa.index}: pose counts differ ({len(fa.poses)} vs {len(fb.poses)})"
                 )
-            if args.mode == "average":
-                poses = tuple(
-                    ensemble_mod.fuse_average(pa, pb) for pa, pb in zip(fa.poses, fb.poses)
-                )
-            else:
-                poses = tuple(
-                    ensemble_mod.fuse_expert(pa, pb, config.expert_map)
-                    for pa, pb in zip(fa.poses, fb.poses)
-                )
+            poses = tuple(
+                fuse(pa, pb, args.mode, config.expert_map) for pa, pb in zip(fa.poses, fb.poses)
+            )
             frames.append(replace(fa, poses=poses))
         fused_seqs.append(replace(a, frames=tuple(frames)))
-    if args.out:
-        out_dir = Path(args.out)
-        for seq in fused_seqs:
-            _write_atomic(out_dir / f"fused_{seq.name}.json", save_predictions(seq))
-        print(f"fused sequences written to {out_dir}")
-    else:
-        for seq in fused_seqs:
-            print(save_predictions(seq))
+    _emit_sequences(fused_seqs, args.out, "fused_", "fused sequences")
     return 0
 
 

@@ -117,3 +117,12 @@ def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
         bbox=_mean_bbox(a.bbox, b.bbox),
         track_id=None,
     )
+
+
+def fuse(a: Pose, b: Pose, mode: str, route_map: ExpertMap) -> Pose:
+    """:func:`fuse_average` for ``mode="average"``, :func:`fuse_expert` for ``"expert"``."""
+    if mode == "average":
+        return fuse_average(a, b)
+    if mode == "expert":
+        return fuse_expert(a, b, route_map)
+    raise ValueError(f"unknown fusion mode {mode!r}")

@@ -1,7 +1,7 @@
 """Bounding-box arithmetic: inference from keypoints, IoU, NMS and detection PR."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -12,9 +12,11 @@ __all__ = [
     "PRResult",
     "DegenerateGeometryError",
     "bbox_from_keypoints",
+    "with_box",
     "iou",
     "iou_matrix",
     "prune_candidates",
+    "nms_indices",
     "nms_boxes",
     "detection_pr",
 ]
@@ -68,6 +70,16 @@ def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
     return BBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h, score=pose.det_score)
 
 
+def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
+    """``pose`` itself when it has a box, else a copy with :func:`bbox_from_keypoints`'s box.
+
+    Raises :class:`DegenerateGeometryError` when the box cannot be inferred.
+    """
+    if pose.bbox is not None:
+        return pose
+    return replace(pose, bbox=bbox_from_keypoints(pose, enlarge))
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0.0 when the union has no area."""
     ix = min(a.x2, b.x2) - max(a.x1, b.x1)
@@ -100,23 +112,29 @@ def prune_candidates(poses: list[Pose], threshold: float) -> list[Pose]:
     return [p for p in poses if p.det_score >= threshold]
 
 
-def nms_boxes(poses: list[Pose], iou_threshold: float) -> list[Pose]:
-    """Greedy non-maximum suppression over pose boxes.
+def nms_indices(poses: list[Pose], iou_threshold: float) -> list[int]:
+    """Greedy non-maximum suppression over pose boxes; returns the kept input indices.
 
     Poses are visited by descending detection score (ties by input index) and
     kept iff their IoU with every already-kept pose is at most the threshold.
-    The result is in visit order, i.e. a subsequence of the score-sorted input.
+    The indices are in visit order, so callers can select matching entries
+    of a parallel list (a second model's poses for the same candidates).
     """
     for i, pose in enumerate(poses):
         if pose.bbox is None:
             raise ValueError(f"pose {i} has no bbox; run box inference first")
     order = sorted(range(len(poses)), key=lambda i: (-poses[i].det_score, i))
-    kept: list[Pose] = []
+    kept: list[int] = []
     for i in order:
-        candidate = poses[i]
-        if all(iou(candidate.bbox, k.bbox) <= iou_threshold for k in kept):
-            kept.append(candidate)
+        box = poses[i].bbox
+        if all(iou(box, poses[k].bbox) <= iou_threshold for k in kept):
+            kept.append(i)
     return kept
+
+
+def nms_boxes(poses: list[Pose], iou_threshold: float) -> list[Pose]:
+    """The poses :func:`nms_indices` keeps: a subsequence of the score-sorted input."""
+    return [poses[i] for i in nms_indices(poses, iou_threshold)]
 
 
 def detection_pr(

@@ -222,6 +222,8 @@ def load_stack_json(text: str) -> HeatmapStack:
          "maps": {"<joint>": [[row of W floats] x H], ...}}  # all 15 joints
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("maps"), dict):
+        raise ValueError('expected a JSON object with a "maps" object')
     stride = float(doc.get("stride", 1.0))
     origin = tuple(float(v) for v in doc.get("origin", (0.0, 0.0)))
     if len(origin) != 2:

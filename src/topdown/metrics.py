@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import bbox_from_keypoints, DegenerateGeometryError
+from .geometry import DegenerateGeometryError, with_box
 from .model import (
     GROUPS,
     JOINTS,
@@ -28,6 +28,7 @@ from .model import (
     Pose,
     Sequence,
     joint_group,
+    pair_by_name,
 )
 
 GROUP_COLUMNS: tuple[str, ...] = tuple(g.value for g in GROUPS) + ("Total",)
@@ -71,14 +72,12 @@ def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float
         return head_size(pose, t)
     except EvaluationError:
         pass
-    box = pose.bbox
-    if box is None:
-        try:
-            box = bbox_from_keypoints(pose)
-        except DegenerateGeometryError as exc:
-            raise EvaluationError(
-                "cannot derive a head size: no head keypoints and no inferable box"
-            ) from exc
+    try:
+        box = with_box(pose).bbox
+    except DegenerateGeometryError as exc:
+        raise EvaluationError(
+            "cannot derive a head size: no head keypoints and no inferable box"
+        ) from exc
     diag = math.hypot(box.width, box.height)
     return max(t.bbox_diag_fraction * diag, t.min_head_size)
 
@@ -127,20 +126,9 @@ def match_poses_frame(
 def _align(
     pred_seqs: list[Sequence], gt_seqs: list[Sequence]
 ) -> list[tuple[Sequence, Sequence]]:
-    if len(pred_seqs) != len(gt_seqs):
-        raise EvaluationError(
-            f"sequence count mismatch: {len(pred_seqs)} predictions vs {len(gt_seqs)} ground truths"
-        )
+    # walked by name: AP tie order and the MOTP float sum depend on the order
     preds = sorted(pred_seqs, key=lambda s: s.name)
-    gts = sorted(gt_seqs, key=lambda s: s.name)
-    pairs = []
-    for p, g in zip(preds, gts):
-        if p.name != g.name:
-            raise EvaluationError(f"sequence name mismatch: {p.name!r} vs {g.name!r}")
-        if tuple(f.index for f in p.frames) != tuple(f.index for f in g.frames):
-            raise EvaluationError(f"sequence {p.name!r}: frame indices do not align")
-        pairs.append((p, g))
-    return pairs
+    return pair_by_name(preds, gt_seqs, "ground truth", EvaluationError)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Iterator
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Any, Iterator
 
 
 class Joint(enum.Enum):
@@ -253,6 +254,34 @@ def strip_track_ids(seq: Sequence) -> Sequence:
             for f in seq.frames
         ),
     )
+
+
+def pair_by_name(
+    seqs: list[Sequence], others: list[Sequence], what: str, error: type[Exception]
+) -> list[tuple[Sequence, Sequence]]:
+    """Pair each sequence of ``seqs`` with the sequence of ``others`` that has its name.
+
+    The rules are checked in this order, and the first one broken raises
+    ``error`` with a message that starts with ``what`` (the role of
+    ``others``): equal counts, names unique on both sides, every name present
+    on the other side, equal frame indices within each pair.  Pairs come back
+    in the order of ``seqs``.
+    """
+    if len(others) != len(seqs):
+        raise error(f"{what}: got {len(others)} sequences, expected {len(seqs)}")
+    for side in (seqs, others):
+        duplicates = sorted(n for n, c in Counter(s.name for s in side).items() if c > 1)
+        if duplicates:
+            raise error(f"{what}: duplicate sequence names {duplicates}")
+    by_name = {s.name: s for s in others}
+    for seq in seqs:
+        if seq.name not in by_name:
+            raise error(f"{what}: no sequence named {seq.name!r}")
+    pairs = [(seq, by_name[seq.name]) for seq in seqs]
+    for seq, other in pairs:
+        if [f.index for f in seq.frames] != [f.index for f in other.frames]:
+            raise error(f"{what}: sequence {seq.name!r}: frame indices do not align")
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,19 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
-from . import ensemble as ensemble_mod
-from .ensemble import Route, default_expert_map, validate_expert_map
+from .ensemble import Route, default_expert_map, fuse, validate_expert_map
 from .geometry import (
     DegenerateGeometryError,
     PRResult,
-    bbox_from_keypoints,
     detection_pr,
-    iou as geometry_iou,
+    nms_indices,
     prune_candidates,
+    with_box,
 )
 from .metrics import ApReport, MotReport, PckhThreshold, evaluate_ap, evaluate_mot
-from .model import JOINTS, Frame, Joint, Pose, Sequence
+from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
 log = logging.getLogger(__name__)
@@ -98,6 +98,8 @@ class PipelineConfig:
         their ``tracker`` section; the tracker never read it (keypoints are
         pruned with the top-level field), so it is dropped without effect.
         """
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         doc = dict(doc)
         schema = doc.pop("schema", 1)
         if schema != 1:
@@ -116,7 +118,7 @@ class PipelineConfig:
             if "pckh" in doc:
                 doc["pckh"] = PckhThreshold(**doc["pckh"])
             return cls(**doc)
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, AttributeError) as exc:
             raise ValueError(f"bad pipeline config: {exc}") from exc
 
 
@@ -128,10 +130,9 @@ class PipelineResult:
 
 
 def _with_box(pose: Pose, enlarge: float) -> Pose | None:
-    if pose.bbox is not None:
-        return pose
+    """:func:`~topdown.geometry.with_box`, or ``None`` when no box can be inferred."""
     try:
-        return replace(pose, bbox=bbox_from_keypoints(pose, enlarge))
+        return with_box(pose, enlarge)
     except DegenerateGeometryError:
         return None
 
@@ -154,20 +155,11 @@ def _detect_frame(
             log.warning("frame %d: dropping pose %d with no inferable box", frame.index, i)
             continue
         survivors.append((i, boxed))
-    # greedy NMS replayed over (original index, pose) pairs so the surviving
-    # indices can select the matching poses of a second model; identical to
-    # geometry.nms_boxes on the survivor list
-    order = sorted(
-        range(len(survivors)), key=lambda k: (-survivors[k][1].det_score, survivors[k][0])
-    )
-    selected: list[tuple[int, Pose]] = []
-    for k in order:
-        i, pose = survivors[k]
-        if all(
-            geometry_iou(pose.bbox, other.bbox) <= config.nms_iou_threshold
-            for _, other in selected
-        ):
-            selected.append((i, pose))
+    # survivors keep their input index so it can select the second model's pose
+    selected = [
+        survivors[k]
+        for k in nms_indices([pose for _, pose in survivors], config.nms_iou_threshold)
+    ]
     if b_frame is None or config.ensemble_mode == "none":
         return tuple(p for _, p in selected)
     fused = []
@@ -176,29 +168,9 @@ def _detect_frame(
         if other is None:
             log.warning("frame %d: second model pose %d has no box; using first model", frame.index, i)
             fused.append(pose)
-        elif config.ensemble_mode == "average":
-            fused.append(ensemble_mod.fuse_average(pose, other))
         else:
-            fused.append(ensemble_mod.fuse_expert(pose, other, config.expert_map))
+            fused.append(fuse(pose, other, config.ensemble_mode, config.expert_map))
     return tuple(fused)
-
-
-def _pair_by_name(
-    seqs: list[Sequence], others: list[Sequence] | None, what: str
-) -> list[tuple[Sequence, Sequence | None]]:
-    if others is None:
-        return [(s, None) for s in seqs]
-    if len(others) != len(seqs):
-        raise PipelineContractError(
-            f"{what}: got {len(others)} sequences, expected {len(seqs)}"
-        )
-    by_name = {s.name: s for s in others}
-    pairs = []
-    for seq in seqs:
-        if seq.name not in by_name:
-            raise PipelineContractError(f"{what}: no sequence named {seq.name!r}")
-        pairs.append((seq, by_name[seq.name]))
-    return pairs
 
 
 def run_pipeline(
@@ -214,14 +186,15 @@ def run_pipeline(
         )
     if det_b_seqs is None and config.ensemble_mode != "none":
         log.warning("ensemble_mode %s configured without second model predictions", config.ensemble_mode)
+    pair_by_name(det_seqs, gt_seqs, "ground truth", PipelineContractError)
+    if det_b_seqs is None:
+        pairs = [(det, None) for det in det_seqs]
+    else:
+        pairs = pair_by_name(
+            det_seqs, det_b_seqs, "second model predictions", PipelineContractError
+        )
     tracked = []
-    for det, det_b in _pair_by_name(det_seqs, det_b_seqs, "second model predictions"):
-        if det_b is not None and tuple(f.index for f in det_b.frames) != tuple(
-            f.index for f in det.frames
-        ):
-            raise PipelineContractError(
-                f"sequence {det.name!r}: second model frame indices do not align"
-            )
+    for det, det_b in pairs:
         frames = []
         for fi, frame in enumerate(det.frames):
             b_frame = det_b.frames[fi] if det_b is not None else None
@@ -236,6 +209,12 @@ def run_pipeline(
     return PipelineResult(tracked=tuple(tracked), ap=ap, mot=mot)
 
 
+def _boxes(poses: Iterable[Pose], config: PipelineConfig) -> list[BBox]:
+    """The poses' boxes, inferred when absent; a pose with no inferable box has none."""
+    boxed = (_with_box(p, config.bbox_enlarge) for p in poses)
+    return [p.bbox for p in boxed if p is not None]
+
+
 def detection_pr_at(
     det_seqs: list[Sequence],
     gt_seqs: list[Sequence],
@@ -248,26 +227,10 @@ def detection_pr_at(
     absent); counts are summed over all frames of all aligned sequences.
     """
     tp = fp = fn = 0
-    for det, gt in _pair_by_name(det_seqs, gt_seqs, "ground truth"):
-        assert gt is not None
-        if tuple(f.index for f in det.frames) != tuple(f.index for f in gt.frames):
-            raise PipelineContractError(
-                f"sequence {det.name!r}: ground truth frame indices do not align"
-            )
+    for det, gt in pair_by_name(det_seqs, gt_seqs, "ground truth", PipelineContractError):
         for det_frame, gt_frame in zip(det.frames, gt.frames):
-            det_boxes = [
-                p.bbox
-                for p in (
-                    _with_box(q, config.bbox_enlarge)
-                    for q in prune_candidates(list(det_frame.poses), threshold)
-                )
-                if p is not None
-            ]
-            gt_boxes = [
-                p.bbox
-                for p in (_with_box(q, config.bbox_enlarge) for q in gt_frame.poses)
-                if p is not None
-            ]
+            det_boxes = _boxes(prune_candidates(list(det_frame.poses), threshold), config)
+            gt_boxes = _boxes(gt_frame.poses, config)
             result = detection_pr(det_boxes, gt_boxes, config.detection_iou_threshold)
             tp += result.tp
             fp += result.fp
@@ -315,17 +278,21 @@ def sweep(
 ) -> list[SweepRow]:
     """Rerun the pipeline per threshold value along one axis.
 
-    Points are independent, so they may run in parallel; rows always come
+    Points are independent, so they may run in parallel in up to ``jobs``
+    worker processes, never more than there are points; rows always come
     back in the order the values were given.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if len(values) < 2:
         raise ValueError(f"need at least 2 sweep values, got {len(values)}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     point = _keypoint_sweep_point if axis == "keypoint_threshold" else _bbox_sweep_point
     payloads = [(det_seqs, gt_seqs, config, v) for v in values]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
             return list(pool.map(point, payloads))
     return [point(p) for p in payloads]
 

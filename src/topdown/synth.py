@@ -151,6 +151,8 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SynthSpec":
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"generator spec must be a JSON object, got {type(doc).__name__}")
         kwargs = dict(doc)
         try:
             if "confidence" in kwargs:
@@ -165,7 +167,7 @@ class SynthSpec:
             if "occlusions" in kwargs:
                 kwargs["occlusions"] = tuple(tuple(o) for o in kwargs["occlusions"])
             return cls(**kwargs)
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, AttributeError) as exc:
             raise ValueError(f"bad generator spec: {exc}") from exc
 
 

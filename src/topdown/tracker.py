@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import bbox_from_keypoints, iou_matrix
+from .geometry import iou_matrix, with_box
 from .model import (
     GROUPS,
     JOINTS,
@@ -174,7 +174,7 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
 
 
 def _corners(pose: Pose) -> tuple[float, float, float, float]:
-    box = pose.bbox if pose.bbox is not None else bbox_from_keypoints(pose)
+    box = with_box(pose).bbox
     return (box.x1, box.y1, box.x2, box.y2)
 
 

@@ -225,6 +225,16 @@ def test_ap_alignment_errors():
         evaluate_ap([], [gt])
 
 
+@pytest.mark.parametrize("evaluate", [evaluate_ap, evaluate_mot])
+def test_duplicate_sequence_names_rejected(evaluate):
+    a = _two_person_scene(3)
+    # same name and frame indices as ``a``, other poses: a sort-and-zip pairing
+    # would score a against b without noticing
+    b = _seq([[template_pose((500.0, 300.0), track_id=0)] for _ in range(3)])
+    with pytest.raises(EvaluationError, match="duplicate"):
+        evaluate([a, b], [b, a])
+
+
 # ---------------------------------------------------------------------------
 # MOT
 

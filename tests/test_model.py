@@ -20,6 +20,7 @@ from topdown.model import (
     group_joints,
     joint_group,
     load_sequence,
+    pair_by_name,
     save_predictions,
     sequence_to_dict,
 )
@@ -239,3 +240,39 @@ def test_type_invariants():
     good = Frame(index=0, width=10, height=10)
     with pytest.raises(ValueError):
         Sequence(name="x", frames=(good, good))
+
+
+class _PairingError(ValueError):
+    pass
+
+
+def _named(name: str, indices=(0, 1)) -> Sequence:
+    return Sequence(name=name, frames=tuple(Frame(index=i, width=10, height=10) for i in indices))
+
+
+def test_pair_by_name_pairs_in_order_of_first_side():
+    a, b, c = _named("a"), _named("b"), _named("c")
+    pairs = pair_by_name([c, a, b], [a, b, c], "other", _PairingError)
+    assert [(x.name, y.name) for x, y in pairs] == [("c", "c"), ("a", "a"), ("b", "b")]
+
+
+@pytest.mark.parametrize(
+    "seqs, others, message",
+    [
+        ([_named("a")], [_named("a"), _named("b")], "got 2 sequences, expected 1"),
+        # the count rule comes first, the uniqueness rule before presence
+        ([_named("a"), _named("a")], [_named("a"), _named("b")], "duplicate"),
+        ([_named("a"), _named("b")], [_named("a"), _named("a")], "duplicate"),
+        ([_named("a"), _named("b")], [_named("a"), _named("c")], "no sequence named 'b'"),
+        # presence is checked for every name before any frame indices
+        (
+            [_named("a", (0, 2)), _named("b")],
+            [_named("a"), _named("c")],
+            "no sequence named 'b'",
+        ),
+        ([_named("a")], [_named("a", (100, 101))], "frame indices do not align"),
+    ],
+)
+def test_pair_by_name_rules_raise_the_callers_error(seqs, others, message):
+    with pytest.raises(_PairingError, match=f"^other: .*{message}"):
+        pair_by_name(seqs, others, "other", _PairingError)

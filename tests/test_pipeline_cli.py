@@ -14,7 +14,8 @@ import pytest
 
 from conftest import template_pose
 from topdown import cli, pipeline, synth
-from topdown.geometry import nms_boxes, prune_candidates
+from topdown.ensemble import fuse_average, fuse_expert
+from topdown.geometry import iou, nms_boxes, prune_candidates
 from topdown.metrics import evaluate_ap
 from topdown.model import Frame, Sequence, load_sequence, save_predictions
 from topdown.pipeline import PipelineConfig, PipelineContractError, SweepRow
@@ -109,6 +110,77 @@ def test_detect_frame_matches_geometry_nms():
             config.nms_iou_threshold,
         )
         assert list(got) == expected
+
+
+@pytest.mark.parametrize("mode", ["average", "expert"])
+def test_detect_frame_fuses_each_kept_pose_with_its_own_second_model_pose(mode):
+    scores = (0.5, 0.9, 0.8, 0.95)
+    centers = ((100.0, 100.0), (400.0, 100.0), (104.0, 100.0), (700.0, 100.0))
+    a = [template_pose(c, det_score=s) for c, s in zip(centers, scores)]
+    b = [
+        template_pose((x + 3.0 * (i + 1), y - 2.0 * i), scale=95.0, det_score=0.6, with_bbox=False)
+        for i, (x, y) in enumerate(centers)
+    ]
+    config = PipelineConfig(ensemble_mode=mode)
+    assert iou(a[0].bbox, a[2].bbox) > config.nms_iou_threshold  # pose 2 suppresses pose 0
+    frame = Frame(index=0, width=2000, height=2000, poses=tuple(a))
+    b_frame = Frame(index=0, width=2000, height=2000, poses=tuple(b))
+    got = pipeline._detect_frame(frame, b_frame, config)
+    kept = (3, 1, 2)  # visit order, not input order
+    boxed_b = [pipeline._with_box(p, config.bbox_enlarge) for p in b]
+    if mode == "average":
+        expected = [fuse_average(a[i], boxed_b[i]) for i in kept]
+    else:
+        expected = [fuse_expert(a[i], boxed_b[i], config.expert_map) for i in kept]
+    assert list(got) == expected
+
+
+def test_run_pipeline_rejects_duplicate_sequence_names():
+    # two different sequences that share the generator's default name
+    a, b = (synth.generate(noiseless_spec(n_persons=2, n_frames=5, seed=s)) for s in (1, 2))
+    assert a.det.name == b.det.name
+    with pytest.raises(PipelineContractError, match="duplicate"):
+        pipeline.run_pipeline([a.det, b.det], [b.gt, a.gt])
+    dets = [a.det, replace(b.det, name="other")]
+    gts = [a.gt, replace(b.gt, name="other")]
+    with pytest.raises(PipelineContractError, match="second model predictions: duplicate"):
+        pipeline.run_pipeline(dets, gts, PipelineConfig(ensemble_mode="average"), [a.det, a.det])
+
+
+def test_sweep_rejects_jobs_below_one():
+    out = _noiseless(n_frames=3)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            pipeline.sweep([out.det], [out.gt], PipelineConfig(), "bbox_threshold", [0.2, 0.5], jobs)
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_pool_never_larger_than_the_number_of_points(monkeypatch):
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    out = _noiseless(n_frames=3)
+    args = ([out.det], [out.gt], PipelineConfig(), "bbox_threshold")
+    serial = pipeline.sweep(*args, [0.2, 0.5], jobs=1)
+    assert pipeline.sweep(*args, [0.2, 0.5], jobs=100_000) == serial
+    pipeline.sweep(*args, [0.2, 0.5, 0.7], jobs=2)
+    assert _SerialPool.created == [2, 2]
 
 
 def test_pipeline_self_ensemble_is_identity():
@@ -399,6 +471,86 @@ def test_cli_synth_accepts_embedded_section(tmp_path):
     spec_path.write_text(json.dumps(doc))
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "g")]) == 0
     assert (tmp_path / "g" / "det.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_sweep_jobs_below_one_is_usage_error(tmp_path, jobs):
+    det, gt = _write_noiseless(tmp_path)
+    code = cli.main(
+        ["sweep", "--det", str(det), "--gt", str(gt), "--out", str(tmp_path / "s"),
+         "--axis", "bbox_threshold", "--values", "0.2,0.5", "--jobs", jobs]
+    )
+    assert code == 1
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "command, document",
+    [
+        ("config", [1, 2]),
+        ("config", {"expert_map": [1]}),
+        ("synth", [1, 2]),
+        ("synth", 3),
+        ("synth", {"confidence": [1]}),
+        ("decode", {"stride": 1.0, "origin": [0.0, 0.0]}),
+    ],
+    ids=[
+        "config-array", "config-section-array", "spec-array", "spec-number",
+        "spec-section-array", "maps-missing",
+    ],
+)
+def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    if command == "config":
+        det, gt = _write_noiseless(tmp_path)
+        argv = ["run", "--config", str(path), "--det", str(det), "--gt", str(gt),
+                "--out", str(tmp_path / "o")]
+    elif command == "synth":
+        argv = ["synth", "--spec", str(path), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["decode", "--maps", str(path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
+def _write_named(directory: Path, seqs: list[Sequence]) -> Path:
+    directory.mkdir()
+    for k, seq in enumerate(seqs):
+        (directory / f"{k}.json").write_text(save_predictions(seq))
+    return directory
+
+
+def test_cli_ensemble_rejects_duplicate_sequence_names(tmp_path):
+    a, b = (synth.generate(noiseless_spec(n_persons=2, n_frames=4, seed=s)).det for s in (1, 2))
+    dir_a = _write_named(tmp_path / "a", [a, b])
+    dir_b = _write_named(tmp_path / "b", [b, a])
+    out_dir = tmp_path / "fused"
+    code = cli.main(
+        ["ensemble", "--a", str(dir_a), "--b", str(dir_b), "--mode", "average",
+         "--out", str(out_dir)]
+    )
+    assert code == 3
+    assert not out_dir.exists()
+
+
+def test_cli_ensemble_rejects_shifted_frame_indices(tmp_path):
+    det, _ = _write_noiseless(tmp_path)
+    doc = json.loads(det.read_text())
+    for frame in doc["frames"]:
+        frame["index"] += 100
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(doc))
+    out_dir = tmp_path / "fused"
+    code = cli.main(
+        ["ensemble", "--a", str(det), "--b", str(shifted), "--mode", "expert",
+         "--out", str(out_dir)]
+    )
+    assert code == 3
+    assert not out_dir.exists()
 
 
 def test_cli_subprocess_entrypoint(tmp_path):
