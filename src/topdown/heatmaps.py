@@ -224,14 +224,17 @@ def load_stack_json(text: str) -> HeatmapStack:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("maps"), dict):
         raise ValueError('expected a JSON object with a "maps" object')
-    stride = float(doc.get("stride", 1.0))
-    origin = tuple(float(v) for v in doc.get("origin", (0.0, 0.0)))
-    if len(origin) != 2:
-        raise ValueError("origin must have 2 entries")
-    raw_maps = doc["maps"]
-    maps = []
-    for joint in JOINTS:
-        if joint.value not in raw_maps:
-            raise ValueError(f"maps missing joint {joint.value!r}")
-        maps.append(Heatmap(joint=joint, grid=np.asarray(raw_maps[joint.value]), stride=stride))
+    try:  # a wrongly typed stride, origin or grid fails float conversion with TypeError
+        stride = float(doc.get("stride", 1.0))
+        origin = tuple(float(v) for v in doc.get("origin", (0.0, 0.0)))
+        if len(origin) != 2:
+            raise ValueError("origin must have 2 entries")
+        raw_maps = doc["maps"]
+        maps = []
+        for joint in JOINTS:
+            if joint.value not in raw_maps:
+                raise ValueError(f"maps missing joint {joint.value!r}")
+            maps.append(Heatmap(joint=joint, grid=np.asarray(raw_maps[joint.value]), stride=stride))
+    except TypeError as exc:
+        raise ValueError(f"malformed heatmap fixture: {exc}") from exc
     return HeatmapStack(maps=tuple(maps), origin=origin)  # type: ignore[arg-type]

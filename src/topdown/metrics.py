@@ -131,6 +131,59 @@ def _align(
     return pair_by_name(preds, gt_seqs, "ground truth", EvaluationError)
 
 
+@dataclass(frozen=True, slots=True)
+class Matching:
+    """Pose matches of every frame of predictions against ground truth.
+
+    Built once by :func:`match_sequences` and read by both :func:`evaluate_ap`
+    and :func:`evaluate_mot`.  ``pairs`` holds the aligned sequences in the
+    order the scorers walk them, each with :func:`match_poses_frame`'s pairs
+    for every frame.
+    """
+
+    pred_seqs: tuple[Sequence, ...]
+    gt_seqs: tuple[Sequence, ...]
+    t: PckhThreshold
+    pairs: tuple[tuple[Sequence, Sequence, tuple[list[tuple[int, int]], ...]], ...]
+
+
+def match_sequences(
+    pred_seqs: list[Sequence],
+    gt_seqs: list[Sequence],
+    t: PckhThreshold = PckhThreshold(),
+) -> Matching:
+    """Align sequences by name and match the poses of every frame, once."""
+    pairs = tuple(
+        (
+            pred_seq,
+            gt_seq,
+            tuple(
+                match_poses_frame(list(pred_frame.poses), list(gt_frame.poses), t)
+                for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames)
+            ),
+        )
+        for pred_seq, gt_seq in _align(pred_seqs, gt_seqs)
+    )
+    return Matching(tuple(pred_seqs), tuple(gt_seqs), t, pairs)
+
+
+def _matching_for(
+    pred_seqs: list[Sequence],
+    gt_seqs: list[Sequence],
+    t: PckhThreshold,
+    matching: Matching | None,
+) -> Matching:
+    """``matching`` when it was built from these inputs, else a fresh one."""
+    if matching is None:
+        return match_sequences(pred_seqs, gt_seqs, t)
+    # identical sequence objects compare without walking their frames
+    if (matching.pred_seqs, matching.gt_seqs, matching.t) != (
+        tuple(pred_seqs), tuple(gt_seqs), t
+    ):
+        raise EvaluationError("matching was built from other sequences or thresholds")
+    return matching
+
+
 # ---------------------------------------------------------------------------
 # average precision
 
@@ -190,6 +243,8 @@ def evaluate_ap(
     pred_seqs: list[Sequence],
     gt_seqs: list[Sequence],
     t: PckhThreshold = PckhThreshold(),
+    *,
+    matching: Matching | None = None,
 ) -> ApReport:
     """Score keypoint predictions against aligned ground-truth sequences.
 
@@ -198,16 +253,19 @@ def evaluate_ap(
     joint is present within the correctness radius, a false positive
     otherwise (including all keypoints of unmatched poses).  Ground-truth
     joints never claimed count as misses through the recall denominator.
+
+    ``matching``, when given, must be :func:`match_sequences` of the same
+    arguments; it lets AP and MOT share one matching pass.
     """
+    matching = _matching_for(pred_seqs, gt_seqs, t, matching)
     records: dict[Joint, list[tuple[float, bool]]] = {j: [] for j in JOINTS}
     n_gt: dict[Joint, int] = {j: 0 for j in JOINTS}
-    for pred_seq, gt_seq in _align(pred_seqs, gt_seqs):
-        for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames):
+    for pred_seq, gt_seq, frame_matches in matching.pairs:
+        for pred_frame, gt_frame, matches in zip(pred_seq.frames, gt_seq.frames, frame_matches):
             for gt in gt_frame.poses:
                 for kp in gt.keypoints:
                     if kp.present:
                         n_gt[kp.joint] += 1
-            matches = match_poses_frame(list(pred_frame.poses), list(gt_frame.poses), t)
             matched_preds = {pi for pi, _ in matches}
             for pi, gi in matches:
                 gt = gt_frame.poses[gi]
@@ -319,6 +377,8 @@ def evaluate_mot(
     pred_seqs: list[Sequence],
     gt_seqs: list[Sequence],
     t: PckhThreshold = PckhThreshold(),
+    *,
+    matching: Matching | None = None,
 ) -> MotReport:
     """CLEAR-style keypoint tracking metrics over aligned sequences.
 
@@ -329,19 +389,23 @@ def evaluate_mot(
     ``100 * (1 - (fn + fp + idsw) / gt)``; localization quality is the mean of
     ``1 - d / radius`` over matched keypoints (0 when nothing matched), and
     precision/recall use the same keypoint counts.
+
+    ``matching``, when given, must be :func:`match_sequences` of the same
+    arguments; it lets AP and MOT share one matching pass.
     """
-    counts = {g: MotCounts() for g in GROUPS}
-    motp_sum = 0.0
     for pred_seq, gt_seq in _align(pred_seqs, gt_seqs):
         _require_track_ids(pred_seq, "prediction")
         _require_track_ids(gt_seq, "ground-truth")
+    matching = _matching_for(pred_seqs, gt_seqs, t, matching)
+    counts = {g: MotCounts() for g in GROUPS}
+    motp_sum = 0.0
+    for pred_seq, gt_seq, frame_matches in matching.pairs:
         last_pred_id: dict[tuple[int, Joint], int] = {}
-        for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames):
+        for pred_frame, gt_frame, matches in zip(pred_seq.frames, gt_seq.frames, frame_matches):
             for gt in gt_frame.poses:
                 for kp in gt.keypoints:
                     if kp.present:
                         counts[joint_group(kp.joint)].gt += 1
-            matches = match_poses_frame(list(pred_frame.poses), list(gt_frame.poses), t)
             matched_preds = {pi for pi, _ in matches}
             matched_gts = {gi for _, gi in matches}
             for pi, gi in matches:

@@ -5,12 +5,16 @@ suppress overlapping boxes, optionally fuse a second model's predictions for
 the surviving candidates, assign track ids, prune low-confidence keypoints,
 then score single-frame AP and tracking metrics against ground truth.
 
-Threshold sweeps rerun the pipeline per value; rows carry AP/MOTA totals for
-the keypoint axis and detection precision/recall for the box axis.
+Each frame is matched against ground truth once, and both scores read that
+matching.  Threshold sweeps yield AP/MOTA totals per keypoint threshold and
+detection precision/recall per box threshold.  The keypoint threshold acts
+only after tracking, so a keypoint sweep runs the pipeline once, at its
+lowest value, and only re-prunes and rescores that output for the others.
 """
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -24,7 +28,14 @@ from .geometry import (
     prune_candidates,
     with_box,
 )
-from .metrics import ApReport, MotReport, PckhThreshold, evaluate_ap, evaluate_mot
+from .metrics import (
+    ApReport,
+    MotReport,
+    PckhThreshold,
+    evaluate_ap,
+    evaluate_mot,
+    match_sequences,
+)
 from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
@@ -204,8 +215,16 @@ def run_pipeline(
         tracked.append(
             prune_sequence_keypoints(tracked_seq, config.keypoint_drop_threshold)
         )
-    ap = evaluate_ap(tracked, gt_seqs, config.pckh)
-    mot = evaluate_mot(tracked, gt_seqs, config.pckh)
+    return _score(tracked, gt_seqs, config.pckh)
+
+
+def _score(
+    tracked: list[Sequence], gt_seqs: list[Sequence], pckh: PckhThreshold
+) -> PipelineResult:
+    """AP and MOT of tracked sequences, from one matching pass."""
+    matching = match_sequences(tracked, gt_seqs, pckh)
+    ap = evaluate_ap(tracked, gt_seqs, pckh, matching=matching)
+    mot = evaluate_mot(tracked, gt_seqs, pckh, matching=matching)
     return PipelineResult(tracked=tuple(tracked), ap=ap, mot=mot)
 
 
@@ -256,10 +275,14 @@ class SweepRow:
         return out
 
 
-def _keypoint_sweep_point(args) -> SweepRow:
-    det_seqs, gt_seqs, config, value = args
-    result = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=value))
+def _keypoint_row(value: float, result: PipelineResult) -> SweepRow:
     return SweepRow(value=value, ap_total=result.ap.total, mota_total=result.mot.mota_total)
+
+
+def _keypoint_sweep_point(args) -> SweepRow:
+    tracked, gt_seqs, pckh, value = args
+    pruned = [prune_sequence_keypoints(seq, value) for seq in tracked]
+    return _keypoint_row(value, _score(pruned, gt_seqs, pckh))
 
 
 def _bbox_sweep_point(args) -> SweepRow:
@@ -276,11 +299,17 @@ def sweep(
     values: list[float],
     jobs: int = 1,
 ) -> list[SweepRow]:
-    """Rerun the pipeline per threshold value along one axis.
+    """One row per threshold value along one axis, in the order the values were given.
 
-    Points are independent, so they may run in parallel in up to ``jobs``
-    worker processes, never more than there are points; rows always come
-    back in the order the values were given.
+    Every value must be finite and within [0, 1]; all are checked before any
+    work starts.  A box-axis point prunes candidates and scores detection.
+    A keypoint-axis sweep runs :func:`run_pipeline` once, at the lowest value,
+    and prunes that result's tracked sequences at each other value before
+    scoring them.  That gives the rows of a full run per value, because
+    pruning is monotone: a keypoint below the lowest threshold is below every
+    other one.  Points that prune and score are independent, so they may run
+    in parallel in up to ``jobs`` worker processes, never more than there are
+    such points.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -288,11 +317,29 @@ def sweep(
         raise ValueError(f"need at least 2 sweep values, got {len(values)}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    point = _keypoint_sweep_point if axis == "keypoint_threshold" else _bbox_sweep_point
-    payloads = [(det_seqs, gt_seqs, config, v) for v in values]
-    if jobs > 1:
+    for value in values:
+        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            raise ValueError(f"sweep values must be finite and within [0, 1], got {value!r}")
+    if axis == "bbox_threshold":
+        return _map(_bbox_sweep_point, [(det_seqs, gt_seqs, config, v) for v in values], jobs)
+    lowest = min(values)
+    base = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=lowest))
+    rest = iter(
+        _map(
+            _keypoint_sweep_point,
+            [(base.tracked, gt_seqs, config.pckh, v) for v in values if v != lowest],
+            jobs,
+        )
+    )
+    return [_keypoint_row(v, base) if v == lowest else next(rest) for v in values]
+
+
+def _map(point, payloads: list, jobs: int) -> list[SweepRow]:
+    """``point`` of every payload, in order, in up to ``jobs`` worker processes."""
+    workers = min(jobs, len(payloads))
+    if workers > 1:
         # the pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(point, payloads))
     return [point(p) for p in payloads]
 

@@ -122,7 +122,7 @@ def prune_keypoints(pose: Pose, threshold: float) -> Pose:
     return replace(
         pose,
         keypoints=tuple(
-            replace(kp, present=False) if kp.confidence < threshold else kp
+            replace(kp, present=False) if kp.present and kp.confidence < threshold else kp
             for kp in pose.keypoints
         ),
     )

@@ -6,17 +6,19 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import template_pose
-from topdown import cli, pipeline, synth
+from topdown import cli, metrics, pipeline, synth
 from topdown.ensemble import fuse_average, fuse_expert
 from topdown.geometry import iou, nms_boxes, prune_candidates
-from topdown.metrics import evaluate_ap
+from topdown.metrics import evaluate_ap, evaluate_mot
 from topdown.model import Frame, Sequence, load_sequence, save_predictions
 from topdown.pipeline import PipelineConfig, PipelineContractError, SweepRow
 from topdown.synth import noiseless_spec
@@ -241,6 +243,100 @@ def test_sweep_csv_layouts():
     rows = [SweepRow(value=0.5, precision=30.0, recall=90.0)]
     text = pipeline.sweep_csv("bbox_threshold", rows)
     assert text.splitlines()[0] == "threshold,precision,recall"
+
+
+def _two_sequences(spec, seed):
+    """Two generated outputs, the second renamed, so sweeps walk two sequences."""
+    a = synth.generate(spec(n_persons=3, n_frames=5, seed=seed))
+    b = synth.generate(spec(n_persons=2, n_frames=4, seed=seed + 1))
+    return [a.det, replace(b.det, name="second")], [replace(b.gt, name="second"), a.gt]
+
+
+# boundary values next to arbitrary ones, so values repeat and hit confidences
+_THRESHOLDS = st.sampled_from([0.0, 0.5, 0.7, 0.85, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=20)
+@given(
+    spec=st.sampled_from([synth.calibrated_benchmark_spec, noiseless_spec]),
+    seed=st.integers(0, 10_000),
+    values=st.lists(_THRESHOLDS, min_size=2, max_size=6),
+    method=st.sampled_from(["hungarian", "greedy"]),
+)
+def test_keypoint_sweep_rows_equal_a_full_run_per_value(spec, seed, values, method):
+    dets, gts = _two_sequences(spec, seed)
+    config = PipelineConfig(tracker=TrackerConfig(method=method))
+    rows = pipeline.sweep(dets, gts, config, "keypoint_threshold", values)
+    expected = []
+    for value in values:
+        result = pipeline.run_pipeline(dets, gts, replace(config, keypoint_drop_threshold=value))
+        expected.append(
+            SweepRow(value=value, ap_total=result.ap.total, mota_total=result.mot.mota_total)
+        )
+    assert rows == expected
+
+
+def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_keypoint_sweep_tracks_once_and_matches_each_frame_once_per_point(monkeypatch):
+    dets, gts = _two_sequences(synth.calibrated_benchmark_spec, 3)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, pipeline, "run_pipeline", counts)
+    _count_calls(monkeypatch, pipeline, "track_sequence", counts)
+    _count_calls(monkeypatch, metrics, "match_poses_frame", counts)
+    # scored points: 0.5 (the tracked run, also standing in for its duplicate), 0.7, 0.9
+    pipeline.sweep(dets, gts, PipelineConfig(), "keypoint_threshold", [0.7, 0.5, 0.9, 0.5])
+    frames = sum(len(seq.frames) for seq in gts)
+    assert counts == {"run_pipeline": 1, "track_sequence": 2, "match_poses_frame": 3 * frames}
+
+
+def test_pipeline_reports_equal_separate_scoring_from_one_matching_pass(monkeypatch):
+    dets, gts = _two_sequences(synth.calibrated_benchmark_spec, 5)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, metrics, "match_poses_frame", counts)
+    result = pipeline.run_pipeline(dets, gts, PipelineConfig(keypoint_drop_threshold=0.6))
+    assert counts["match_poses_frame"] == sum(len(seq.frames) for seq in gts)
+    tracked = list(result.tracked)
+    assert result.ap.to_dict() == evaluate_ap(tracked, gts).to_dict()
+    assert result.mot.to_dict() == evaluate_mot(tracked, gts).to_dict()
+
+
+@pytest.mark.parametrize("axis", pipeline.SWEEP_AXES)
+@pytest.mark.parametrize("bad", [1.5, -0.1, float("nan"), float("inf")])
+def test_sweep_rejects_values_outside_unit_interval_before_any_work(monkeypatch, axis, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started work before checking its values")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", no_work)
+    monkeypatch.setattr(pipeline, "detection_pr_at", no_work)
+    out = _noiseless(n_frames=3)
+    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        pipeline.sweep([out.det], [out.gt], PipelineConfig(), axis, [0.5, 0.6, bad])
+
+
+def test_keypoint_sweep_pool_maps_only_the_prune_and_score_points(monkeypatch):
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "created", [])
+    out = _noiseless(n_frames=3)
+    args = ([out.det], [out.gt], PipelineConfig(), "keypoint_threshold")
+    serial = pipeline.sweep(*args, [0.9, 0.5, 0.7, 0.5], jobs=1)
+    assert pipeline.sweep(*args, [0.9, 0.5, 0.7, 0.5], jobs=8) == serial
+    pipeline.sweep(*args, [0.6, 0.6, 0.9], jobs=2)  # one point left: no pool
+    assert _SerialPool.created == [2]
+
+
+def test_keypoint_sweep_parallel_equals_serial():
+    out = synth.generate(synth.calibrated_benchmark_spec(n_persons=2, n_frames=6, seed=4))
+    args = ([out.det], [out.gt], PipelineConfig(), "keypoint_threshold", [0.8, 0.5, 0.7])
+    assert pipeline.sweep(*args, jobs=2) == pipeline.sweep(*args, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +580,21 @@ def test_cli_sweep_jobs_below_one_is_usage_error(tmp_path, jobs):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("axis", pipeline.SWEEP_AXES)
+@pytest.mark.parametrize("values", ["0.5,1.5", "nan,0.5", "0.5,-0.1"])
+def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, values):
+    det, gt = _write_noiseless(tmp_path)
+    code = cli.main(
+        ["sweep", "--det", str(det), "--gt", str(gt), "--out", str(tmp_path / "s"),
+         "--axis", axis, "--values", values]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "within [0, 1]" in err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize(
     "command, document",
     [
@@ -493,10 +604,12 @@ def test_cli_sweep_jobs_below_one_is_usage_error(tmp_path, jobs):
         ("synth", 3),
         ("synth", {"confidence": [1]}),
         ("decode", {"stride": 1.0, "origin": [0.0, 0.0]}),
+        ("decode", {"maps": {}, "origin": 5}),
+        ("decode", {"maps": {}, "stride": [1.0]}),
     ],
     ids=[
         "config-array", "config-section-array", "spec-array", "spec-number",
-        "spec-section-array", "maps-missing",
+        "spec-section-array", "maps-missing", "maps-origin-number", "maps-stride-array",
     ],
 )
 def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):

@@ -23,6 +23,7 @@ from topdown.tracker import (
     pose_arrays,
     pose_similarity,
     prune_keypoints,
+    prune_sequence_keypoints,
     retention_stats,
     similarity_matrix,
     solve_assignment,
@@ -72,6 +73,21 @@ def _sequence_of(poses_per_frame: list[list[Pose]], name="seq", size=(2000, 2000
             for i, poses in enumerate(poses_per_frame)
         ),
     )
+
+
+# boundary values next to arbitrary ones, so thresholds often equal a confidence
+_LEVELS = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]) | st.floats(0, 1)
+
+
+@given(
+    st.lists(st.lists(_LEVELS, min_size=1, max_size=15), min_size=1, max_size=4),
+    _LEVELS,
+    _LEVELS,
+)
+def test_pruning_twice_equals_pruning_once_at_the_higher_threshold(confs_per_pose, a, b):
+    seq = _sequence_of([[_pose_with_confidences(confs) for confs in confs_per_pose]])
+    twice = prune_sequence_keypoints(prune_sequence_keypoints(seq, a), b)
+    assert twice == prune_sequence_keypoints(seq, max(a, b))
 
 
 def test_retention_all_confident_is_100():
