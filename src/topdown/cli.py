@@ -108,9 +108,36 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+# Bytes in one file name on common file systems, and what the temp file of
+# _write_atomic adds to a name (".", 8 random characters, ".tmp").
+_NAME_MAX = 255
+_TEMP_SUFFIX_LEN = 13
+
+
+def _sequence_files(out_dir: Path, prefix: str, seqs: list[Sequence]) -> list[Path]:
+    """``<out_dir>/<prefix><name>.json`` for each sequence, in order.
+
+    Every name is checked before any file is written: one holding a path
+    separator or NUL would put its file outside ``out_dir``, and one too long
+    or not encodable as a file name would fail after earlier files were written.
+    """
+    for seq in seqs:
+        if "/" in seq.name or "\\" in seq.name or "\0" in seq.name:
+            raise _InputError(
+                f"sequence {seq.name!r}: a name with '/', '\\' or NUL cannot name an output file"
+            )
+        try:
+            fits = len(os.fsencode(f"{prefix}{seq.name}.json")) + _TEMP_SUFFIX_LEN <= _NAME_MAX
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            raise _InputError(f"sequence {seq.name!r}: the name does not fit in a file name")
+    return [out_dir / f"{prefix}{seq.name}.json" for seq in seqs]
+
+
 def _dump_reports(out_dir: Path, result: pipeline.PipelineResult) -> None:
-    for seq in result.tracked:
-        _write_atomic(out_dir / f"tracked_{seq.name}.json", save_predictions(seq))
+    for path, seq in zip(_sequence_files(out_dir, "tracked_", result.tracked), result.tracked):
+        _write_atomic(path, save_predictions(seq))
     _write_atomic(out_dir / "ap_report.json", json.dumps(result.ap.to_dict(), indent=2))
     _write_atomic(out_dir / "ap_report.csv", result.ap.to_csv())
     _write_atomic(out_dir / "mot_report.json", json.dumps(result.mot.to_dict(), indent=2))
@@ -121,8 +148,8 @@ def _emit_sequences(seqs: list[Sequence], out: str | None, prefix: str, what: st
     """Write each sequence to ``<out>/<prefix><name>.json``, or print them all without ``out``."""
     if out:
         out_dir = Path(out)
-        for seq in seqs:
-            _write_atomic(out_dir / f"{prefix}{seq.name}.json", save_predictions(seq))
+        for path, seq in zip(_sequence_files(out_dir, prefix, seqs), seqs):
+            _write_atomic(path, save_predictions(seq))
         print(f"{what} written to {out_dir}")
     else:
         for seq in seqs:

@@ -27,6 +27,13 @@ Boxes are stored as bare corner coordinates; a box score is not part of the
 document and is reconstituted from the owning pose's ``det_score`` on load.
 Unannotated or pruned keypoints are carried with ``present: false`` so the
 15 joint slots keep stable indices.
+
+:func:`save_predictions` writes the same bytes as
+``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
+the plain-data view of the schema and the reference for that contract.
+:func:`load_sequence` checks each field in schema order and formats the
+path of a field (``$.frames[0].poses[1].keypoints[4].x``) only when it
+raises :class:`SequenceError` for it.
 """
 from __future__ import annotations
 
@@ -65,7 +72,6 @@ class Joint(enum.Enum):
 JOINTS: tuple[Joint, ...] = tuple(Joint)
 JOINT_NAMES: tuple[str, ...] = tuple(j.value for j in JOINTS)
 _JOINT_INDEX = {j: i for i, j in enumerate(JOINTS)}
-_JOINT_BY_NAME = {j.value: j for j in JOINTS}
 
 
 class EvalGroup(enum.Enum):
@@ -132,8 +138,15 @@ class BBox:
     score: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2", "score"):
-            _require_finite(getattr(self, name), f"BBox.{name}")
+        if not (
+            math.isfinite(self.x1)
+            and math.isfinite(self.y1)
+            and math.isfinite(self.x2)
+            and math.isfinite(self.y2)
+            and math.isfinite(self.score)
+        ):
+            for name in ("x1", "y1", "x2", "y2", "score"):
+                _require_finite(getattr(self, name), f"BBox.{name}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(f"BBox corners out of order: {self}")
 
@@ -165,14 +178,18 @@ class Keypoint:
     present: bool = True
 
     def __post_init__(self) -> None:
-        _require_finite(self.x, f"{self.joint.value}.x")
-        _require_finite(self.y, f"{self.joint.value}.y")
-        _require_finite(self.confidence, f"{self.joint.value}.confidence")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(
-                f"{self.joint.value}.confidence must be within [0, 1], "
-                f"got {self.confidence!r}"
-            )
+        if (
+            math.isfinite(self.x)
+            and math.isfinite(self.y)
+            and math.isfinite(self.confidence)
+            and 0.0 <= self.confidence <= 1.0
+        ):
+            return
+        name = self.joint.value
+        _require_finite(self.x, f"{name}.x")
+        _require_finite(self.y, f"{name}.y")
+        _require_finite(self.confidence, f"{name}.confidence")
+        raise ValueError(f"{name}.confidence must be within [0, 1], got {self.confidence!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,7 +332,10 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SequenceError(f"{path}: expected number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise SequenceError(f"{path}: must be finite, got {value!r}")
     return out
@@ -327,33 +347,58 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
+_MISSING = object()
+_SLOT_BY_NAME = {j.value: (i, j) for i, j in enumerate(JOINTS)}
+
+
+def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
+    """Field ``key`` of keypoint ``k`` when it is not a finite float: check and convert."""
+    if value is _MISSING:
+        raise SequenceError(f"{path}[{k}].{key}: missing field")
+    return _as_float(value, f"{path}[{k}].{key}")
+
+
 def _parse_keypoints(items: Any, path: str) -> tuple[Keypoint, ...]:
     entries = _as_list(items, path)
     if len(entries) != len(JOINTS):
         raise SequenceError(f"{path}: expected {len(JOINTS)} keypoints, got {len(entries)}")
-    slots: dict[Joint, Keypoint] = {}
-    for k, raw in enumerate(entries):
-        kp_path = f"{path}[{k}]"
-        obj = _as_mapping(raw, kp_path)
-        name = _get(obj, "joint", kp_path)
-        joint = _JOINT_BY_NAME.get(name)
-        if joint is None:
-            raise SequenceError(f"{kp_path}.joint: unknown joint {name!r}")
-        if joint in slots:
-            raise SequenceError(f"{kp_path}.joint: duplicate joint {name!r}")
-        confidence = _as_float(_get(obj, "confidence", kp_path), f"{kp_path}.confidence")
-        if not 0.0 <= confidence <= 1.0:
-            raise SequenceError(
-                f"{kp_path}.confidence: must be within [0, 1], got {confidence!r}"
-            )
-        slots[joint] = Keypoint(
-            joint=joint,
-            x=_as_float(_get(obj, "x", kp_path), f"{kp_path}.x"),
-            y=_as_float(_get(obj, "y", kp_path), f"{kp_path}.y"),
-            confidence=confidence,
-            present=_as_bool(_get(obj, "present", kp_path), f"{kp_path}.present"),
-        )
-    return tuple(slots[j] for j in JOINTS)
+    slots: list[Keypoint | None] = [None] * len(JOINTS)
+    for k, obj in enumerate(entries):
+        if not isinstance(obj, dict):
+            raise SequenceError(f"{path}[{k}]: expected object, got {type(obj).__name__}")
+        name = obj.get("joint", _MISSING)
+        try:
+            slot = _SLOT_BY_NAME.get(name)
+        except TypeError:  # an array or object names no joint
+            slot = None
+        if slot is None:
+            if name is _MISSING:
+                raise SequenceError(f"{path}[{k}].joint: missing field")
+            raise SequenceError(f"{path}[{k}].joint: unknown joint {name!r}")
+        index, joint = slot
+        if slots[index] is not None:
+            raise SequenceError(f"{path}[{k}].joint: duplicate joint {name!r}")
+        # the common case, a float in range (confidence) or finite (x, y), formats no path
+        confidence = obj.get("confidence", _MISSING)
+        if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:
+            confidence = _keypoint_number(confidence, "confidence", path, k)
+            if not 0.0 <= confidence <= 1.0:
+                raise SequenceError(
+                    f"{path}[{k}].confidence: must be within [0, 1], got {confidence!r}"
+                )
+        x = obj.get("x", _MISSING)
+        if x.__class__ is not float or x - x != 0.0:
+            x = _keypoint_number(x, "x", path, k)
+        y = obj.get("y", _MISSING)
+        if y.__class__ is not float or y - y != 0.0:
+            y = _keypoint_number(y, "y", path, k)
+        present = obj.get("present", _MISSING)
+        if present is not True and present is not False:
+            if present is _MISSING:
+                raise SequenceError(f"{path}[{k}].present: missing field")
+            _as_bool(present, f"{path}[{k}].present")
+        slots[index] = Keypoint(joint, x, y, confidence, present)
+    return tuple(slots)
 
 
 def _parse_pose(raw: Any, path: str) -> Pose:
@@ -425,7 +470,7 @@ def load_sequence(text: str) -> Sequence:
     """Parse and validate a sequence document; raise :class:`SequenceError` otherwise."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SequenceError(f"$: not valid JSON ({exc})") from exc
     return sequence_from_dict(doc)
 
@@ -467,6 +512,116 @@ def sequence_to_dict(seq: Sequence) -> dict:
     }
 
 
+_INF = float("inf")
+
+
+def _json_value(value: Any, pad: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it in a document, ``pad`` deep.
+
+    Scalars follow the rules of ``json``'s encoder: ``null``/``true``/``false``
+    by identity, then ``int.__repr__`` for ints and ``NaN``/``Infinity`` or
+    ``float.__repr__`` for floats, subclasses included.  Any other value is
+    written by ``json.dumps`` itself and re-indented to ``pad``.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+# The writer lays the document out as json.dumps(..., indent=2) does: frames
+# 4 spaces deep, frame fields 6, poses 8, pose fields 10, keypoints 12 and
+# keypoint fields 14, items separated by ",\n".  One keypoint template per
+# joint slot, since a Pose holds exactly one keypoint per joint in slot order.
+_KEYPOINT_TEXT = tuple(
+    "{\n"
+    f'              "joint": {json.dumps(name)},\n'
+    '              "x": %s,\n'
+    '              "y": %s,\n'
+    '              "confidence": %s,\n'
+    '              "present": %s\n'
+    "            }"
+    for name in JOINT_NAMES
+)
+
+
+def _keypoint_text(template: str, kp: Keypoint) -> str:
+    x, y, confidence, present = kp.x, kp.y, kp.confidence, kp.present
+    if x.__class__ is float and y.__class__ is float and confidence.__class__ is float:
+        # a Keypoint holds only finite numbers, which json spells with repr
+        numbers = (repr(x), repr(y), repr(confidence))
+    else:
+        numbers = tuple(_json_value(v, " " * 14) for v in (x, y, confidence))
+    if present is True:
+        flag = "true"
+    elif present is False:
+        flag = "false"
+    else:
+        flag = _json_value(present, " " * 14)
+    return template % (*numbers, flag)
+
+
+def _pose_text(pose: Pose) -> str:
+    box = pose.bbox
+    if box is None:
+        bbox = "null"
+    else:
+        corners = ",\n            ".join(
+            _json_value(v, " " * 12) for v in (box.x1, box.y1, box.x2, box.y2)
+        )
+        bbox = f"[\n            {corners}\n          ]"
+    keypoints = ",\n            ".join(
+        [_keypoint_text(t, kp) for t, kp in zip(_KEYPOINT_TEXT, pose.keypoints)]
+    )
+    return (
+        "{\n"
+        f'          "det_score": {_json_value(pose.det_score, " " * 10)},\n'
+        f'          "track_id": {_json_value(pose.track_id, " " * 10)},\n'
+        f'          "bbox": {bbox},\n'
+        f'          "keypoints": [\n            {keypoints}\n          ]\n'
+        "        }"
+    )
+
+
+def _frame_text(frame: Frame) -> str:
+    if frame.poses:
+        poses = ",\n        ".join([_pose_text(p) for p in frame.poses])
+        poses = f"[\n        {poses}\n      ]"
+    else:
+        poses = "[]"
+    return (
+        "{\n"
+        f'      "index": {_json_value(frame.index, " " * 6)},\n'
+        f'      "width": {_json_value(frame.width, " " * 6)},\n'
+        f'      "height": {_json_value(frame.height, " " * 6)},\n'
+        f'      "poses": {poses}\n'
+        "    }"
+    )
+
+
 def save_predictions(seq: Sequence) -> str:
-    """Serialize ``seq`` to the sequence document format."""
-    return json.dumps(sequence_to_dict(seq), indent=2)
+    """Serialize ``seq`` to the sequence document format.
+
+    The text is byte-identical to ``json.dumps(sequence_to_dict(seq),
+    indent=2)``.  It is built straight from the dataclasses because ``json``
+    runs its pure-Python encoder whenever ``indent`` is set.
+    """
+    if seq.frames:
+        frames = ",\n    ".join([_frame_text(f) for f in seq.frames])
+        frames = f"[\n    {frames}\n  ]"
+    else:
+        frames = "[]"
+    return f'{{\n  "name": {_json_value(seq.name, "  ")},\n  "frames": {frames}\n}}'

@@ -23,6 +23,7 @@ from .model import (
     GROUPS,
     JOINTS,
     EvalGroup,
+    Keypoint,
     Pose,
     Sequence,
     joint_group,
@@ -122,7 +123,9 @@ def prune_keypoints(pose: Pose, threshold: float) -> Pose:
     return replace(
         pose,
         keypoints=tuple(
-            replace(kp, present=False) if kp.present and kp.confidence < threshold else kp
+            Keypoint(kp.joint, kp.x, kp.y, kp.confidence, False)
+            if kp.present and kp.confidence < threshold
+            else kp
             for kp in pose.keypoints
         ),
     )

@@ -1,0 +1,418 @@
+"""Sequence documents: the direct writer, the loader's messages, and loader fuzzing."""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import template_pose
+from topdown import cli, synth
+from topdown.model import (
+    BBox,
+    Frame,
+    JOINTS,
+    Joint,
+    Keypoint,
+    Pose,
+    Sequence,
+    SequenceError,
+    load_sequence,
+    save_predictions,
+    sequence_to_dict,
+)
+from topdown.synth import noiseless_spec
+from topdown.tracker import prune_keypoints
+
+# ---------------------------------------------------------------------------
+# the writer is byte-identical to json.dumps(sequence_to_dict(seq), indent=2)
+
+_coordinates = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e6, 1e6, allow_nan=False).map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 0.1]),
+)
+_unit = st.one_of(
+    st.floats(0, 1),
+    st.floats(0, 1).map(np.float64),
+    st.sampled_from([0, 1]),
+)
+_names = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é中\U0001f600", "\ud800", "a\nb\tc"]),
+)
+
+
+@st.composite
+def _written_poses(draw) -> Pose:
+    keypoints = tuple(
+        Keypoint(j, draw(_coordinates), draw(_coordinates), draw(_unit), draw(st.booleans()))
+        for j in JOINTS
+    )
+    bbox = None
+    if draw(st.booleans()):
+        x1, y1 = draw(_coordinates), draw(_coordinates)
+        bbox = BBox(x1, y1, x1 + draw(st.integers(0, 500)), y1 + draw(st.floats(0, 500)))
+    track_id = draw(st.one_of(st.none(), st.integers(0, 10**20)))
+    return Pose(keypoints, det_score=draw(_unit), bbox=bbox, track_id=track_id)
+
+
+@st.composite
+def _written_sequences(draw) -> Sequence:
+    size = (draw(st.integers(1, 4000)), draw(st.integers(1, 4000)))
+    indices = sorted(draw(st.sets(st.integers(0, 10**6), max_size=3)))
+    frames = tuple(
+        Frame(i, *size, poses=tuple(draw(st.lists(_written_poses(), max_size=2))))
+        for i in indices
+    )
+    return Sequence(name=draw(_names), frames=frames)
+
+
+@given(_written_sequences())
+def test_writer_is_byte_identical_to_json_dumps(seq):
+    assert save_predictions(seq) == json.dumps(sequence_to_dict(seq), indent=2)
+
+
+def test_writer_is_byte_identical_on_synthetic_sequences():
+    out = synth.generate(synth.calibrated_benchmark_spec(n_persons=3, n_frames=8, seed=5))
+    for seq in (out.gt, out.det, Sequence(name="empty"), Sequence("no poses", (Frame(0, 9, 9),))):
+        assert save_predictions(seq) == json.dumps(sequence_to_dict(seq), indent=2)
+
+
+class _Float(float):
+    def __repr__(self) -> str:
+        return "not the json spelling"
+
+
+def _pose_of(**fields) -> Pose:
+    values = {"x": 1.5, "y": 2, "confidence": 0.5, "present": True, **fields}
+    return Pose(tuple(Keypoint(j, **values) for j in JOINTS))
+
+
+def test_writer_matches_json_on_values_outside_the_schema():
+    # the types do not check these, so the writer must spell them as json does
+    seqs = [
+        Sequence(name=[1, {"a": [2]}]),
+        Sequence(name=None),
+        Sequence("n", (Frame(0.5, 10.0, 3), Frame(math.inf, 10, 3), Frame(math.nan, 10, 3))),
+        Sequence("n", (Frame(1, 3, 3, (_pose_of(present=[1, 2], x=_Float(3.0)),)),)),
+        Sequence("n", (Frame(1, 3, 3, (replace(_pose_of(present=-math.inf), track_id=math.nan),)),)),
+        Sequence("n", (Frame(1, 3, 3, (_pose_of(present="yes", x=True),)),)),
+    ]
+    for seq in seqs:
+        assert save_predictions(seq) == json.dumps(sequence_to_dict(seq), indent=2)
+    unwritable = Sequence("n", (Frame(1, 3, 3, (_pose_of(x=np.float32(1)),)),))
+    with pytest.raises(TypeError, match="Object of type float32 is not JSON serializable"):
+        save_predictions(unwritable)
+
+
+# ---------------------------------------------------------------------------
+# the loader keeps its checks, their order and their messages
+
+_KP = "$.frames[0].poses[0].keypoints[4]"
+_HUGE = 10**400  # an integer beyond the float range
+
+
+def _one_pose_doc() -> dict:
+    seq = Sequence(name="doc", frames=(Frame(0, 640, 480, poses=(template_pose((200, 200)),)),))
+    return sequence_to_dict(seq)
+
+
+def _set(**fields):
+    def corrupt(keypoint: dict) -> None:
+        keypoint.update(fields)
+
+    return corrupt
+
+
+def _drop(*keys):
+    def corrupt(keypoint: dict) -> None:
+        for key in keys:
+            del keypoint[key]
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop("joint"), f"{_KP}.joint: missing field"),
+        (_drop("x"), f"{_KP}.x: missing field"),
+        (_drop("y"), f"{_KP}.y: missing field"),
+        (_drop("confidence"), f"{_KP}.confidence: missing field"),
+        (_drop("present"), f"{_KP}.present: missing field"),
+        (_set(joint=5), f"{_KP}.joint: unknown joint 5"),
+        (_set(x="1.0"), f"{_KP}.x: expected number, got '1.0'"),
+        (_set(y=None), f"{_KP}.y: expected number, got None"),
+        (_set(confidence=True), f"{_KP}.confidence: expected number, got True"),
+        (_set(present=1), f"{_KP}.present: expected boolean, got 1"),
+        (_set(x=math.inf), f"{_KP}.x: must be finite, got inf"),
+        (_set(y=-math.inf), f"{_KP}.y: must be finite, got -inf"),
+        (_set(confidence=math.nan), f"{_KP}.confidence: must be finite, got nan"),
+        (_set(confidence=1.5), f"{_KP}.confidence: must be within [0, 1], got 1.5"),
+        (_set(confidence=-0.25), f"{_KP}.confidence: must be within [0, 1], got -0.25"),
+        (_set(joint="left_eye"), f"{_KP}.joint: unknown joint 'left_eye'"),
+        (_set(joint="nose"), f"{_KP}.joint: duplicate joint 'nose'"),
+        (_set(joint=["nose"]), f"{_KP}.joint: unknown joint ['nose']"),
+        (_set(joint={"name": "nose"}), f"{_KP}.joint: unknown joint {{'name': 'nose'}}"),
+        (_set(x=_HUGE), f"{_KP}.x: must be finite, got {_HUGE!r}"),
+        (_set(y=-_HUGE), f"{_KP}.y: must be finite, got {-_HUGE!r}"),
+        (_set(confidence=_HUGE), f"{_KP}.confidence: must be finite, got {_HUGE!r}"),
+        # with two faults, the first in check order is reported
+        (_drop("joint", "x"), f"{_KP}.joint: missing field"),
+        (_set(joint="nose", confidence=2.0), f"{_KP}.joint: duplicate joint 'nose'"),
+        (_set(confidence=2.0, x="a"), f"{_KP}.confidence: must be within [0, 1], got 2.0"),
+        (_set(x="a", y="b"), f"{_KP}.x: expected number, got 'a'"),
+        (_set(y="b", present=0), f"{_KP}.y: expected number, got 'b'"),
+    ],
+    ids=[
+        "missing-joint", "missing-x", "missing-y", "missing-confidence", "missing-present",
+        "joint-number", "x-string", "y-null", "confidence-bool", "present-int",
+        "x-inf", "y-minus-inf", "confidence-nan", "confidence-above", "confidence-below",
+        "joint-unknown", "joint-duplicate", "joint-array", "joint-object",
+        "x-overflow", "y-overflow", "confidence-overflow",
+        "joint-before-x", "duplicate-before-confidence", "confidence-before-x",
+        "x-before-y", "y-before-present",
+    ],
+)
+def test_keypoint_fault_messages(corrupt, message):
+    doc = _one_pose_doc()
+    corrupt(doc["frames"][0]["poses"][0]["keypoints"][4])
+    with pytest.raises(SequenceError) as excinfo:
+        load_sequence(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (7, f"{_KP}: expected object, got int"),
+        ([], f"{_KP}: expected object, got list"),
+    ],
+)
+def test_keypoint_not_an_object_message(value, message):
+    doc = _one_pose_doc()
+    doc["frames"][0]["poses"][0]["keypoints"][4] = value
+    with pytest.raises(SequenceError) as excinfo:
+        load_sequence(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("det_score", _HUGE, f"$.frames[0].poses[0].det_score: must be finite, got {_HUGE!r}"),
+        ("bbox", [0, 0, _HUGE, 1], f"$.frames[0].poses[0].bbox[2]: must be finite, got {_HUGE!r}"),
+    ],
+    ids=["det_score", "bbox"],
+)
+def test_pose_number_overflow_is_a_sequence_error(field, value, message):
+    doc = _one_pose_doc()
+    doc["frames"][0]["poses"][0][field] = value
+    with pytest.raises(SequenceError) as excinfo:
+        load_sequence(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"name": ' + "1" * 5000 + "}"], ids=["deep-nesting", "long-integer"]
+)
+def test_unparseable_json_is_a_sequence_error(text):
+    with pytest.raises(SequenceError, match=r"^\$: not valid JSON"):
+        load_sequence(text)
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (Keypoint, (Joint.NOSE, math.nan, 0.0, 0.5), "nose.x must be finite, got nan"),
+        (Keypoint, (Joint.LEFT_KNEE, 0.0, math.inf, 0.5), "left_knee.y must be finite, got inf"),
+        (Keypoint, (Joint.NOSE, 0.0, 0.0, math.nan), "nose.confidence must be finite, got nan"),
+        (
+            Keypoint,
+            (Joint.RIGHT_ANKLE, 0.0, 0.0, 1.5),
+            "right_ankle.confidence must be within [0, 1], got 1.5",
+        ),
+        (Keypoint, (Joint.NOSE, 0, 0, -0.5), "nose.confidence must be within [0, 1], got -0.5"),
+        (Keypoint, (Joint.NOSE, math.nan, 0.0, 1.5), "nose.x must be finite, got nan"),
+        (BBox, (math.nan, 0, 1, 1), "BBox.x1 must be finite, got nan"),
+        (BBox, (0, 0, 1, -math.inf), "BBox.y2 must be finite, got -inf"),
+        (BBox, (0.0, 0.0, 1.0, 1.0, math.inf), "BBox.score must be finite, got inf"),
+        (
+            BBox,
+            (5.0, 0.0, 0.0, 1.0),
+            "BBox corners out of order: BBox(x1=5.0, y1=0.0, x2=0.0, y2=1.0, score=0.0)",
+        ),
+        (BBox, (0, 2, 1, 1), "BBox corners out of order: BBox(x1=0, y1=2, x2=1, y2=1, score=0.0)"),
+    ],
+)
+def test_type_value_error_messages(cls, args, message):
+    with pytest.raises(ValueError) as excinfo:
+        cls(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Keypoint(Joint.NOSE, "a", 0.0, 0.5), lambda: Keypoint(Joint.NOSE, 0.0, 0.0, "a")],
+)
+def test_type_non_number_raises_type_error(make):
+    with pytest.raises(TypeError, match="must be real number, not str"):
+        make()
+
+
+def test_prune_keypoints_builds_absent_copies():
+    pose = template_pose((100, 100), confidence=0.4)
+    pruned = prune_keypoints(pose, 0.5)
+    assert pruned.keypoints == tuple(
+        Keypoint(kp.joint, kp.x, kp.y, kp.confidence, False) for kp in pose.keypoints
+    )
+    assert prune_keypoints(pose, 0.3) == pose
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one field of a valid document replaced by an arbitrary JSON value
+
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([_HUGE, -_HUGE, 2**63, -1, 0, 1]),
+        st.floats(),
+        st.text(max_size=8),
+        st.sampled_from(["nose", "a/b", "..", "x" * 300, "\x00"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_DELETE = object()
+
+
+def _fuzz_docs() -> dict[str, dict]:
+    out = synth.generate(noiseless_spec(n_persons=2, n_frames=2, seed=3))
+    return {"det": sequence_to_dict(out.det), "gt": sequence_to_dict(out.gt)}
+
+
+_DOCS = _fuzz_docs()
+
+
+def _paths(node, prefix=()):
+    """Every key and index position in a decoded document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+_FUZZ_PATHS = sorted({path for doc in _DOCS.values() for path in _paths(doc)}, key=repr)
+
+
+def _replace(doc: dict, path: tuple, value) -> None:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+@settings(max_examples=150)
+@given(
+    path=st.sampled_from(_FUZZ_PATHS),
+    value=_json_values | st.just(_DELETE),
+    target=st.sampled_from(["det", "gt", "both"]),
+)
+def test_fuzz_sequence_loader_and_run(path, value, target):
+    docs = {side: json.loads(json.dumps(doc)) for side, doc in _DOCS.items()}
+    for side in ("det", "gt") if target == "both" else (target,):
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            _replace(docs[side], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side, doc in docs.items():
+            text = json.dumps(doc)
+            try:
+                assert isinstance(load_sequence(text), Sequence)
+            except SequenceError:
+                pass
+            (root / f"{side}.json").write_text(text)
+        out_dir = root / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(
+                ["run", "--det", str(root / "det.json"), "--gt", str(root / "gt.json"),
+                 "--out", str(out_dir)]
+            )
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# a sequence name must name a file inside --out
+
+
+def _named_pair(name: str):
+    out = synth.generate(noiseless_spec(n_persons=2, n_frames=3, seed=4))
+    det = sequence_to_dict(out.det)
+    gt = sequence_to_dict(out.gt)
+    det["name"] = gt["name"] = name
+    return det, gt
+
+
+def _write_dir(directory: Path, docs: list[dict]) -> Path:
+    directory.mkdir()
+    for k, doc in enumerate(docs):
+        (directory / f"{k}.json").write_text(json.dumps(doc))
+    return directory
+
+
+@pytest.mark.parametrize(
+    "name", ["a/../../esc/pwned", "a\\b", "a\x00b", "x" * 300, "\ud800"],
+    ids=["slash", "backslash", "nul", "too-long", "unencodable"],
+)
+@pytest.mark.parametrize("command", ["run", "bbox-infer", "ensemble"])
+def test_cli_rejects_a_sequence_name_outside_out(tmp_path, capsys, command, name):
+    good_det, good_gt = _named_pair("good")
+    bad_det, bad_gt = _named_pair(name)
+    # the good sequence is loaded, and would be written, first
+    det = _write_dir(tmp_path / "det", [good_det, bad_det])
+    gt = _write_dir(tmp_path / "gt", [good_gt, bad_gt])
+    out_dir = tmp_path / "o" / "deep"
+    if command == "run":
+        argv = ["run", "--det", str(det), "--gt", str(gt), "--out", str(out_dir)]
+    elif command == "bbox-infer":
+        argv = ["bbox-infer", "--input", str(det), "--out", str(out_dir)]
+    else:
+        argv = ["ensemble", "--a", str(det), "--b", str(det), "--mode", "average",
+                "--out", str(out_dir)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sequence {name!r}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["det", "gt"]
+
+
+def test_cli_accepts_a_sequence_name_that_stays_inside_out(tmp_path):
+    name = ".. odd: name é"
+    det, gt = _named_pair(name)
+    det_path, gt_path = tmp_path / "det.json", tmp_path / "gt.json"
+    det_path.write_text(json.dumps(det))
+    gt_path.write_text(json.dumps(gt))
+    out_dir = tmp_path / "o"
+    code = cli.main(["run", "--det", str(det_path), "--gt", str(gt_path), "--out", str(out_dir)])
+    assert code == 0
+    assert (out_dir / f"tracked_{name}.json").exists()
