@@ -11,6 +11,7 @@ violation.  ``TOPDOWN_LOG`` sets the log level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -295,7 +296,9 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="topdown", description="Pose-tracking pipeline and evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,12 +11,53 @@ reproducible with nothing but this module.
 
 Reports expose raw counts next to the derived percentages so every number can
 be recomputed from its parts.
+
+Every score is read from one :class:`PairTable`, built once per call by
+:func:`pair_table` over all aligned sequences (ordered by name):
+
+- flat ``(n, 15)`` arrays of confidence and presence for every predicted
+  pose, and of presence for every ground-truth pose, with the frame and
+  track id of each pose;
+- the correctness radius of each ground-truth pose;
+- every same-frame (prediction, ground truth) pair as flat index arrays,
+  with one ``(pairs, 15)`` array telling which joints lie within the radius
+  and one holding the MOTP term ``1 - d / r`` of those joints.
+
+:meth:`PairTable.match` assigns each frame's poses and returns a
+:class:`Matching`; AP records, MOT counts, MOTP and id switches are array
+operations on it, with per-joint tallies mapped to groups through one fixed
+joint -> group index table.  A predicted keypoint counts as present under
+the mask ``present & ~(confidence < threshold)``, which is exactly what
+:func:`topdown.tracker.prune_keypoints` keeps, so one table scores every
+value of a keypoint-threshold sweep without building pruned sequences.
+
+The reports are the same bytes as the plain per-keypoint loops they
+replace, so the table keeps these rules:
+
+- **Hit test.** ``np.hypot`` can differ from ``math.hypot`` in the last
+  bit, so every cell within a relative ``1e-9`` of its radius (or below
+  it) is recomputed with ``math.hypot`` before it is compared.
+- **MOTP.** Terms ``1 - d / r`` use the ``math.hypot`` distance and are
+  added one ``+=`` at a time in the loop order: sequences by name, frames,
+  matched pairs by prediction index, joints.
+- **AP order.** Records keep insertion order (per frame: matched
+  predictions by index, then unmatched ones), and a stable sort on
+  ``-confidence`` breaks ties by it.  The weighted sum is the built-in
+  ``sum`` in rank order.
+- **Lazy radii.** A radius, and the "cannot derive a head size" error, is
+  computed only for ground truth in frames that have a prediction.
+- **Id switches** compare each hit with the previous hit of the same
+  (sequence, ground-truth track, joint) in loop order, so two ground-truth
+  poses of one frame that share a track id are taken in prediction order.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 
+import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import DegenerateGeometryError, with_box
@@ -33,9 +74,34 @@ from .model import (
 
 GROUP_COLUMNS: tuple[str, ...] = tuple(g.value for g in GROUPS) + ("Total",)
 
+_N = len(JOINTS)
+# the fixed joint -> group index table: one-hot rows, and the members of each group
+_GROUP_ONEHOT = np.array(
+    [[joint_group(j) is g for g in GROUPS] for j in JOINTS], dtype=np.int64
+)
+_GROUP_MEMBERS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(np.flatnonzero(_GROUP_ONEHOT[:, gi]).tolist()) for gi in range(len(GROUPS))
+)
+_TOP = Joint.HEAD_TOP.index
+_BOTTOM = Joint.HEAD_BOTTOM.index
+# np.hypot is within an ulp or two of math.hypot; cells this close to their
+# radius (or below it) are decided by math.hypot.  The table also adds 1e-300
+# so that the margin does not vanish for a subnormal radius.
+_SLACK = 1e-9
+
 
 class EvaluationError(ValueError):
     """Inputs violate an evaluation precondition."""
+
+
+def _finite_real(value, name: str) -> None:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,10 +113,21 @@ class PckhThreshold:
     bbox_diag_fraction: float = 0.3
 
     def __post_init__(self) -> None:
+        for name in ("factor", "min_head_size", "bbox_diag_fraction"):
+            _finite_real(getattr(self, name), name)
         if self.factor <= 0.0:
             raise ValueError(f"factor must be positive, got {self.factor!r}")
         if self.min_head_size <= 0.0:
             raise ValueError(f"min_head_size must be positive, got {self.min_head_size!r}")
+        if self.factor * self.min_head_size == 0.0:  # every radius is at least this product
+            raise ValueError(
+                f"factor * min_head_size must not underflow to 0, "
+                f"got {self.factor!r} * {self.min_head_size!r}"
+            )
+        if self.bbox_diag_fraction < 0.0:
+            raise ValueError(
+                f"bbox_diag_fraction must be non-negative, got {self.bbox_diag_fraction!r}"
+            )
 
 
 def head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
@@ -82,45 +159,28 @@ def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float
     return max(t.bbox_diag_fraction * diag, t.min_head_size)
 
 
-def _radius(gt: Pose, t: PckhThreshold) -> float:
-    return t.factor * reference_head_size(gt, t)
-
-
-def _correct_count(pred: Pose, gt: Pose, radius: float) -> int:
-    count = 0
-    for pk, gk in zip(pred.keypoints, gt.keypoints):
-        if gk.present and pk.present:
-            if math.hypot(pk.x - gk.x, pk.y - gk.y) <= radius:
-                count += 1
-    return count
-
-
-def match_poses_frame(
-    preds: list[Pose], gts: list[Pose], t: PckhThreshold = PckhThreshold()
-) -> list[tuple[int, int]]:
-    """Pose-level matching for one frame.
-
-    Cost per (prediction, ground truth) is one minus the fraction of the
-    ground truth's present joints predicted within the correctness radius;
-    the minimum-cost assignment is kept, dropping pairs with zero correct
-    joints.  Returns (pred_index, gt_index) pairs sorted by pred_index.
-    """
-    if not preds or not gts:
-        return []
-    radii = [_radius(gt, t) for gt in gts]
-    gt_present = [sum(1 for kp in gt.keypoints if kp.present) for gt in gts]
-    correct = [[_correct_count(p, g, radii[gi]) for gi, g in enumerate(gts)] for p in preds]
-    cost = [
-        [
-            1.0 - (correct[pi][gi] / gt_present[gi] if gt_present[gi] else 0.0)
-            for gi in range(len(gts))
-        ]
-        for pi in range(len(preds))
-    ]
-    rows, cols = linear_sum_assignment(cost)
-    return sorted(
-        (pi, gi) for pi, gi in zip(rows.tolist(), cols.tolist()) if correct[pi][gi] > 0
+def _keypoint_arrays(poses: list[Pose]) -> tuple[np.ndarray, ...]:
+    """``(n, 15)`` arrays of x, y, confidence and presence of ``poses``."""
+    keypoints = [kp for pose in poses for kp in pose.keypoints]
+    shape = (len(poses), _N)
+    return tuple(
+        np.fromiter(map(attrgetter(name), keypoints), dtype, len(keypoints)).reshape(shape)
+        for name, dtype in (("x", float), ("y", float), ("confidence", float), ("present", bool))
     )
+
+
+def _radii(
+    gts: list[Pose], x: np.ndarray, y: np.ndarray, present: np.ndarray, t: PckhThreshold
+) -> np.ndarray:
+    """Correctness radius of each pose of ``gts``, as :func:`reference_head_size` gives it."""
+    radius = np.empty(len(gts))
+    head = present[:, _TOP] & present[:, _BOTTOM]
+    sizes = map(math.hypot, (x[head, _TOP] - x[head, _BOTTOM]).tolist(),
+                (y[head, _TOP] - y[head, _BOTTOM]).tolist())
+    radius[head] = np.maximum(np.fromiter(sizes, float, int(head.sum())), t.min_head_size)
+    # only the fallback can raise; it runs in pose order
+    radius[~head] = [reference_head_size(gts[i], t) for i in np.flatnonzero(~head).tolist()]
+    return t.factor * radius
 
 
 def _align(
@@ -131,20 +191,227 @@ def _align(
     return pair_by_name(preds, gt_seqs, "ground truth", EvaluationError)
 
 
-@dataclass(frozen=True, slots=True)
-class Matching:
-    """Pose matches of every frame of predictions against ground truth.
+def _track_codes(ids) -> np.ndarray:
+    """Track ids as integers that are equal when the ids are; ``None`` becomes -1."""
+    codes: dict = {}
+    return np.array(
+        [-1 if tid is None else codes.setdefault(tid, len(codes)) for tid in ids],
+        dtype=np.int64,
+    )
 
-    Built once by :func:`match_sequences` and read by both :func:`evaluate_ap`
-    and :func:`evaluate_mot`.  ``pairs`` holds the aligned sequences in the
-    order the scorers walk them, each with :func:`match_poses_frame`'s pairs
-    for every frame.
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Every same-frame (prediction, ground truth) pose pair of aligned sequences.
+
+    Built by :func:`pair_table`.  Poses are numbered frame by frame over the
+    sequences in name order; ``pair_pred`` / ``pair_gt`` index them, pair
+    rows running by frame, prediction, then ground truth.  ``blocks`` holds
+    ``(first pair row, predictions, ground truths)`` of each frame with both.
     """
 
     pred_seqs: tuple[Sequence, ...]
     gt_seqs: tuple[Sequence, ...]
     t: PckhThreshold
-    pairs: tuple[tuple[Sequence, Sequence, tuple[list[tuple[int, int]], ...]], ...]
+    pred_frame: np.ndarray  # (n,) frame number of each prediction
+    pred_confidence: np.ndarray  # (n, 15)
+    pred_present: np.ndarray  # (n, 15)
+    pred_track: np.ndarray  # (n,) track id codes
+    gt_present: np.ndarray  # (m, 15)
+    gt_track: np.ndarray  # (m,) codes of (sequence, track id)
+    pair_pred: np.ndarray  # (pairs,)
+    pair_gt: np.ndarray  # (pairs,)
+    within: np.ndarray  # (pairs, 15) ground-truth joint present, prediction within radius
+    motp_term: np.ndarray  # (pairs, 15) 1 - d / r where ``within``, else 0
+    blocks: tuple[tuple[int, int, int], ...]
+
+    def match(self, threshold: float | None = None) -> "Matching":
+        """Assign each frame's poses with prediction keypoints pruned at ``threshold``.
+
+        Cost per pair is one minus the fraction of the ground truth's present
+        joints predicted within the radius; the minimum-cost assignment is
+        kept, dropping pairs with no such joint.  ``None`` prunes nothing.
+        """
+        present = self.pred_present
+        if threshold is not None:
+            present = present & ~(self.pred_confidence < threshold)
+        hits = self.within & present[self.pair_pred]
+        correct = hits.sum(axis=1)
+        gt_count = self.gt_present.sum(axis=1)[self.pair_gt]
+        cost = 1.0 - np.divide(
+            correct, gt_count, out=np.zeros(len(correct)), where=gt_count > 0
+        )
+        picked = [np.empty(0, dtype=np.intp)]
+        for first, n_pred, n_gt in self.blocks:
+            block = cost[first:first + n_pred * n_gt].reshape(n_pred, n_gt)
+            rows, cols = linear_sum_assignment(block)
+            picked.append(first + rows * n_gt + cols)
+        pairs = np.concatenate(picked)
+        pairs = pairs[correct[pairs] > 0]
+        return Matching(self, threshold, present, pairs, hits[pairs])
+
+
+def _table(
+    pred_seqs: tuple[Sequence, ...],
+    gt_seqs: tuple[Sequence, ...],
+    t: PckhThreshold,
+    frames: list[tuple[tuple[Pose, ...], tuple[Pose, ...], int]],
+) -> PairTable:
+    """The table of ``frames``, each ``(predictions, ground truths, sequence number)``."""
+    preds = [p for poses, _, _ in frames for p in poses]
+    gts = [g for _, poses, _ in frames for g in poses]
+    n_pred = np.array([len(poses) for poses, _, _ in frames], dtype=np.intp)
+    n_gt = np.array([len(poses) for _, poses, _ in frames], dtype=np.intp)
+    pred_lo = np.cumsum(n_pred) - n_pred
+    gt_lo = np.cumsum(n_gt) - n_gt
+    px, py, confidence, pred_present = _keypoint_arrays(preds)
+    gx, gy, _, gt_present = _keypoint_arrays(gts)
+
+    scored = np.flatnonzero((n_pred > 0) & (n_gt > 0))
+    sizes = n_pred[scored] * n_gt[scored]
+    first = np.cumsum(sizes) - sizes
+    local = np.arange(int(sizes.sum())) - np.repeat(first, sizes)
+    width = np.repeat(n_gt[scored], sizes)
+    pair_pred = np.repeat(pred_lo[scored], sizes) + local // width
+    pair_gt = np.repeat(gt_lo[scored], sizes) + local % width
+
+    # radii only for ground truth in frames with a prediction
+    needed = np.flatnonzero(np.repeat(n_pred > 0, n_gt))
+    radius = np.zeros(len(gts))
+    radius[needed] = _radii(
+        [gts[i] for i in needed.tolist()], gx[needed], gy[needed], gt_present[needed], t
+    )
+
+    r = np.broadcast_to(radius[pair_gt][:, None], (len(pair_gt), _N))
+    dx = px[pair_pred] - gx[pair_gt]
+    dy = py[pair_pred] - gy[pair_gt]
+    near = gt_present[pair_gt] & (np.hypot(dx, dy) <= r + r * _SLACK + 1e-300)
+    distance = np.fromiter(
+        map(math.hypot, dx[near].tolist(), dy[near].tolist()), float, int(near.sum())
+    )
+    within = np.zeros_like(near)
+    within[near] = distance <= r[near]
+    motp_term = np.zeros(near.shape)
+    with np.errstate(invalid="ignore"):  # inf / inf for coordinates near the float limit
+        motp_term[near] = 1.0 - distance / r[near]
+
+    seq_of_gt = np.repeat([s for _, _, s in frames], n_gt).tolist()
+    return PairTable(
+        pred_seqs=pred_seqs,
+        gt_seqs=gt_seqs,
+        t=t,
+        pred_frame=np.repeat(np.arange(len(frames)), n_pred),
+        pred_confidence=confidence,
+        pred_present=pred_present,
+        pred_track=_track_codes(p.track_id for p in preds),
+        gt_present=gt_present,
+        gt_track=_track_codes(
+            None if g.track_id is None else (s, g.track_id) for s, g in zip(seq_of_gt, gts)
+        ),
+        pair_pred=pair_pred,
+        pair_gt=pair_gt,
+        within=within,
+        motp_term=motp_term,
+        blocks=tuple(zip(first.tolist(), n_pred[scored].tolist(), n_gt[scored].tolist())),
+    )
+
+
+def pair_table(
+    pred_seqs: list[Sequence],
+    gt_seqs: list[Sequence],
+    t: PckhThreshold = PckhThreshold(),
+) -> PairTable:
+    """Align sequences by name and build the pair table of all their frames, once."""
+    frames = [
+        (pred_frame.poses, gt_frame.poses, s)
+        for s, (pred_seq, gt_seq) in enumerate(_align(pred_seqs, gt_seqs))
+        for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames)
+    ]
+    return _table(tuple(pred_seqs), tuple(gt_seqs), t, frames)
+
+
+def match_poses_frame(
+    preds: list[Pose], gts: list[Pose], t: PckhThreshold = PckhThreshold()
+) -> list[tuple[int, int]]:
+    """Pose-level matching for one frame, as :meth:`PairTable.match` does it.
+
+    Returns (pred_index, gt_index) pairs sorted by pred_index.
+    """
+    if not preds or not gts:
+        return []
+    table = _table((), (), t, [(tuple(preds), tuple(gts), 0)])
+    pairs = table.match().pairs
+    return list(zip(table.pair_pred[pairs].tolist(), table.pair_gt[pairs].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class Matching:
+    """Pose matches of every frame of a :class:`PairTable`, read by both scorers.
+
+    ``present`` is the prediction presence after pruning at ``threshold``;
+    ``pairs`` are the matched pair rows (by frame, then prediction index)
+    and ``hits`` their joints that are present and within the radius.
+    """
+
+    table: PairTable
+    threshold: float | None
+    present: np.ndarray
+    pairs: np.ndarray
+    hits: np.ndarray
+
+    def ap_report(self) -> "ApReport":
+        """AP of the table's predictions, pruned at the matching's threshold."""
+        table = self.table
+        matched = table.pair_pred[self.pairs]
+        unmatched = np.ones(len(table.pred_frame), dtype=bool)
+        unmatched[matched] = False
+        hits = np.zeros_like(self.present)
+        hits[matched] = self.hits
+        # per frame: matched predictions by index, then unmatched ones
+        rank = np.argsort(table.pred_frame * 2 + unmatched, kind="stable")
+        joint, position = np.nonzero(self.present[rank].T)
+        pred = rank[position]
+        per_joint = _envelope_aps(
+            joint,
+            table.pred_confidence[pred, joint],
+            hits[pred, joint],
+            table.gt_present.sum(axis=0).tolist(),
+        )
+        per_group = [_mean([per_joint[j] for j in members]) for members in _GROUP_MEMBERS]
+        return ApReport(
+            per_joint=dict(zip(JOINTS, per_joint)),
+            per_group=dict(zip(GROUPS, per_group)),
+            total=_mean(per_joint),
+        )
+
+    def mot_report(self) -> "MotReport":
+        """CLEAR MOT of the table's predictions, pruned at the matching's threshold."""
+        table = self.table
+        if (table.pred_track < 0).any() or (table.gt_track < 0).any():
+            for pred_seq, gt_seq in _align(list(table.pred_seqs), list(table.gt_seqs)):
+                _require_track_ids(pred_seq, "prediction")
+                _require_track_ids(gt_seq, "ground-truth")
+        hits = self.hits
+        matches = hits.sum(axis=0)
+        # a hit continues the (sequence, ground-truth track, joint) of the previous hit
+        key = (table.gt_track[table.pair_gt[self.pairs]][:, None] * _N + np.arange(_N))[hits]
+        ids = np.broadcast_to(table.pred_track[table.pair_pred[self.pairs]][:, None], hits.shape)
+        order = np.argsort(key, kind="stable")
+        key, ids = key[order], ids[hits][order]
+        switched = (key[1:] == key[:-1]) & (ids[1:] != ids[:-1])
+        per_joint = np.stack([
+            table.gt_present.sum(axis=0),
+            matches,
+            self.present.sum(axis=0) - matches,
+            table.gt_present.sum(axis=0) - matches,
+            np.bincount(key[1:][switched] % _N, minlength=_N),
+        ])
+        per_group = (per_joint @ _GROUP_ONEHOT).T.tolist()
+        counts = {g: MotCounts(*column) for g, column in zip(GROUPS, per_group)}
+        motp_sum = 0.0
+        for term in table.motp_term[self.pairs][hits].tolist():
+            motp_sum += term
+        return _mot_report(counts, motp_sum)
 
 
 def match_sequences(
@@ -153,18 +420,7 @@ def match_sequences(
     t: PckhThreshold = PckhThreshold(),
 ) -> Matching:
     """Align sequences by name and match the poses of every frame, once."""
-    pairs = tuple(
-        (
-            pred_seq,
-            gt_seq,
-            tuple(
-                match_poses_frame(list(pred_frame.poses), list(gt_frame.poses), t)
-                for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames)
-            ),
-        )
-        for pred_seq, gt_seq in _align(pred_seqs, gt_seqs)
-    )
-    return Matching(tuple(pred_seqs), tuple(gt_seqs), t, pairs)
+    return pair_table(pred_seqs, gt_seqs, t).match()
 
 
 def _matching_for(
@@ -176,8 +432,9 @@ def _matching_for(
     """``matching`` when it was built from these inputs, else a fresh one."""
     if matching is None:
         return match_sequences(pred_seqs, gt_seqs, t)
+    table = matching.table
     # identical sequence objects compare without walking their frames
-    if (matching.pred_seqs, matching.gt_seqs, matching.t) != (
+    if matching.threshold is not None or (table.pred_seqs, table.gt_seqs, table.t) != (
         tuple(pred_seqs), tuple(gt_seqs), t
     ):
         raise EvaluationError("matching was built from other sequences or thresholds")
@@ -209,34 +466,49 @@ class ApReport:
         return header + "\n" + ",".join(f"{v:.4f}" for v in values) + "\n"
 
 
-def _envelope_ap(records: list[tuple[float, bool]], n_gt: int) -> float:
-    """Interpolated average precision (percent) over confidence-ranked records.
+def _envelope_aps(
+    segment: np.ndarray, confidence: np.ndarray, hit: np.ndarray, n_gt: list[int]
+) -> list[float]:
+    """Interpolated average precision (percent) of each segment of records.
 
-    Computed as sum(delta_tp * envelope_precision) / n_gt, which is exact for
-    a perfect predictor.  With no ground truth the value is vacuous: 100 when
-    there are no predictions either, 0 otherwise.
+    Records are given in insertion order; within a segment they are ranked
+    by confidence, ties keeping that order.  Each value is
+    sum(delta_tp * envelope_precision) / n_gt, which is exact for a perfect
+    predictor.  With no ground truth the value is vacuous: 100 when there are
+    no predictions either, 0 otherwise.
     """
-    if n_gt == 0:
-        return 100.0 if not records else 0.0
-    if not records:
-        return 0.0
-    order = sorted(range(len(records)), key=lambda i: (-records[i][0], i))
-    precisions: list[float] = []
-    tp_deltas: list[int] = []
-    tp = fp = 0
-    for i in order:
-        if records[i][1]:
-            tp += 1
-            tp_deltas.append(1)
+    order = np.lexsort((-confidence, segment))
+    segment, hit = segment[order], hit[order]
+    counts = np.bincount(segment, minlength=len(n_gt))
+    start = np.cumsum(counts) - counts
+    rank = np.arange(len(segment)) - start[segment]
+    tp = np.cumsum(hit)
+    tp -= np.concatenate(([0], tp))[start][segment]
+    precision = np.zeros((len(n_gt), counts.max(initial=0)))
+    precision[segment, rank] = tp / (rank + 1)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    weights = envelope[segment[hit], rank[hit]].tolist()
+    out = []
+    k = 0
+    for records, hits, gt in zip(
+        counts.tolist(), np.bincount(segment[hit], minlength=len(n_gt)).tolist(), n_gt
+    ):
+        weighted = sum(weights[k:k + hits])
+        k += hits
+        if gt == 0:
+            out.append(100.0 if not records else 0.0)
+        elif not records:
+            out.append(0.0)
         else:
-            fp += 1
-            tp_deltas.append(0)
-        precisions.append(tp / (tp + fp))
-    envelope = precisions[:]
-    for i in range(len(envelope) - 2, -1, -1):
-        envelope[i] = max(envelope[i], envelope[i + 1])
-    weighted = sum(d * p for d, p in zip(tp_deltas, envelope))
-    return 100.0 * weighted / n_gt
+            out.append(100.0 * weighted / gt)
+    return out
+
+
+def _envelope_ap(records: list[tuple[float, bool]], n_gt: int) -> float:
+    """:func:`_envelope_aps` of one segment of ``(confidence, hit)`` records."""
+    confidence = np.array([c for c, _ in records], dtype=float)
+    hit = np.array([h for _, h in records], dtype=bool)
+    return _envelope_aps(np.zeros(len(records), dtype=np.intp), confidence, hit, [n_gt])[0]
 
 
 def evaluate_ap(
@@ -257,36 +529,7 @@ def evaluate_ap(
     ``matching``, when given, must be :func:`match_sequences` of the same
     arguments; it lets AP and MOT share one matching pass.
     """
-    matching = _matching_for(pred_seqs, gt_seqs, t, matching)
-    records: dict[Joint, list[tuple[float, bool]]] = {j: [] for j in JOINTS}
-    n_gt: dict[Joint, int] = {j: 0 for j in JOINTS}
-    for pred_seq, gt_seq, frame_matches in matching.pairs:
-        for pred_frame, gt_frame, matches in zip(pred_seq.frames, gt_seq.frames, frame_matches):
-            for gt in gt_frame.poses:
-                for kp in gt.keypoints:
-                    if kp.present:
-                        n_gt[kp.joint] += 1
-            matched_preds = {pi for pi, _ in matches}
-            for pi, gi in matches:
-                gt = gt_frame.poses[gi]
-                radius = _radius(gt, t)
-                for pk, gk in zip(pred_frame.poses[pi].keypoints, gt.keypoints):
-                    if not pk.present:
-                        continue
-                    hit = gk.present and math.hypot(pk.x - gk.x, pk.y - gk.y) <= radius
-                    records[pk.joint].append((pk.confidence, hit))
-            for pi, pred in enumerate(pred_frame.poses):
-                if pi in matched_preds:
-                    continue
-                for pk in pred.keypoints:
-                    if pk.present:
-                        records[pk.joint].append((pk.confidence, False))
-    per_joint = {j: _envelope_ap(records[j], n_gt[j]) for j in JOINTS}
-    per_group = {
-        g: _mean([per_joint[j] for j in JOINTS if joint_group(j) is g]) for g in GROUPS
-    }
-    total = _mean(list(per_joint.values()))
-    return ApReport(per_joint=per_joint, per_group=per_group, total=total)
+    return _matching_for(pred_seqs, gt_seqs, t, matching).ap_report()
 
 
 def _mean(values: list[float]) -> float:
@@ -396,52 +639,10 @@ def evaluate_mot(
     for pred_seq, gt_seq in _align(pred_seqs, gt_seqs):
         _require_track_ids(pred_seq, "prediction")
         _require_track_ids(gt_seq, "ground-truth")
-    matching = _matching_for(pred_seqs, gt_seqs, t, matching)
-    counts = {g: MotCounts() for g in GROUPS}
-    motp_sum = 0.0
-    for pred_seq, gt_seq, frame_matches in matching.pairs:
-        last_pred_id: dict[tuple[int, Joint], int] = {}
-        for pred_frame, gt_frame, matches in zip(pred_seq.frames, gt_seq.frames, frame_matches):
-            for gt in gt_frame.poses:
-                for kp in gt.keypoints:
-                    if kp.present:
-                        counts[joint_group(kp.joint)].gt += 1
-            matched_preds = {pi for pi, _ in matches}
-            matched_gts = {gi for _, gi in matches}
-            for pi, gi in matches:
-                pred = pred_frame.poses[pi]
-                gt = gt_frame.poses[gi]
-                radius = _radius(gt, t)
-                for pk, gk in zip(pred.keypoints, gt.keypoints):
-                    group = joint_group(pk.joint)
-                    if gk.present:
-                        distance = math.hypot(pk.x - gk.x, pk.y - gk.y)
-                        if pk.present and distance <= radius:
-                            counts[group].matches += 1
-                            motp_sum += 1.0 - distance / radius
-                            key = (gt.track_id, pk.joint)
-                            previous = last_pred_id.get(key)
-                            if previous is not None and previous != pred.track_id:
-                                counts[group].idsw += 1
-                            last_pred_id[key] = pred.track_id
-                        else:
-                            counts[group].fn += 1
-                            if pk.present:
-                                counts[group].fp += 1
-                    elif pk.present:
-                        counts[group].fp += 1
-            for pi, pred in enumerate(pred_frame.poses):
-                if pi in matched_preds:
-                    continue
-                for pk in pred.keypoints:
-                    if pk.present:
-                        counts[joint_group(pk.joint)].fp += 1
-            for gi, gt in enumerate(gt_frame.poses):
-                if gi in matched_gts:
-                    continue
-                for gk in gt.keypoints:
-                    if gk.present:
-                        counts[joint_group(gk.joint)].fn += 1
+    return _matching_for(pred_seqs, gt_seqs, t, matching).mot_report()
+
+
+def _mot_report(counts: dict[EvalGroup, MotCounts], motp_sum: float) -> MotReport:
     total = MotCounts(
         gt=sum(c.gt for c in counts.values()),
         matches=sum(c.matches for c in counts.values()),

@@ -206,7 +206,8 @@ class Pose:
             raise ValueError(f"expected {len(JOINTS)} keypoints, got {len(self.keypoints)}")
         for slot, kp in zip(JOINTS, self.keypoints):
             if kp.joint is not slot:
-                raise ValueError(f"keypoint slot {slot.value} holds {kp.joint.value}")
+                held = kp.joint.value if isinstance(kp.joint, Joint) else repr(kp.joint)
+                raise ValueError(f"keypoint slot {slot.value} holds {held}")
         _require_finite(self.det_score, "Pose.det_score")
         if not 0.0 <= self.det_score <= 1.0:
             raise ValueError(f"Pose.det_score must be within [0, 1], got {self.det_score!r}")

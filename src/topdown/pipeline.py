@@ -5,11 +5,14 @@ suppress overlapping boxes, optionally fuse a second model's predictions for
 the surviving candidates, assign track ids, prune low-confidence keypoints,
 then score single-frame AP and tracking metrics against ground truth.
 
-Each frame is matched against ground truth once, and both scores read that
-matching.  Threshold sweeps yield AP/MOTA totals per keypoint threshold and
-detection precision/recall per box threshold.  The keypoint threshold acts
-only after tracking, so a keypoint sweep runs the pipeline once, at its
-lowest value, and only re-prunes and rescores that output for the others.
+Scoring builds one :class:`~topdown.metrics.PairTable` of the tracked
+output against ground truth, matches each frame once, and both scores read
+that matching.  Threshold sweeps yield AP/MOTA totals per keypoint threshold
+and detection precision/recall per box threshold.  The keypoint threshold
+acts only after tracking, so a keypoint sweep runs the pipeline once, at its
+lowest value, and scores every other value from that run's pair table, with
+the prediction keypoints pruned at the value as a presence mask; no pruned
+sequences are built for them.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .geometry import (
 from .metrics import (
     ApReport,
     MotReport,
+    PairTable,
     PckhThreshold,
     evaluate_ap,
     evaluate_mot,
@@ -135,9 +139,12 @@ class PipelineConfig:
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
+    """Tracked output, its reports, and the pair table they were scored from."""
+
     tracked: tuple[Sequence, ...]
     ap: ApReport
     mot: MotReport
+    table: PairTable = field(compare=False, repr=False)
 
 
 def _with_box(pose: Pose, enlarge: float) -> Pose | None:
@@ -221,11 +228,11 @@ def run_pipeline(
 def _score(
     tracked: list[Sequence], gt_seqs: list[Sequence], pckh: PckhThreshold
 ) -> PipelineResult:
-    """AP and MOT of tracked sequences, from one matching pass."""
+    """AP and MOT of tracked sequences, from one pair table and one matching pass."""
     matching = match_sequences(tracked, gt_seqs, pckh)
     ap = evaluate_ap(tracked, gt_seqs, pckh, matching=matching)
     mot = evaluate_mot(tracked, gt_seqs, pckh, matching=matching)
-    return PipelineResult(tracked=tuple(tracked), ap=ap, mot=mot)
+    return PipelineResult(tracked=tuple(tracked), ap=ap, mot=mot, table=matching.table)
 
 
 def _boxes(poses: Iterable[Pose], config: PipelineConfig) -> list[BBox]:
@@ -275,14 +282,14 @@ class SweepRow:
         return out
 
 
-def _keypoint_row(value: float, result: PipelineResult) -> SweepRow:
-    return SweepRow(value=value, ap_total=result.ap.total, mota_total=result.mot.mota_total)
+def _keypoint_row(value: float, ap: ApReport, mot: MotReport) -> SweepRow:
+    return SweepRow(value=value, ap_total=ap.total, mota_total=mot.mota_total)
 
 
 def _keypoint_sweep_point(args) -> SweepRow:
-    tracked, gt_seqs, pckh, value = args
-    pruned = [prune_sequence_keypoints(seq, value) for seq in tracked]
-    return _keypoint_row(value, _score(pruned, gt_seqs, pckh))
+    table, value = args
+    matching = table.match(value)
+    return _keypoint_row(value, matching.ap_report(), matching.mot_report())
 
 
 def _bbox_sweep_point(args) -> SweepRow:
@@ -304,12 +311,13 @@ def sweep(
     Every value must be finite and within [0, 1]; all are checked before any
     work starts.  A box-axis point prunes candidates and scores detection.
     A keypoint-axis sweep runs :func:`run_pipeline` once, at the lowest value,
-    and prunes that result's tracked sequences at each other value before
-    scoring them.  That gives the rows of a full run per value, because
-    pruning is monotone: a keypoint below the lowest threshold is below every
-    other one.  Points that prune and score are independent, so they may run
-    in parallel in up to ``jobs`` worker processes, never more than there are
-    such points.
+    and scores each other value from that run's pair table, counting a
+    tracked keypoint as present when it is present and not below the value
+    (the mask :func:`~topdown.tracker.prune_keypoints` applies).  That gives
+    the rows of a full run per value, because pruning is monotone: a keypoint
+    below the lowest threshold is below every other one.  Points other than
+    the lowest are independent, so they may run in parallel in up to
+    ``jobs`` worker processes, never more than there are such points.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -325,13 +333,9 @@ def sweep(
     lowest = min(values)
     base = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=lowest))
     rest = iter(
-        _map(
-            _keypoint_sweep_point,
-            [(base.tracked, gt_seqs, config.pckh, v) for v in values if v != lowest],
-            jobs,
-        )
+        _map(_keypoint_sweep_point, [(base.table, v) for v in values if v != lowest], jobs)
     )
-    return [_keypoint_row(v, base) if v == lowest else next(rest) for v in values]
+    return [_keypoint_row(v, base.ap, base.mot) if v == lowest else next(rest) for v in values]
 
 
 def _map(point, payloads: list, jobs: int) -> list[SweepRow]:

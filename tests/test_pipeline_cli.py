@@ -291,19 +291,22 @@ def test_keypoint_sweep_tracks_once_and_matches_each_frame_once_per_point(monkey
     counts: Counter = Counter()
     _count_calls(monkeypatch, pipeline, "run_pipeline", counts)
     _count_calls(monkeypatch, pipeline, "track_sequence", counts)
+    _count_calls(monkeypatch, pipeline, "prune_sequence_keypoints", counts)
+    _count_calls(monkeypatch, metrics, "pair_table", counts)
     _count_calls(monkeypatch, metrics, "match_poses_frame", counts)
     # scored points: 0.5 (the tracked run, also standing in for its duplicate), 0.7, 0.9
     pipeline.sweep(dets, gts, PipelineConfig(), "keypoint_threshold", [0.7, 0.5, 0.9, 0.5])
-    frames = sum(len(seq.frames) for seq in gts)
-    assert counts == {"run_pipeline": 1, "track_sequence": 2, "match_poses_frame": 3 * frames}
+    assert counts == {
+        "run_pipeline": 1, "track_sequence": 2, "prune_sequence_keypoints": 2, "pair_table": 1
+    }
 
 
 def test_pipeline_reports_equal_separate_scoring_from_one_matching_pass(monkeypatch):
     dets, gts = _two_sequences(synth.calibrated_benchmark_spec, 5)
     counts: Counter = Counter()
-    _count_calls(monkeypatch, metrics, "match_poses_frame", counts)
+    _count_calls(monkeypatch, metrics, "pair_table", counts)
     result = pipeline.run_pipeline(dets, gts, PipelineConfig(keypoint_drop_threshold=0.6))
-    assert counts["match_poses_frame"] == sum(len(seq.frames) for seq in gts)
+    assert counts["pair_table"] == 1
     tracked = list(result.tracked)
     assert result.ap.to_dict() == evaluate_ap(tracked, gts).to_dict()
     assert result.mot.to_dict() == evaluate_mot(tracked, gts).to_dict()
