@@ -20,7 +20,10 @@ Model B (for fusion) is the same spec with jitter 1.5 and every group's mean
 confidence 0.03 lower.  Per sub-seed the matrix is: ``synth`` of both
 models; ``run`` plain and with ``--det-b`` in expert and average mode;
 ``sweep`` on both axes with ``--jobs 1`` and ``2`` over unsorted values with
-a repeat; ``eval --mode ap|mot`` on each tracked output.  Commands run
+a repeat; ``eval --mode ap|mot`` on each tracked output; ``bbox-infer`` on
+model A's detections without boxes; ``ensemble --mode expert|average`` of
+models A and B.  So every command that writes a sequence document is
+covered, with box inference, fusion and the writer.  Commands run
 in-process through ``topdown.cli.main`` with relative paths, and their
 argv, exit code and stdout go to ``calls.log``, which the manifest covers
 too.  Exits 1 when any command exits non-zero.
@@ -91,8 +94,9 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
         m.call("synth", "--spec", str(base / f"spec_{model}.json"), "--out", str(base / model))
     det, gt = str(base / "a" / "det.json"), str(base / "a" / "gt.json")
     det_b = str(base / "b" / "det.json")
+    boxless = _without_boxes(Path(det), base / "det_boxless.json")
     if spec == "sparse":
-        det = _without_boxes(Path(det), base / "det_boxless.json")
+        det = boxless
     runs = {
         "run_plain": (),
         "run_expert": ("--det-b", det_b, "--ensemble-mode", "expert"),
@@ -110,6 +114,10 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
             for mode in ("ap", "mot"):
                 m.call("eval", "--preds", str(tracked), "--gt", gt, "--mode", mode,
                        "--out", str(base / f"eval_{name}"))
+    m.call("bbox-infer", "--input", boxless, "--out", str(base / "bbox_infer"))
+    for mode in ("expert", "average"):
+        m.call("ensemble", "--a", det, "--b", det_b, "--mode", mode,
+               "--out", str(base / f"ensemble_{mode}"))
 
 
 def _manifest(root: Path) -> str:

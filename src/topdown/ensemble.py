@@ -8,9 +8,11 @@ pipeline produces when two estimators run on one detector's output.
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .model import JOINTS, Joint, Keypoint, Pose, BBox, EvalGroup, joint_group
+import numpy as np
+
+from .model import JOINTS, BBox, EvalGroup, Joint, Keypoints, Pose, joint_group
 
 
 class Route(enum.Enum):
@@ -20,6 +22,8 @@ class Route(enum.Enum):
     B = "b"
     AVG = "avg"
 
+
+_A, _AVG = Route.A, Route.AVG
 
 ExpertMap = Mapping[Joint, Route]
 
@@ -46,28 +50,45 @@ def validate_expert_map(route_map: ExpertMap) -> None:
         raise ValueError(f"expert map missing joints: {missing}")
 
 
-def _mean_keypoint(a: Keypoint, b: Keypoint) -> Keypoint:
-    if a.present and b.present:
-        return Keypoint(
-            joint=a.joint,
-            x=0.5 * (a.x + b.x),
-            y=0.5 * (a.y + b.y),
-            confidence=0.5 * (a.confidence + b.confidence),
-            present=True,
-        )
-    if a.present:
-        return a
-    if b.present:
-        return b
-    # neither present: average the placeholders so fusing a pose with itself
-    # is an exact identity
-    return Keypoint(
-        joint=a.joint,
-        x=0.5 * (a.x + b.x),
-        y=0.5 * (a.y + b.y),
-        confidence=0.5 * (a.confidence + b.confidence),
-        present=False,
-    )
+def _fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keypoints:
+    """Fuse slot by slot, ``routes`` giving each slot's :class:`Route`.
+
+    A slot routed to one model takes that model's joint when it is present
+    or the other model's is absent, else the other's.  An AVG slot takes the
+    mean when both or neither are present (placeholders are averaged too, so
+    fusing a pose with itself is an exact identity) and copies the present
+    one otherwise.
+    """
+    xy: list[float] = []
+    confidence: list[float] = []
+    present: list[bool] = []
+    for route, (ax, ay), (bx, by), ca, cb, pa, pb in zip(
+        routes,
+        a.xy.tolist(),
+        b.xy.tolist(),
+        a.confidence.tolist(),
+        b.confidence.tolist(),
+        a.present.tolist(),
+        b.present.tolist(),
+    ):
+        if route is _AVG and pa is pb:
+            xy += (0.5 * (ax + bx), 0.5 * (ay + by))
+            confidence.append(0.5 * (ca + cb))
+            present.append(pa)
+        elif (pa or not pb) if route is _A else (pa and not pb):
+            xy += (ax, ay)
+            confidence.append(ca)
+            present.append(pa)
+        else:
+            xy += (bx, by)
+            confidence.append(cb)
+            present.append(pb)
+    positions = np.array(xy).reshape(len(JOINTS), 2)
+    total = sum(xy)
+    if total - total != 0.0:  # a mean beyond the float range (or a sum that overflows)
+        return Keypoints(positions, confidence, present)  # checks, naming the slot at fault
+    # every other value is copied from a checked input or is a mean of two of them
+    return Keypoints.from_checked(positions, np.array(confidence), np.array(present))
 
 
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
@@ -82,16 +103,21 @@ def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
     return a if a is not None else b
 
 
-def fuse_average(a: Pose, b: Pose) -> Pose:
-    """Per-joint arithmetic mean; a joint present in one model only is copied."""
+def _fused_pose(a: Pose, b: Pose, keypoints: Keypoints) -> Pose:
     return Pose(
-        keypoints=tuple(
-            _mean_keypoint(ka, kb) for ka, kb in zip(a.keypoints, b.keypoints)
-        ),
+        keypoints=keypoints,
         det_score=0.5 * (a.det_score + b.det_score),
         bbox=_mean_bbox(a.bbox, b.bbox),
         track_id=None,
     )
+
+
+_AVERAGE_ROUTES = (Route.AVG,) * len(JOINTS)
+
+
+def fuse_average(a: Pose, b: Pose) -> Pose:
+    """Per-joint arithmetic mean; a joint present in one model only is copied."""
+    return _fused_pose(a, b, _fuse_keypoints(a.keypoints, b.keypoints, _AVERAGE_ROUTES))
 
 
 def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
@@ -101,22 +127,10 @@ def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
     present one is used so fusion never loses a joint both inputs could
     supply.
     """
-    validate_expert_map(route_map)
-    keypoints = []
-    for ka, kb in zip(a.keypoints, b.keypoints):
-        route = route_map[ka.joint]
-        if route is Route.AVG:
-            keypoints.append(_mean_keypoint(ka, kb))
-        elif route is Route.A:
-            keypoints.append(ka if ka.present or not kb.present else kb)
-        else:
-            keypoints.append(kb if kb.present or not ka.present else ka)
-    return Pose(
-        keypoints=tuple(keypoints),
-        det_score=0.5 * (a.det_score + b.det_score),
-        bbox=_mean_bbox(a.bbox, b.bbox),
-        track_id=None,
-    )
+    routes = list(map(route_map.get, JOINTS))
+    if None in routes:
+        validate_expert_map(route_map)
+    return _fused_pose(a, b, _fuse_keypoints(a.keypoints, b.keypoints, routes))
 
 
 def fuse(a: Pose, b: Pose, mode: str, route_map: ExpertMap) -> Pose:

@@ -1,7 +1,9 @@
 """Bounding-box arithmetic: inference from keypoints, IoU, NMS and detection PR."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -50,15 +52,17 @@ def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
     The raw box spans the minimum and maximum keypoint coordinates; width and
     height are then scaled by ``1 + enlarge`` (20% per axis by default, not per
     side).  The box score is the pose detection score.  Boxes are not clipped
-    to image bounds.
+    to image bounds.  Raises :class:`DegenerateGeometryError` for fewer than
+    two present keypoints, a zero-area span, or a corner beyond the float range.
     """
-    points = [(kp.x, kp.y) for kp in pose.keypoints if kp.present]
-    if len(points) < 2:
+    present = pose.present.tolist()
+    xs, ys = pose.xy.T.tolist()
+    xs = list(compress(xs, present))
+    ys = list(compress(ys, present))
+    if len(xs) < 2:
         raise DegenerateGeometryError(
-            f"need at least 2 present keypoints to infer a box, got {len(points)}"
+            f"need at least 2 present keypoints to infer a box, got {len(xs)}"
         )
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
     x1, x2 = min(xs), max(xs)
     y1, y2 = min(ys), max(ys)
     if x1 == x2 or y1 == y2:
@@ -67,7 +71,10 @@ def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
     half_h = 0.5 * (1.0 + enlarge) * (y2 - y1)
     cx = 0.5 * (x1 + x2)
     cy = 0.5 * (y1 + y2)
-    return BBox(cx - half_w, cy - half_h, cx + half_w, cy + half_h, score=pose.det_score)
+    corners = (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
+    if not all(map(math.isfinite, corners)):
+        raise DegenerateGeometryError(f"the inferred box overflows the float range: {corners}")
+    return BBox(*corners, score=pose.det_score)
 
 
 def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
@@ -77,7 +84,7 @@ def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
     """
     if pose.bbox is not None:
         return pose
-    return replace(pose, bbox=bbox_from_keypoints(pose, enlarge))
+    return Pose(pose.keypoints, pose.det_score, bbox_from_keypoints(pose, enlarge), pose.track_id)
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -53,9 +53,7 @@ replace, so the table keeps these rules:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -70,6 +68,7 @@ from .model import (
     Sequence,
     joint_group,
     pair_by_name,
+    require_real,
 )
 
 GROUP_COLUMNS: tuple[str, ...] = tuple(g.value for g in GROUPS) + ("Total",)
@@ -94,16 +93,6 @@ class EvaluationError(ValueError):
     """Inputs violate an evaluation precondition."""
 
 
-def _finite_real(value, name: str) -> None:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class PckhThreshold:
     """Distance-normalization constants for the correctness criterion."""
@@ -114,7 +103,7 @@ class PckhThreshold:
 
     def __post_init__(self) -> None:
         for name in ("factor", "min_head_size", "bbox_diag_fraction"):
-            _finite_real(getattr(self, name), name)
+            require_real(getattr(self, name), name)
         if self.factor <= 0.0:
             raise ValueError(f"factor must be positive, got {self.factor!r}")
         if self.min_head_size <= 0.0:
@@ -132,11 +121,10 @@ class PckhThreshold:
 
 def head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
     """Distance between the head keypoints, clamped below by ``min_head_size``."""
-    top = pose.keypoint(Joint.HEAD_TOP)
-    bottom = pose.keypoint(Joint.HEAD_BOTTOM)
-    if not (top.present and bottom.present):
+    if not (pose.present[_TOP] and pose.present[_BOTTOM]):
         raise EvaluationError("pose is missing a head keypoint")
-    return max(math.hypot(top.x - bottom.x, top.y - bottom.y), t.min_head_size)
+    (tx, ty), (bx, by) = pose.xy[[_TOP, _BOTTOM]].tolist()
+    return max(math.hypot(tx - bx, ty - by), t.min_head_size)
 
 
 def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
@@ -161,11 +149,13 @@ def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float
 
 def _keypoint_arrays(poses: list[Pose]) -> tuple[np.ndarray, ...]:
     """``(n, 15)`` arrays of x, y, confidence and presence of ``poses``."""
-    keypoints = [kp for pose in poses for kp in pose.keypoints]
-    shape = (len(poses), _N)
-    return tuple(
-        np.fromiter(map(attrgetter(name), keypoints), dtype, len(keypoints)).reshape(shape)
-        for name, dtype in (("x", float), ("y", float), ("confidence", float), ("present", bool))
+    n = len(poses)
+    xy = np.array([p.xy for p in poses]).reshape(n, _N, 2)
+    return (
+        xy[..., 0],
+        xy[..., 1],
+        np.array([p.confidence for p in poses]).reshape(n, _N),
+        np.array([p.present for p in poses], dtype=bool).reshape(n, _N),
     )
 
 

@@ -28,21 +28,33 @@ document and is reconstituted from the owning pose's ``det_score`` on load.
 Unannotated or pruned keypoints are carried with ``present: false`` so the
 15 joint slots keep stable indices.
 
+In memory a pose's keypoints are a :class:`Keypoints`: read-only arrays of
+positions, confidences and presence flags, indexed by joint slot, which read
+as :class:`Keypoint` values built on access.  The types check the values
+they hold as the loader checks a document, so whatever they accept saves to
+a document that loads back equal.
+
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
 the plain-data view of the schema and the reference for that contract.
 :func:`load_sequence` checks each field in schema order and formats the
 path of a field (``$.frames[0].poses[1].keypoints[4].x``) only when it
-raises :class:`SequenceError` for it.
+raises :class:`SequenceError` for it; a pose entry of the common shape is
+recognised in bulk.  The keypoint arrays of a whole document are built
+once, and each pose holds views of them.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-from collections import Counter
+import numbers
+import operator
+from collections import Counter, abc
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
+
+import numpy as np
 
 
 class Joint(enum.Enum):
@@ -127,6 +139,29 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
+def require_real(value: Any, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is a finite real number other than a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def require_int(value: Any, what: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an ``int`` other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_number(value: Any, what: str) -> None:
+    """An ``int`` or ``float`` (not a bool): the numbers a document spells as JSON numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned box in pixel coordinates with a detection score."""
@@ -138,17 +173,28 @@ class BBox:
     score: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.x1)
+        plain = (
+            self.x1.__class__ is float
+            and self.y1.__class__ is float
+            and self.x2.__class__ is float
+            and self.y2.__class__ is float
+            and self.score.__class__ is float
+            and math.isfinite(self.x1)
             and math.isfinite(self.y1)
             and math.isfinite(self.x2)
             and math.isfinite(self.y2)
             and math.isfinite(self.score)
-        ):
+        )
+        if not plain:
             for name in ("x1", "y1", "x2", "y2", "score"):
+                _require_number(getattr(self, name), f"BBox.{name}")
                 _require_finite(getattr(self, name), f"BBox.{name}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(f"BBox corners out of order: {self}")
+        if not plain:
+            # held as floats, as a document loads them: an int beyond 2**53 would not load back
+            for name in ("x1", "y1", "x2", "y2", "score"):
+                object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def width(self) -> float:
@@ -169,7 +215,11 @@ class BBox:
 
 @dataclass(frozen=True, slots=True)
 class Keypoint:
-    """One joint observation: pixel position, confidence and presence flag."""
+    """One joint observation: pixel position, confidence and presence flag.
+
+    A value type: :class:`Keypoints` stores a pose's keypoints as arrays and
+    builds ``Keypoint`` values only when one is read.
+    """
 
     joint: Joint
     x: float
@@ -183,42 +233,188 @@ class Keypoint:
             and math.isfinite(self.y)
             and math.isfinite(self.confidence)
             and 0.0 <= self.confidence <= 1.0
+            and (self.present is True or self.present is False)
         ):
             return
         name = self.joint.value
         _require_finite(self.x, f"{name}.x")
         _require_finite(self.y, f"{name}.y")
         _require_finite(self.confidence, f"{name}.confidence")
-        raise ValueError(f"{name}.confidence must be within [0, 1], got {self.confidence!r}")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"{name}.confidence must be within [0, 1], got {self.confidence!r}")
+        raise ValueError(f"{name}.present must be a boolean, got {self.present!r}")
+
+
+_N = len(JOINTS)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class Keypoints(abc.Sequence):
+    """The 15 keypoint slots of one pose, held as read-only arrays indexed by slot.
+
+    ``xy`` is (15, 2) float64 positions, ``confidence`` (15,) float64 within
+    [0, 1] and ``present`` (15,) bool.  The constructor copies and checks its
+    arrays; every other way a ``Keypoints`` is made (the document parser, a
+    new presence mask) starts from values already checked.  It reads as a
+    sequence of :class:`Keypoint` values, built on access, and equals another
+    ``Keypoints`` or a tuple of ``Keypoint``s that holds the same values.
+    """
+
+    __slots__ = ("xy", "confidence", "present")
+
+    def __init__(self, xy, confidence, present) -> None:
+        xy = np.array(xy, dtype=float)
+        confidence = np.array(confidence, dtype=float)
+        present = np.array(present)
+        if xy.shape != (_N, 2) or confidence.shape != (_N,) or present.shape != (_N,):
+            raise ValueError(
+                f"keypoint arrays must have shapes (15, 2), (15,), (15,), "
+                f"got {xy.shape}, {confidence.shape}, {present.shape}"
+            )
+        if present.dtype != bool:
+            raise ValueError(f"keypoint presence must be boolean, got dtype {present.dtype}")
+        if not (np.isfinite(xy).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()):
+            for joint, (x, y), c in zip(JOINTS, xy.tolist(), confidence.tolist()):
+                Keypoint(joint, x, y, c)  # raises the message of the first slot at fault
+        _set_arrays(self, _frozen(xy), _frozen(confidence), _frozen(present))
+
+    @classmethod
+    def from_checked(
+        cls, xy: np.ndarray, confidence: np.ndarray, present: np.ndarray
+    ) -> "Keypoints":
+        """Wrap new float64 / bool arrays of the right shapes whose values are known valid.
+
+        For arrays derived from checked ones (a fusion of two poses): nothing
+        is copied or checked, and the arrays are made read-only.
+        """
+        return _keypoints(_frozen(xy), _frozen(confidence), _frozen(present))
+
+    def with_present(self, present: np.ndarray) -> "Keypoints":
+        """The same positions and confidences under the boolean (15,) mask ``present``."""
+        if present.dtype != bool or present.shape != (_N,):
+            raise ValueError("a presence mask must be a boolean array of shape (15,)")
+        return _keypoints(self.xy, self.confidence, _frozen(present.copy()))
+
+    def __len__(self) -> int:
+        return _N
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        j = range(_N)[index]
+        x, y = self.xy[j].tolist()
+        return Keypoint(JOINTS[j], x, y, self.confidence[j].item(), self.present[j].item())
+
+    def __iter__(self) -> Iterator[Keypoint]:
+        values = zip(JOINTS, self.xy.tolist(), self.confidence.tolist(), self.present.tolist())
+        return (Keypoint(j, x, y, c, p) for j, (x, y), c, p in values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Keypoints):
+            return (
+                np.array_equal(self.xy, other.xy)
+                and np.array_equal(self.confidence, other.confidence)
+                and np.array_equal(self.present, other.present)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Keypoints({tuple(self)!r})"
+
+    def __reduce__(self):
+        return Keypoints, (self.xy, self.confidence, self.present)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Keypoints is read-only; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _set_arrays(kps: Keypoints, xy, confidence, present) -> None:
+    object.__setattr__(kps, "xy", xy)
+    object.__setattr__(kps, "confidence", confidence)
+    object.__setattr__(kps, "present", present)
+
+
+def _keypoints(xy: np.ndarray, confidence: np.ndarray, present: np.ndarray) -> Keypoints:
+    """A :class:`Keypoints` of read-only arrays whose values are already checked."""
+    kps = object.__new__(Keypoints)
+    _set_arrays(kps, xy, confidence, present)
+    return kps
+
+
+def _keypoints_of(values) -> Keypoints:
+    """The arrays of a sequence of :class:`Keypoint` values, one per slot in slot order."""
+    if len(values) != _N:
+        raise ValueError(f"expected {_N} keypoints, got {len(values)}")
+    for slot, kp in zip(JOINTS, values):
+        if kp.joint is not slot:
+            held = kp.joint.value if isinstance(kp.joint, Joint) else repr(kp.joint)
+            raise ValueError(f"keypoint slot {slot.value} holds {held}")
+    # each Keypoint checked its own values when it was built
+    return Keypoints.from_checked(
+        np.array([(kp.x, kp.y) for kp in values], dtype=float),
+        np.array([kp.confidence for kp in values], dtype=float),
+        np.array([kp.present for kp in values], dtype=bool),
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class Pose:
-    """A human candidate: one keypoint slot per joint plus detection metadata."""
+    """A human candidate: one keypoint slot per joint plus detection metadata.
 
-    keypoints: tuple[Keypoint, ...]
+    ``keypoints`` may be given as :class:`Keypoints` or as 15 :class:`Keypoint`
+    values in slot order; it is stored as :class:`Keypoints`, whose arrays
+    ``xy``, ``confidence`` and ``present`` the pose also exposes.
+    """
+
+    keypoints: Keypoints
     det_score: float = 1.0
     bbox: BBox | None = None
     track_id: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.keypoints) != len(JOINTS):
-            raise ValueError(f"expected {len(JOINTS)} keypoints, got {len(self.keypoints)}")
-        for slot, kp in zip(JOINTS, self.keypoints):
-            if kp.joint is not slot:
-                held = kp.joint.value if isinstance(kp.joint, Joint) else repr(kp.joint)
-                raise ValueError(f"keypoint slot {slot.value} holds {held}")
-        _require_finite(self.det_score, "Pose.det_score")
-        if not 0.0 <= self.det_score <= 1.0:
-            raise ValueError(f"Pose.det_score must be within [0, 1], got {self.det_score!r}")
-        if self.track_id is not None and self.track_id < 0:
-            raise ValueError(f"Pose.track_id must be non-negative, got {self.track_id!r}")
+        if self.keypoints.__class__ is not Keypoints:
+            object.__setattr__(self, "keypoints", _keypoints_of(self.keypoints))
+        score = self.det_score
+        if not (score.__class__ is float and 0.0 <= score <= 1.0):
+            _require_number(score, "Pose.det_score")
+            _require_finite(score, "Pose.det_score")
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"Pose.det_score must be within [0, 1], got {score!r}")
+        if self.bbox is not None and self.bbox.__class__ is not BBox:
+            raise ValueError(f"Pose.bbox must be a BBox or None, got {self.bbox!r}")
+        if self.track_id is not None:
+            require_int(self.track_id, "Pose.track_id")
+            if self.track_id < 0:
+                raise ValueError(f"Pose.track_id must be non-negative, got {self.track_id!r}")
+
+    @property
+    def xy(self) -> np.ndarray:
+        return self.keypoints.xy
+
+    @property
+    def confidence(self) -> np.ndarray:
+        return self.keypoints.confidence
+
+    @property
+    def present(self) -> np.ndarray:
+        return self.keypoints.present
 
     def keypoint(self, joint: Joint) -> Keypoint:
         return self.keypoints[joint.index]
 
     def present_joints(self) -> tuple[Joint, ...]:
-        return tuple(kp.joint for kp in self.keypoints if kp.present)
+        return tuple(JOINTS[j] for j in np.flatnonzero(self.present).tolist())
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,6 +427,9 @@ class Frame:
     poses: tuple[Pose, ...] = ()
 
     def __post_init__(self) -> None:
+        require_int(self.index, "Frame.index")
+        require_int(self.width, "Frame.width")
+        require_int(self.height, "Frame.height")
         if self.index < 0:
             raise ValueError(f"Frame.index must be non-negative, got {self.index!r}")
         if self.width <= 0 or self.height <= 0:
@@ -245,6 +444,8 @@ class Sequence:
     frames: tuple[Frame, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"Sequence.name must be a string, got {self.name!r}")
         previous = -1
         for frame in self.frames:
             if frame.index <= previous:
@@ -349,7 +550,9 @@ def _as_bool(value: Any, path: str) -> bool:
 
 
 _MISSING = object()
-_SLOT_BY_NAME = {j.value: (i, j) for i, j in enumerate(JOINTS)}
+_SLOT_BY_NAME = {j.value: i for i, j in enumerate(JOINTS)}
+_FLOAT_TYPE = {float}
+_BOOL_TYPE = {bool}
 
 
 def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
@@ -359,27 +562,73 @@ def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
     return _as_float(value, f"{path}[{k}].{key}")
 
 
-def _parse_keypoints(items: Any, path: str) -> tuple[Keypoint, ...]:
+def _document_keypoints(values: list[tuple]) -> list[Keypoints]:
+    """One :class:`Keypoints` per pose, each a view of three arrays built once.
+
+    ``values`` holds each pose's ``(xs, ys, confidences, flags)`` in slot order.
+    """
+    n = len(values)
+    columns = [[v for pose in values for v in pose[c]] for c in range(4)]
+    xy = np.stack((np.array(columns[0], dtype=float), np.array(columns[1], dtype=float)), -1)
+    xy = _frozen(xy.reshape(n, _N, 2))
+    confidence = _frozen(np.array(columns[2], dtype=float).reshape(n, _N))
+    present = _frozen(np.array(columns[3], dtype=bool).reshape(n, _N))
+    return [_keypoints(xy[k], confidence[k], present[k]) for k in range(n)]
+
+
+_KEYPOINT_FIELDS = operator.itemgetter("joint", "x", "y", "confidence", "present")
+
+
+def _plain_keypoints(items: Any) -> tuple | None:
+    """``(xs, ys, confidences, flags)`` of a pose's keypoint entries in the common case.
+
+    That is: 15 objects with all five fields, joints in slot order, finite
+    floats with confidences within [0, 1], and boolean flags.  Anything else
+    gives ``None``, and the caller runs the field-by-field checks.
+    """
+    if items.__class__ is not list or len(items) != _N:
+        return None
+    try:
+        names, xs, ys, confidences, flags = zip(*map(_KEYPOINT_FIELDS, items))
+    except (TypeError, KeyError):  # an entry that is not an object, or a missing field
+        return None
+    if names != JOINT_NAMES or set(map(type, xs + ys + confidences)) != _FLOAT_TYPE:
+        return None
+    total = sum(xs) + sum(ys) + sum(confidences)  # not finite when any value is not
+    if (
+        total - total == 0.0
+        and min(confidences) >= 0.0
+        and max(confidences) <= 1.0
+        and set(map(type, flags)) == _BOOL_TYPE
+    ):
+        return xs, ys, confidences, flags
+    return None
+
+
+def _parse_keypoints(items: Any, path: str) -> tuple[list, ...]:
+    """Check a pose's keypoint entries field by field; their values in slot order."""
     entries = _as_list(items, path)
-    if len(entries) != len(JOINTS):
-        raise SequenceError(f"{path}: expected {len(JOINTS)} keypoints, got {len(entries)}")
-    slots: list[Keypoint | None] = [None] * len(JOINTS)
+    if len(entries) != _N:
+        raise SequenceError(f"{path}: expected {_N} keypoints, got {len(entries)}")
+    xs: list = [0.0] * _N
+    ys: list = [0.0] * _N
+    confidences: list = [None] * _N  # None until the slot is filled
+    flags: list = [False] * _N
     for k, obj in enumerate(entries):
         if not isinstance(obj, dict):
             raise SequenceError(f"{path}[{k}]: expected object, got {type(obj).__name__}")
         name = obj.get("joint", _MISSING)
         try:
-            slot = _SLOT_BY_NAME.get(name)
+            index = _SLOT_BY_NAME.get(name)
         except TypeError:  # an array or object names no joint
-            slot = None
-        if slot is None:
+            index = None
+        if index is None:
             if name is _MISSING:
                 raise SequenceError(f"{path}[{k}].joint: missing field")
             raise SequenceError(f"{path}[{k}].joint: unknown joint {name!r}")
-        index, joint = slot
-        if slots[index] is not None:
+        if confidences[index] is not None:
             raise SequenceError(f"{path}[{k}].joint: duplicate joint {name!r}")
-        # the common case, a float in range (confidence) or finite (x, y), formats no path
+        # a float in range (confidence) or finite (x, y) formats no path
         confidence = obj.get("confidence", _MISSING)
         if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:
             confidence = _keypoint_number(confidence, "confidence", path, k)
@@ -398,11 +647,50 @@ def _parse_keypoints(items: Any, path: str) -> tuple[Keypoint, ...]:
             if present is _MISSING:
                 raise SequenceError(f"{path}[{k}].present: missing field")
             _as_bool(present, f"{path}[{k}].present")
-        slots[index] = Keypoint(joint, x, y, confidence, present)
-    return tuple(slots)
+        confidences[index] = confidence
+        xs[index] = x
+        ys[index] = y
+        flags[index] = present
+    return xs, ys, confidences, flags
 
 
-def _parse_pose(raw: Any, path: str) -> Pose:
+def _plain_pose(raw: Any) -> tuple | None:
+    """What :func:`_parse_pose` returns, for a pose entry of the common case.
+
+    That is: a float ``det_score`` within [0, 1], a non-negative ``int`` or
+    null ``track_id``, null or four finite float corners in order for
+    ``bbox``, and plain keypoints (:func:`_plain_keypoints`).  Anything else
+    gives ``None``, and the caller runs the field-by-field checks, which
+    format the path of a field only when they raise for it.
+    """
+    if raw.__class__ is not dict:
+        return None
+    det_score = raw.get("det_score")
+    if det_score.__class__ is not float or not 0.0 <= det_score <= 1.0:
+        return None
+    track_id = raw.get("track_id", _MISSING)
+    if track_id is not None and (track_id.__class__ is not int or track_id < 0):
+        return None
+    corners = raw.get("bbox", _MISSING)
+    bbox = None
+    if corners is not None:
+        if corners.__class__ is not list or len(corners) != 4:
+            return None
+        if set(map(type, corners)) != _FLOAT_TYPE:
+            return None
+        x1, y1, x2, y2 = corners
+        total = x1 + y1 + x2 + y2  # not finite when any corner is not
+        if not (total - total == 0.0 and x1 <= x2 and y1 <= y2):
+            return None
+        bbox = BBox(x1, y1, x2, y2, score=det_score)
+    values = _plain_keypoints(raw.get("keypoints"))
+    if values is None:
+        return None
+    return det_score, bbox, track_id, values
+
+
+def _parse_pose(raw: Any, path: str) -> tuple:
+    """Check a pose entry field by field: ``(det_score, bbox, track_id, keypoint values)``."""
     obj = _as_mapping(raw, path)
     det_score = _as_float(_get(obj, "det_score", path), f"{path}.det_score")
     if not 0.0 <= det_score <= 1.0:
@@ -424,17 +712,24 @@ def _parse_pose(raw: Any, path: str) -> Pose:
         if x2 < x1 or y2 < y1:
             raise SequenceError(f"{path}.bbox: corners out of order")
         bbox = BBox(x1, y1, x2, y2, score=det_score)
-    keypoints = _parse_keypoints(_get(obj, "keypoints", path), f"{path}.keypoints")
-    return Pose(keypoints=keypoints, det_score=det_score, bbox=bbox, track_id=track_id)
+    items = _get(obj, "keypoints", path)
+    values = _plain_keypoints(items)
+    if values is None:
+        values = _parse_keypoints(items, f"{path}.keypoints")
+    return det_score, bbox, track_id, values
 
 
 def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
-    """Validate a decoded document and build a :class:`Sequence`."""
+    """Validate a decoded document and build a :class:`Sequence`.
+
+    Every field is checked first, in document order; the keypoint arrays of
+    all poses are then built at once and each pose holds views of them.
+    """
     obj = _as_mapping(doc, path)
     name = _get(obj, "name", path)
     if not isinstance(name, str):
         raise SequenceError(f"{path}.name: expected string, got {name!r}")
-    frames: list[Frame] = []
+    frames: list[tuple[int, int, int, list]] = []
     previous_index = -1
     size: tuple[int, int] | None = None
     for i, raw_frame in enumerate(_as_list(_get(obj, "frames", path), f"{path}.frames")):
@@ -457,14 +752,27 @@ def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
             raise SequenceError(
                 f"{frame_path}: image size {width}x{height} differs from {size[0]}x{size[1]}"
             )
-        poses = tuple(
-            _parse_pose(raw_pose, f"{frame_path}.poses[{j}]")
-            for j, raw_pose in enumerate(
-                _as_list(_get(frame_obj, "poses", frame_path), f"{frame_path}.poses")
+        raw_poses = _as_list(_get(frame_obj, "poses", frame_path), f"{frame_path}.poses")
+        poses = []
+        for j, raw_pose in enumerate(raw_poses):
+            fields = _plain_pose(raw_pose)
+            if fields is None:
+                fields = _parse_pose(raw_pose, f"{frame_path}.poses[{j}]")
+            poses.append(fields)
+        frames.append((index, width, height, poses))
+    keypoints = iter(_document_keypoints([p[3] for _, _, _, poses in frames for p in poses]))
+    return Sequence(
+        name=name,
+        frames=tuple(
+            Frame(
+                index,
+                width,
+                height,
+                tuple(Pose(next(keypoints), det, bbox, tid) for det, bbox, tid, _ in poses),
             )
-        )
-        frames.append(Frame(index=index, width=width, height=height, poses=poses))
-    return Sequence(name=name, frames=tuple(frames))
+            for index, width, height, poses in frames
+        ),
+    )
 
 
 def load_sequence(text: str) -> Sequence:
@@ -545,48 +853,35 @@ def _json_value(value: Any, pad: str) -> str:
 
 # The writer lays the document out as json.dumps(..., indent=2) does: frames
 # 4 spaces deep, frame fields 6, poses 8, pose fields 10, keypoints 12 and
-# keypoint fields 14, items separated by ",\n".  One keypoint template per
-# joint slot, since a Pose holds exactly one keypoint per joint in slot order.
-_KEYPOINT_TEXT = tuple(
+# keypoint fields 14, items separated by ",\n".  One template holds a pose's
+# 15 keypoints in slot order, with x, y, confidence and present of each.
+_KEYPOINTS_TEXT = ",\n            ".join(
     "{\n"
     f'              "joint": {json.dumps(name)},\n'
-    '              "x": %s,\n'
-    '              "y": %s,\n'
-    '              "confidence": %s,\n'
+    '              "x": %r,\n'
+    '              "y": %r,\n'
+    '              "confidence": %r,\n'
     '              "present": %s\n'
     "            }"
     for name in JOINT_NAMES
 )
-
-
-def _keypoint_text(template: str, kp: Keypoint) -> str:
-    x, y, confidence, present = kp.x, kp.y, kp.confidence, kp.present
-    if x.__class__ is float and y.__class__ is float and confidence.__class__ is float:
-        # a Keypoint holds only finite numbers, which json spells with repr
-        numbers = (repr(x), repr(y), repr(confidence))
-    else:
-        numbers = tuple(_json_value(v, " " * 14) for v in (x, y, confidence))
-    if present is True:
-        flag = "true"
-    elif present is False:
-        flag = "false"
-    else:
-        flag = _json_value(present, " " * 14)
-    return template % (*numbers, flag)
+_FLAG_TEXT = {True: "true", False: "false"}
+_BOX_TEXT = "[\n            %r,\n            %r,\n            %r,\n            %r\n          ]"
 
 
 def _pose_text(pose: Pose) -> str:
     box = pose.bbox
     if box is None:
         bbox = "null"
-    else:
-        corners = ",\n            ".join(
-            _json_value(v, " " * 12) for v in (box.x1, box.y1, box.x2, box.y2)
-        )
-        bbox = f"[\n            {corners}\n          ]"
-    keypoints = ",\n            ".join(
-        [_keypoint_text(t, kp) for t, kp in zip(_KEYPOINT_TEXT, pose.keypoints)]
-    )
+    else:  # a BBox holds finite floats
+        bbox = _BOX_TEXT % (box.x1, box.y1, box.x2, box.y2)
+    # the arrays hold finite float64 values and bools: json spells the floats with repr
+    values: list = []
+    for (x, y), confidence, present in zip(
+        pose.xy.tolist(), pose.confidence.tolist(), pose.present.tolist()
+    ):
+        values += (x, y, confidence, _FLAG_TEXT[present])
+    keypoints = _KEYPOINTS_TEXT % tuple(values)
     return (
         "{\n"
         f'          "det_score": {_json_value(pose.det_score, " " * 10)},\n'

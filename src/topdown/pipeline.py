@@ -40,7 +40,7 @@ from .metrics import (
     evaluate_mot,
     match_sequences,
 )
-from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name
+from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name, require_real
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
 log = logging.getLogger(__name__)
@@ -76,6 +76,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+        require_real(self.bbox_enlarge, "bbox_enlarge")
+        if self.bbox_enlarge < 0.0:
+            raise ValueError(f"bbox_enlarge must be non-negative, got {self.bbox_enlarge!r}")
         if self.ensemble_mode not in ("none", "average", "expert"):
             raise ValueError(f"unknown ensemble mode {self.ensemble_mode!r}")
         validate_expert_map(self.expert_map)

@@ -29,10 +29,12 @@ from .model import (
     EvalGroup,
     Frame,
     Joint,
-    Keypoint,
+    Keypoints,
     Pose,
     Sequence,
     joint_group,
+    require_int,
+    require_real,
 )
 
 _SKELETON_PATH = Path(__file__).parent / "data" / "skeleton.json"
@@ -55,6 +57,8 @@ class GroupConfidence:
     spread: float
 
     def __post_init__(self) -> None:
+        require_real(self.mean, "mean")
+        require_real(self.spread, "spread")
         if self.spread < 0.0:
             raise ValueError(f"spread must be non-negative, got {self.spread!r}")
 
@@ -103,6 +107,20 @@ class SynthSpec:
     name: str = "synthetic"
 
     def __post_init__(self) -> None:
+        for name in ("n_persons", "n_frames", "width", "height", "seed"):
+            require_int(getattr(self, name), name)
+        for name in ("speed", "scale", "jitter", "p_miss", "fp_rate", "fp_clearance"):
+            require_real(getattr(self, name), name)
+        for name in ("trajectory", "name"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for occlusion in self.occlusions:
+            if len(occlusion) != 3:
+                raise ValueError(f"an occlusion is (person, start, end), got {occlusion!r}")
+            for value in occlusion:
+                require_int(value, "occlusions")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_persons < 0:
             raise ValueError("n_persons must be non-negative")
         if self.n_frames < 1:
@@ -286,8 +304,11 @@ def _position(spec: SynthSpec, motion: _Motion, t: int) -> tuple[float, float]:
     return x, y
 
 
+_ALL_PRESENT = np.ones(len(JOINTS), dtype=bool)
+
+
 def _make_pose(
-    template: dict[Joint, tuple[float, float]],
+    template: np.ndarray,
     center: tuple[float, float],
     scale: float,
     offsets: np.ndarray,
@@ -295,19 +316,9 @@ def _make_pose(
     det_score: float,
     track_id: int | None,
 ) -> Pose:
-    keypoints = []
-    for idx, joint in enumerate(JOINTS):
-        dx, dy = template[joint]
-        keypoints.append(
-            Keypoint(
-                joint=joint,
-                x=center[0] + dx * scale + float(offsets[idx, 0]),
-                y=center[1] + dy * scale + float(offsets[idx, 1]),
-                confidence=float(confidences[idx]),
-                present=True,
-            )
-        )
-    pose = Pose(keypoints=tuple(keypoints), det_score=det_score, track_id=track_id)
+    """The template (15, 2) placed at ``center``, plus ``offsets``, with its inferred box."""
+    xy = np.array(center) + template * scale + offsets
+    pose = Pose(Keypoints(xy, confidences, _ALL_PRESENT), det_score=det_score, track_id=track_id)
     return replace(pose, bbox=bbox_from_keypoints(pose))
 
 
@@ -318,7 +329,7 @@ def _occluded(spec: SynthSpec, person: int, frame: int) -> bool:
 def generate(spec: SynthSpec) -> SynthOutput:
     """Produce aligned ground-truth and detection sequences, deterministically."""
     rng = np.random.default_rng(spec.seed)
-    template = load_skeleton_template()
+    template = np.array(list(load_skeleton_template().values()))
     motions = _plan_motion(spec, rng)
     conf_means = np.array(
         [spec.confidence[joint_group(j)].mean for j in JOINTS], dtype=float
@@ -433,25 +444,19 @@ def analytic_counts(out: SynthOutput, drop_threshold: float = 0.0) -> AnalyticCo
     """
     tp = fp = fn = 0
     for gt_frame, det_frame, sources in zip(out.gt.frames, out.det.frames, out.provenance):
-        covered: dict[int, set[Joint]] = {}
+        covered: dict[int, np.ndarray] = {}
         gt_by_id = {pose.track_id: pose for pose in gt_frame.poses}
         for pose, source in zip(det_frame.poses, sources):
-            surviving = {
-                kp.joint
-                for kp in pose.keypoints
-                if kp.present and kp.confidence >= drop_threshold
-            }
+            surviving = pose.present & (pose.confidence >= drop_threshold)
             if source == "fp":
-                fp += len(surviving)
+                fp += int(surviving.sum())
                 continue
-            gt_present = {
-                kp.joint for kp in gt_by_id[source].keypoints if kp.present
-            }
+            gt_present = gt_by_id[source].present
             covered[source] = surviving & gt_present
-            fp += len(surviving - gt_present)
+            fp += int((surviving & ~gt_present).sum())
         for pose in gt_frame.poses:
-            present = {kp.joint for kp in pose.keypoints if kp.present}
-            got = covered.get(pose.track_id, set())
-            tp += len(got)
-            fn += len(present - got)
+            got = covered.get(pose.track_id)
+            n_got = 0 if got is None else int(got.sum())
+            tp += n_got
+            fn += int(pose.present.sum()) - n_got
     return AnalyticCounts(tp=tp, fp=fp, fn=fn)

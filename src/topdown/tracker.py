@@ -3,10 +3,11 @@
 Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
-Each frame is scored as one array operation: a pose is converted once into
-joint positions, presence flags and box corners (:func:`pose_arrays`), a
-track keeps the arrays of its latest pose, and :func:`similarity_matrix`
-broadcasts the whole tracks x poses matrix in one call.
+Each frame is scored as one array operation: a pose already holds its joint
+positions and presence flags as arrays, :func:`pose_arrays` stacks them with
+the box corners, a track keeps its latest pose and that pose's corners, and
+:func:`similarity_matrix` broadcasts the whole tracks x poses matrix in one
+call.  Keypoint pruning is one presence mask per pose.
 Unmatched ids survive a configurable retention window and are then discarded;
 ids are never reused within a sequence.
 """
@@ -19,15 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou_matrix, with_box
-from .model import (
-    GROUPS,
-    JOINTS,
-    EvalGroup,
-    Keypoint,
-    Pose,
-    Sequence,
-    joint_group,
-)
+from .model import GROUPS, JOINTS, EvalGroup, Pose, Sequence, joint_group, require_int
 
 _METHODS = ("greedy", "hungarian")
 
@@ -56,6 +49,7 @@ class TrackerConfig:
             raise ValueError("similarity weights must be non-negative with positive sum")
         if not 0.0 <= self.similarity_min <= 1.0:
             raise ValueError(f"similarity_min must be within [0, 1], got {self.similarity_min!r}")
+        require_int(self.retention_window, "retention_window")
         if self.retention_window < 1:
             raise ValueError(f"retention_window must be >= 1, got {self.retention_window!r}")
         if self.method not in _METHODS:
@@ -71,29 +65,18 @@ class TrackerConfig:
 
 
 class PoseArrays(NamedTuple):
-    """Poses as arrays: ``xy`` (n, 15, 2), ``present`` (n, 15), ``box`` (n, 4) corners.
-
-    :meth:`row` gives one pose's arrays without the leading axis; :meth:`stack`
-    joins such rows back into the stacked form.
-    """
+    """Poses as arrays: ``xy`` (n, 15, 2), ``present`` (n, 15), ``box`` (n, 4) corners."""
 
     xy: np.ndarray
     present: np.ndarray
     box: np.ndarray
-
-    def row(self, i: int) -> "PoseArrays":
-        return PoseArrays(self.xy[i], self.present[i], self.box[i])
-
-    @staticmethod
-    def stack(rows: list["PoseArrays"]) -> "PoseArrays":
-        return PoseArrays(*(np.stack(parts) for parts in zip(*rows)))
 
 
 @dataclass(slots=True)
 class _Track:
     pose: Pose
     last_frame: int
-    arrays: PoseArrays | None = None  # the pose's row, set when it is first scored
+    box: tuple[float, ...] | None = None  # the pose's box corners, set when first scored
 
 
 @dataclass(slots=True)
@@ -120,15 +103,11 @@ class TrackerState:
 
 def prune_keypoints(pose: Pose, threshold: float) -> Pose:
     """Mark keypoints below the confidence threshold as absent; nothing else changes."""
-    return replace(
-        pose,
-        keypoints=tuple(
-            Keypoint(kp.joint, kp.x, kp.y, kp.confidence, False)
-            if kp.present and kp.confidence < threshold
-            else kp
-            for kp in pose.keypoints
-        ),
-    )
+    below = pose.present & (pose.confidence < threshold)
+    if not below.any():
+        return pose
+    keypoints = pose.keypoints.with_present(pose.present & ~below)
+    return Pose(keypoints, pose.det_score, pose.bbox, pose.track_id)
 
 
 def prune_sequence_keypoints(seq: Sequence, threshold: float) -> Sequence:
@@ -155,17 +134,17 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     A group with no keypoints at all reports the vacuous 100.0; an input with
     no keypoints anywhere is an error.
     """
+    poses = [pose for seq in seqs for _, pose in seq.iter_poses()]
+    confidence = np.array([p.confidence for p in poses]).reshape(len(poses), len(JOINTS))
+    present = np.array([p.present for p in poses], dtype=bool).reshape(len(poses), len(JOINTS))
+    # per-joint counts summed into groups
+    before_joint = present.sum(axis=0).tolist()
+    kept_joint = (present & (confidence >= threshold)).sum(axis=0).tolist()
     before = {g: 0 for g in GROUPS}
     kept = {g: 0 for g in GROUPS}
-    for seq in seqs:
-        for _, pose in seq.iter_poses():
-            for kp in pose.keypoints:
-                if not kp.present:
-                    continue
-                group = joint_group(kp.joint)
-                before[group] += 1
-                if kp.confidence >= threshold:
-                    kept[group] += 1
+    for joint, n_before, n_kept in zip(JOINTS, before_joint, kept_joint):
+        before[joint_group(joint)] += n_before
+        kept[joint_group(joint)] += n_kept
     total_before = sum(before.values())
     if total_before == 0:
         raise TrackingError("no present keypoints to compute retention over")
@@ -188,12 +167,15 @@ def pose_arrays(poses: Iterable[Pose]) -> PoseArrays:
     no box and no inferable one.
     """
     poses = list(poses)
+    return _stacked(poses, [_corners(p) for p in poses])
+
+
+def _stacked(poses: list[Pose], boxes: list[tuple[float, ...]]) -> PoseArrays:
     n = len(poses)
-    xy = np.array([[(kp.x, kp.y) for kp in p.keypoints] for p in poses], dtype=float)
-    present = np.array([[kp.present for kp in p.keypoints] for p in poses], dtype=bool)
-    box = np.array([_corners(p) for p in poses], dtype=float)
     return PoseArrays(
-        xy.reshape(n, len(JOINTS), 2), present.reshape(n, len(JOINTS)), box.reshape(n, 4)
+        np.array([p.xy for p in poses]).reshape(n, len(JOINTS), 2),
+        np.array([p.present for p in poses], dtype=bool).reshape(n, len(JOINTS)),
+        np.array(boxes, dtype=float).reshape(n, 4),
     )
 
 
@@ -228,10 +210,9 @@ def similarity_matrix(
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = np.where(denom > 0.0, np.exp(-d2 / denom), d2 == 0.0)
     kernel = np.where(common, kernel, 0.0)
-    # joint by joint, in joint order: np.sum's pairwise order would change the last bits
-    total = kernel[..., 0]
-    for j in range(1, len(JOINTS)):
-        total = total + kernel[..., j]
+    # a running sum runs joint by joint, in joint order: np.sum's pairwise
+    # order would change the last bits
+    total = np.add.accumulate(kernel, axis=-1)[..., -1]
     count = common.sum(axis=-1)
     kp_sim = np.where(count > 0, total / np.maximum(count, 1), 0.0)
     return (w_iou * overlap + w_pose * kp_sim) / (w_iou + w_pose)
@@ -305,11 +286,11 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
         if track_ids and frame.poses:
             tracks = [state.active[tid] for tid in track_ids]
             for track in tracks:
-                if track.arrays is None:
-                    track.arrays = pose_arrays([track.pose]).row(0)
+                if track.box is None:
+                    track.box = _corners(track.pose)
             candidates = pose_arrays(frame.poses)
             similarity = similarity_matrix(
-                PoseArrays.stack([t.arrays for t in tracks]),
+                _stacked([t.pose for t in tracks], [t.box for t in tracks]),
                 candidates,
                 kappa,
                 config.w_iou,
@@ -318,14 +299,15 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
             for row, col in solve_assignment(1.0 - similarity, config.method):
                 if similarity[row, col] >= config.similarity_min:
                     assigned[col] = track_ids[row]
+        boxes = candidates.box.tolist() if candidates is not None else None
         new_poses = []
         for idx, pose in enumerate(frame.poses):
             tid = assigned.get(idx)
             if tid is None:
                 tid = state.fresh_id()
-            tracked = replace(pose, track_id=tid)
-            arrays = candidates.row(idx) if candidates is not None else None
-            state.active[tid] = _Track(pose=tracked, last_frame=frame.index, arrays=arrays)
+            tracked = Pose(pose.keypoints, pose.det_score, pose.bbox, tid)
+            box = boxes[idx] if boxes is not None else None
+            state.active[tid] = _Track(pose=tracked, last_frame=frame.index, box=box)
             new_poses.append(tracked)
         frames_out.append(replace(frame, poses=tuple(new_poses)))
     return replace(seq, frames=tuple(frames_out))

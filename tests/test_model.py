@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from topdown.model import (
     JOINTS,
     Joint,
     Keypoint,
+    Keypoints,
     Pose,
     Sequence,
     SequenceError,
@@ -276,3 +280,50 @@ def test_pair_by_name_pairs_in_order_of_first_side():
 def test_pair_by_name_rules_raise_the_callers_error(seqs, others, message):
     with pytest.raises(_PairingError, match=f"^other: .*{message}"):
         pair_by_name(seqs, others, "other", _PairingError)
+
+
+# ---------------------------------------------------------------------------
+# a pose's keypoints are read-only arrays that read as Keypoint values
+
+
+def test_keypoints_are_read_only_arrays_that_read_as_keypoint_values():
+    values = tuple(
+        Keypoint(j, float(i), 2.0 * i, i / 20, i % 3 != 0) for i, j in enumerate(JOINTS)
+    )
+    pose = Pose(values, det_score=0.5)
+    kps = pose.keypoints
+    assert isinstance(kps, Keypoints)
+    assert pose.xy.shape == (15, 2) and pose.xy.dtype == np.float64
+    assert pose.confidence.shape == (15,) and pose.present.dtype == bool
+    for array in (pose.xy, pose.confidence, pose.present):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(AttributeError):
+        kps.xy = np.zeros((15, 2))
+    assert kps == values and values == kps
+    assert tuple(kps) == values and kps[3] == values[3] and kps[-1] == values[-1]
+    assert kps[1:3] == values[1:3]
+    assert pose.keypoint(Joint.LEFT_HIP) == values[Joint.LEFT_HIP.index]
+    assert pose.present_joints() == tuple(kp.joint for kp in values if kp.present)
+    arrays = Pose(Keypoints(pose.xy, pose.confidence, pose.present), det_score=0.5)
+    assert arrays == pose and hash(arrays) == hash(pose)
+    assert pickle.loads(pickle.dumps(pose)) == pose
+
+
+def test_replacing_a_scalar_field_keeps_the_keypoint_arrays():
+    pose = Pose(tuple(Keypoint(j, 1.0, 2.0, 0.5) for j in JOINTS))
+    moved = replace(pose, track_id=3, det_score=0.25)
+    assert moved.keypoints is pose.keypoints
+    assert moved.track_id == 3
+
+
+def test_with_present_takes_only_a_boolean_mask_of_fifteen():
+    kps = Pose(tuple(Keypoint(j, 1.0, 2.0, 0.5) for j in JOINTS)).keypoints
+    flags = np.arange(15) % 2 == 0
+    masked = kps.with_present(flags)
+    assert masked.present.tolist() == flags.tolist() and masked.xy is kps.xy
+    flags[0] = False  # the mask was copied
+    assert masked.present[0]
+    for bad in (np.ones(15), np.ones(14, dtype=bool)):
+        with pytest.raises(ValueError, match="presence mask"):
+            kps.with_present(bad)

@@ -681,3 +681,96 @@ def test_cli_subprocess_entrypoint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "MOTA total: 100.0000" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# config and generator-spec fields are checked where they are built
+
+
+@pytest.mark.parametrize("boxes", [True, False], ids=["boxed", "box-less"])
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        ({"bbox_enlarge": "x"}, "bbox_enlarge"),
+        ({"bbox_enlarge": -5}, "bbox_enlarge"),
+        ({"bbox_enlarge": 1e308 * 10}, "bbox_enlarge"),
+        ({"bbox_enlarge": True}, "bbox_enlarge"),
+        ({"tracker": {"retention_window": 2.5}}, "retention_window"),
+        ({"tracker": {"retention_window": 1e308}}, "retention_window"),
+        ({"tracker": {"retention_window": True}}, "retention_window"),
+        ({"tracker": {"retention_window": 0}}, "retention_window"),
+    ],
+    ids=["enlarge-string", "enlarge-negative", "enlarge-inf", "enlarge-bool",
+         "window-fraction", "window-float", "window-bool", "window-zero"],
+)
+def test_cli_bad_config_value_exits_2_at_load_naming_the_field(
+    tmp_path, capsys, section, field, boxes
+):
+    det, gt = _write_noiseless(tmp_path)
+    if not boxes:
+        doc = json.loads(det.read_text())
+        for frame in doc["frames"]:
+            for pose in frame["poses"]:
+                pose["bbox"] = None
+        det.write_text(json.dumps(doc))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(section))
+    code = cli.main(["run", "--config", str(config), "--det", str(det), "--gt", str(gt),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_accepts_a_huge_finite_bbox_enlarge():
+    assert PipelineConfig(bbox_enlarge=1e308).bbox_enlarge == 1e308
+
+
+def test_pose_whose_inferred_box_overflows_is_dropped_not_fatal(tmp_path, capsys, caplog):
+    det, gt = _write_noiseless(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"bbox_enlarge": 1e308}))
+    doc = json.loads(det.read_text())
+    for frame in doc["frames"]:
+        for pose in frame["poses"]:
+            pose["bbox"] = None
+    det.write_text(json.dumps(doc))
+    code = cli.main(["run", "--config", str(config), "--det", str(det), "--gt", str(gt),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "no inferable box" in caplog.text
+    tracked = load_sequence(next((tmp_path / "o").glob("tracked_*.json")).read_text())
+    assert all(not frame.poses for frame in tracked.frames)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"seed": "x"}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.0}, "seed"),
+        ({"n_persons": 2.5}, "n_persons"),
+        ({"n_frames": True}, "n_frames"),
+        ({"width": "640"}, "width"),
+        ({"speed": "fast"}, "speed"),
+        ({"scale": None}, "scale"),
+        ({"jitter": [1]}, "jitter"),
+        ({"fp_rate": True}, "fp_rate"),
+        ({"name": 5}, "name"),
+        ({"occlusions": [[0, "a", 2]]}, "occlusions"),
+        ({"fp_confidence": {"mean": "x", "spread": 0.1}}, "mean"),
+    ],
+)
+def test_cli_synth_spec_type_error_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
+    doc = {**synth.calibrated_benchmark_spec(n_frames=2).to_dict(), **overrides}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code = cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

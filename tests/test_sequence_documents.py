@@ -21,6 +21,7 @@ from topdown.model import (
     JOINTS,
     Joint,
     Keypoint,
+    Keypoints,
     Pose,
     Sequence,
     SequenceError,
@@ -40,6 +41,8 @@ _coordinates = st.one_of(
     st.integers(-(10**20), 10**20),
     st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 0.1]),
 )
+# a pose holds its keypoint values as float64, so a float32 is a valid keypoint value
+_keypoint_coordinates = _coordinates | st.floats(-1e6, 1e6, width=32).map(np.float32)
 _unit = st.one_of(
     st.floats(0, 1),
     st.floats(0, 1).map(np.float64),
@@ -54,13 +57,24 @@ _names = st.one_of(
 @st.composite
 def _written_poses(draw) -> Pose:
     keypoints = tuple(
-        Keypoint(j, draw(_coordinates), draw(_coordinates), draw(_unit), draw(st.booleans()))
+        Keypoint(
+            j, draw(_keypoint_coordinates), draw(_keypoint_coordinates), draw(_unit),
+            draw(st.booleans()),
+        )
         for j in JOINTS
     )
+    if draw(st.booleans()):  # the same values given as arrays
+        keypoints = Keypoints(
+            [(kp.x, kp.y) for kp in keypoints],
+            [kp.confidence for kp in keypoints],
+            [kp.present for kp in keypoints],
+        )
     bbox = None
     if draw(st.booleans()):
         x1, y1 = draw(_coordinates), draw(_coordinates)
-        bbox = BBox(x1, y1, x1 + draw(st.integers(0, 500)), y1 + draw(st.floats(0, 500)))
+        # an integer beyond 2**53 plus a float can round below the integer
+        y1, y2 = sorted((y1, y1 + draw(st.floats(0, 500))))
+        bbox = BBox(x1, y1, x1 + draw(st.integers(0, 500)), y2)
     track_id = draw(st.one_of(st.none(), st.integers(0, 10**20)))
     return Pose(keypoints, det_score=draw(_unit), bbox=bbox, track_id=track_id)
 
@@ -98,20 +112,106 @@ def _pose_of(**fields) -> Pose:
 
 
 def test_writer_matches_json_on_values_outside_the_schema():
-    # the types do not check these, so the writer must spell them as json does
-    seqs = [
-        Sequence(name=[1, {"a": [2]}]),
-        Sequence(name=None),
-        Sequence("n", (Frame(0.5, 10.0, 3), Frame(math.inf, 10, 3), Frame(math.nan, 10, 3))),
-        Sequence("n", (Frame(1, 3, 3, (_pose_of(present=[1, 2], x=_Float(3.0)),)),)),
-        Sequence("n", (Frame(1, 3, 3, (replace(_pose_of(present=-math.inf), track_id=math.nan),)),)),
-        Sequence("n", (Frame(1, 3, 3, (_pose_of(present="yes", x=True),)),)),
-    ]
+    # numbers the types accept that are not plain floats: the writer spells them as json does
+    pose = replace(
+        _pose_of(x=_Float(3.0), y=np.float32(1), confidence=np.float64(0.5)),
+        det_score=_Float(0.5),
+        bbox=BBox(_Float(1.0), 2, np.float64(3.0), 10**20),
+        track_id=10**20,
+    )
+    seqs = [Sequence("\ud800 \"", (Frame(1, 3, 3, (pose,)),)), Sequence("n", (Frame(0, 9, 9),))]
     for seq in seqs:
         assert save_predictions(seq) == json.dumps(sequence_to_dict(seq), indent=2)
-    unwritable = Sequence("n", (Frame(1, 3, 3, (_pose_of(x=np.float32(1)),)),))
-    with pytest.raises(TypeError, match="Object of type float32 is not JSON serializable"):
-        save_predictions(unwritable)
+    # keypoint values are held as float64, so a float32 or a float subclass is written as a float
+    assert '"x": 3.0,' in save_predictions(seqs[0])
+    assert '"y": 1.0,' in save_predictions(seqs[0])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Sequence(name=[1, {"a": [2]}]), "Sequence.name must be a string"),
+        (lambda: Sequence(name=None), "Sequence.name must be a string"),
+        (lambda: Frame(0.5, 10, 3), "Frame.index must be an integer, got 0.5"),
+        (lambda: Frame(math.nan, 10, 3), "Frame.index must be an integer, got nan"),
+        (lambda: Frame(True, 10, 3), "Frame.index must be an integer, got True"),
+        (lambda: Frame(0, 10.0, 3), "Frame.width must be an integer, got 10.0"),
+        (lambda: Frame(0, 10, np.int64(3)), "Frame.height must be an integer"),
+        (lambda: replace(_pose_of(), track_id=math.nan), "Pose.track_id must be an integer"),
+        (lambda: replace(_pose_of(), track_id=True), "Pose.track_id must be an integer"),
+        (lambda: replace(_pose_of(), track_id=1.0), "Pose.track_id must be an integer"),
+        (lambda: replace(_pose_of(), det_score=True), "Pose.det_score must be a number"),
+        (
+            lambda: replace(_pose_of(), det_score=np.float32(0.5)),
+            "Pose.det_score must be a number",
+        ),
+        (lambda: replace(_pose_of(), bbox=(0, 0, 1, 1)), "Pose.bbox must be a BBox"),
+        (lambda: _pose_of(present="yes"), "nose.present must be a boolean, got 'yes'"),
+        (lambda: _pose_of(present=[1, 2]), "nose.present must be a boolean, got [1, 2]"),
+        (lambda: _pose_of(present=-math.inf), "nose.present must be a boolean, got -inf"),
+        (lambda: BBox(True, 0, 1, 1), "BBox.x1 must be a number, got True"),
+        (lambda: BBox(0, np.int64(0), 1, 1), "BBox.y1 must be a number"),
+        (
+            lambda: Keypoints(np.zeros((15, 2)), np.ones(15), np.ones(15)),
+            "keypoint presence must be boolean",
+        ),
+        (
+            lambda: Keypoints(np.zeros((14, 2)), np.ones(14), np.ones(14, bool)),
+            "keypoint arrays must have shapes (15, 2), (15,), (15,)",
+        ),
+        (
+            lambda: Keypoints(np.full((15, 2), math.inf), np.ones(15), np.ones(15, bool)),
+            "nose.x must be finite, got inf",
+        ),
+        (
+            lambda: Keypoints(np.zeros((15, 2)), [1.0] * 14 + [1.5], np.ones(15, bool)),
+            "right_ankle.confidence must be within [0, 1], got 1.5",
+        ),
+    ],
+)
+def test_types_reject_values_a_document_cannot_hold(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert message in str(excinfo.value)
+
+
+def _box_scored(pose: Pose) -> Pose:
+    if pose.bbox is None:
+        return pose
+    return replace(pose, bbox=replace(pose.bbox, score=pose.det_score))
+
+
+@given(_written_sequences())
+def test_every_sequence_the_types_accept_loads_back_equal(seq):
+    """A saved sequence loads back equal; a box score is not in the document.
+
+    The loader gives a box the score of its pose, so the comparison does too.
+    """
+    expected = replace(
+        seq,
+        frames=tuple(replace(f, poses=tuple(map(_box_scored, f.poses))) for f in seq.frames),
+    )
+    assert load_sequence(save_predictions(seq)) == expected
+
+
+def test_loading_builds_no_keypoint_objects(monkeypatch):
+    # the sparse_ensemble benchmark fixture of sub-seed 0, box-less like its model A
+    spec = synth.calibrated_benchmark_spec(n_persons=2, n_frames=30, fp_rate=0.5, seed=0)
+    seq = synth.generate(spec).det
+    seq = replace(
+        seq, frames=tuple(replace(f, poses=tuple(replace(p, bbox=None) for p in f.poses))
+                          for f in seq.frames)
+    )
+    text = save_predictions(seq)
+    built = []
+    original = Keypoint.__post_init__
+    monkeypatch.setattr(Keypoint, "__post_init__", lambda kp: built.append(kp) or original(kp))
+    loaded = load_sequence(text)
+    assert built == []
+    assert save_predictions(loaded) == text
+    # the counter does count: reading a pose's keypoints builds 15 values
+    assert len(list(loaded.frames[0].poses[0].keypoints)) == 15
+    assert len(built) == 15
 
 
 # ---------------------------------------------------------------------------
