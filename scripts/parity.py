@@ -19,11 +19,11 @@ each at sub-seeds ``first .. first+count-1``:
 Model B (for fusion) is the same spec with jitter 1.5 and every group's mean
 confidence 0.03 lower.  Per sub-seed the matrix is: ``synth`` of both
 models; ``run`` plain and with ``--det-b`` in expert and average mode;
-``sweep`` on both axes with ``--jobs 1`` and ``2`` over unsorted values with
-a repeat; ``eval --mode ap|mot`` on each tracked output; ``bbox-infer`` on
-model A's detections without boxes; ``ensemble --mode expert|average`` of
-models A and B.  So every command that writes a sequence document is
-covered, with box inference, fusion and the writer.  Commands run
+``sweep`` on each axis over unsorted values with a repeat; ``eval --mode
+ap|mot`` on each tracked output; ``bbox-infer`` on model A's detections
+without boxes; ``ensemble --mode expert|average`` of models A and B.  So
+every command that writes a sequence document is covered, with box
+inference, fusion and the writer.  Commands run
 in-process through ``topdown.cli.main`` with relative paths, and their
 argv, exit code and stdout go to ``calls.log``, which the manifest covers
 too.  Exits 1 when any command exits non-zero.
@@ -105,10 +105,8 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     for name, extra in runs.items():
         m.call("run", "--det", det, "--gt", gt, "--out", str(base / name), *extra)
     for axis, values in (("keypoint_threshold", KEYPOINT_VALUES), ("bbox_threshold", BOX_VALUES)):
-        for jobs in ("1", "2"):
-            out = str(base / f"sweep_{axis}_j{jobs}")
-            m.call("sweep", "--det", det, "--gt", gt, "--out", out,
-                   "--axis", axis, "--values", values, "--jobs", jobs)
+        m.call("sweep", "--det", det, "--gt", gt, "--out", str(base / f"sweep_{axis}"),
+               "--axis", axis, "--values", values)
     for name in runs:
         for tracked in sorted((base / name).glob("tracked_*.json")):
             for mode in ("ap", "mot"):

@@ -33,7 +33,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/sweeps", help="output directory")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -43,18 +42,14 @@ def main() -> int:
 
     print("== keypoint drop threshold vs AP / MOTA ==")
     values = [0.5, 0.6, 0.7, 0.8, 0.85]
-    rows = pipeline.sweep(
-        [bench.det], [bench.gt], config, "keypoint_threshold", values, jobs=args.jobs
-    )
+    rows = pipeline.sweep([bench.det], [bench.gt], config, "keypoint_threshold", values)
     text = pipeline.sweep_csv("keypoint_threshold", rows)
     (out_dir / "keypoint_sweep.csv").write_text(text)
     print(text)
 
     print("== box drop threshold vs detection precision / recall ==")
     values = [round(0.1 * i, 1) for i in range(1, 10)]
-    rows = pipeline.sweep(
-        [bench.det], [bench.gt], config, "bbox_threshold", values, jobs=args.jobs
-    )
+    rows = pipeline.sweep([bench.det], [bench.gt], config, "bbox_threshold", values)
     text = pipeline.sweep_csv("bbox_threshold", rows)
     (out_dir / "bbox_sweep.csv").write_text(text)
     print(text)

@@ -94,7 +94,6 @@ def _load_config(args) -> PipelineConfig:
         config = PipelineConfig.from_dict(doc)
     except ValueError as exc:
         raise _InputError(f"{getattr(args, 'config', 'config')}: {exc}") from exc
-    overrides = {}
     for flag, name in (
         ("candidate_threshold", "candidate_drop_threshold"),
         ("keypoint_threshold", "keypoint_drop_threshold"),
@@ -103,9 +102,10 @@ def _load_config(args) -> PipelineConfig:
     ):
         value = getattr(args, flag, None)
         if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
+            try:
+                config = replace(config, **{name: value})
+            except ValueError as exc:
+                raise _UsageError(f"--{flag.replace('_', '-')}: {exc}") from exc
     return config
 
 
@@ -181,9 +181,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"bad --values: {exc}") from exc
     if len(values) < 2:
         raise _UsageError("--values needs at least 2 comma-separated thresholds")
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    rows = pipeline.sweep(det_seqs, gt_seqs, config, args.axis, values, jobs=args.jobs)
+    rows = pipeline.sweep(det_seqs, gt_seqs, config, args.axis, values)
     csv_text = pipeline.sweep_csv(args.axis, rows)
     json_text = json.dumps([r.to_dict() for r in rows], indent=2)
     out_dir = Path(args.out)
@@ -202,7 +200,10 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         raise _InputError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+        try:
+            spec = replace(spec, seed=args.seed)
+        except ValueError as exc:
+            raise _UsageError(f"--seed: {exc}") from exc
     out = synth.generate(spec)
     out_dir = Path(args.out)
     _write_atomic(out_dir / "gt.json", save_predictions(out.gt))
@@ -262,10 +263,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_bbox_infer(args) -> int:
+    try:
+        enlarge = PipelineConfig(bbox_enlarge=args.enlarge).bbox_enlarge
+    except ValueError as exc:
+        raise _UsageError(f"--enlarge: {exc}") from exc
     out = []
     for seq in _load_sequences(args.input):
         frames = tuple(
-            replace(frame, poses=tuple(with_box(p, args.enlarge) for p in frame.poses))
+            replace(frame, poses=tuple(with_box(p, enlarge) for p in frame.poses))
             for frame in seq.frames
         )
         out.append(replace(seq, frames=frames))
@@ -324,7 +329,8 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--axis", required=True, choices=pipeline.SWEEP_AXES)
     sweep.add_argument("--values", required=True, help="comma-separated thresholds")
-    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
+    # accepted for callers written when sweep points could run in worker processes
+    sweep.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     sweep.set_defaults(func=_cmd_sweep)
 
     synth_cmd = sub.add_parser("synth", help="generate a synthetic gt/det pair")

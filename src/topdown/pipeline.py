@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -285,29 +284,12 @@ class SweepRow:
         return out
 
 
-def _keypoint_row(value: float, ap: ApReport, mot: MotReport) -> SweepRow:
-    return SweepRow(value=value, ap_total=ap.total, mota_total=mot.mota_total)
-
-
-def _keypoint_sweep_point(args) -> SweepRow:
-    table, value = args
-    matching = table.match(value)
-    return _keypoint_row(value, matching.ap_report(), matching.mot_report())
-
-
-def _bbox_sweep_point(args) -> SweepRow:
-    det_seqs, gt_seqs, config, value = args
-    pr = detection_pr_at(det_seqs, gt_seqs, value, config)
-    return SweepRow(value=value, precision=100.0 * pr.precision, recall=100.0 * pr.recall)
-
-
 def sweep(
     det_seqs: list[Sequence],
     gt_seqs: list[Sequence],
     config: PipelineConfig,
     axis: str,
     values: list[float],
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """One row per threshold value along one axis, in the order the values were given.
 
@@ -318,37 +300,33 @@ def sweep(
     tracked keypoint as present when it is present and not below the value
     (the mask :func:`~topdown.tracker.prune_keypoints` applies).  That gives
     the rows of a full run per value, because pruning is monotone: a keypoint
-    below the lowest threshold is below every other one.  Points other than
-    the lowest are independent, so they may run in parallel in up to
-    ``jobs`` worker processes, never more than there are such points.
+    below the lowest threshold is below every other one.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if len(values) < 2:
         raise ValueError(f"need at least 2 sweep values, got {len(values)}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     for value in values:
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
             raise ValueError(f"sweep values must be finite and within [0, 1], got {value!r}")
+    rows = []
     if axis == "bbox_threshold":
-        return _map(_bbox_sweep_point, [(det_seqs, gt_seqs, config, v) for v in values], jobs)
+        for value in values:
+            pr = detection_pr_at(det_seqs, gt_seqs, value, config)
+            rows.append(
+                SweepRow(value=value, precision=100.0 * pr.precision, recall=100.0 * pr.recall)
+            )
+        return rows
     lowest = min(values)
     base = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=lowest))
-    rest = iter(
-        _map(_keypoint_sweep_point, [(base.table, v) for v in values if v != lowest], jobs)
-    )
-    return [_keypoint_row(v, base.ap, base.mot) if v == lowest else next(rest) for v in values]
-
-
-def _map(point, payloads: list, jobs: int) -> list[SweepRow]:
-    """``point`` of every payload, in order, in up to ``jobs`` worker processes."""
-    workers = min(jobs, len(payloads))
-    if workers > 1:
-        # the pool starts all its workers at once
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(point, payloads))
-    return [point(p) for p in payloads]
+    for value in values:
+        if value == lowest:
+            ap, mot = base.ap, base.mot
+        else:
+            matching = base.table.match(value)
+            ap, mot = matching.ap_report(), matching.mot_report()
+        rows.append(SweepRow(value=value, ap_total=ap.total, mota_total=mot.mota_total))
+    return rows
 
 
 def sweep_csv(axis: str, rows: list[SweepRow]) -> str:

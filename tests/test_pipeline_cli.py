@@ -149,42 +149,6 @@ def test_run_pipeline_rejects_duplicate_sequence_names():
         pipeline.run_pipeline(dets, gts, PipelineConfig(ensemble_mode="average"), [a.det, a.det])
 
 
-def test_sweep_rejects_jobs_below_one():
-    out = _noiseless(n_frames=3)
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="jobs"):
-            pipeline.sweep([out.det], [out.gt], PipelineConfig(), "bbox_threshold", [0.2, 0.5], jobs)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps in-process."""
-
-    created: list[int] = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_sweep_pool_never_larger_than_the_number_of_points(monkeypatch):
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    out = _noiseless(n_frames=3)
-    args = ([out.det], [out.gt], PipelineConfig(), "bbox_threshold")
-    serial = pipeline.sweep(*args, [0.2, 0.5], jobs=1)
-    assert pipeline.sweep(*args, [0.2, 0.5], jobs=100_000) == serial
-    pipeline.sweep(*args, [0.2, 0.5, 0.7], jobs=2)
-    assert _SerialPool.created == [2, 2]
-
-
 def test_pipeline_self_ensemble_is_identity():
     out = _noiseless()
     config = PipelineConfig(ensemble_mode="average")
@@ -228,14 +192,6 @@ def test_sweep_input_validation():
         pipeline.sweep([out.det], [out.gt], PipelineConfig(), "sideways", [0.1, 0.2])
 
 
-def test_sweep_parallel_equals_serial():
-    out = _noiseless(n_frames=6)
-    config = PipelineConfig()
-    serial = pipeline.sweep([out.det], [out.gt], config, "bbox_threshold", [0.2, 0.5], jobs=1)
-    parallel = pipeline.sweep([out.det], [out.gt], config, "bbox_threshold", [0.2, 0.5], jobs=2)
-    assert serial == parallel
-
-
 def test_sweep_csv_layouts():
     rows = [SweepRow(value=0.5, ap_total=80.0, mota_total=60.0)]
     text = pipeline.sweep_csv("keypoint_threshold", rows)
@@ -274,6 +230,21 @@ def test_keypoint_sweep_rows_equal_a_full_run_per_value(spec, seed, values, meth
             SweepRow(value=value, ap_total=result.ap.total, mota_total=result.mot.mota_total)
         )
     assert rows == expected
+
+
+def test_bbox_sweep_rows_equal_detection_pr_per_value():
+    dets, gts = _two_sequences(synth.calibrated_benchmark_spec, 3)
+    config = PipelineConfig()
+    values = [0.5, 0.2, 0.5, 0.9]
+    rows = pipeline.sweep(dets, gts, config, "bbox_threshold", values)
+    expected = []
+    for value in values:
+        pr = pipeline.detection_pr_at(dets, gts, value, config)
+        expected.append(
+            SweepRow(value=value, precision=100.0 * pr.precision, recall=100.0 * pr.recall)
+        )
+    assert rows == expected
+    assert expected[1] != expected[3]  # the rows tell the values apart
 
 
 def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
@@ -323,23 +294,6 @@ def test_sweep_rejects_values_outside_unit_interval_before_any_work(monkeypatch,
     out = _noiseless(n_frames=3)
     with pytest.raises(ValueError, match=r"within \[0, 1\]"):
         pipeline.sweep([out.det], [out.gt], PipelineConfig(), axis, [0.5, 0.6, bad])
-
-
-def test_keypoint_sweep_pool_maps_only_the_prune_and_score_points(monkeypatch):
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "created", [])
-    out = _noiseless(n_frames=3)
-    args = ([out.det], [out.gt], PipelineConfig(), "keypoint_threshold")
-    serial = pipeline.sweep(*args, [0.9, 0.5, 0.7, 0.5], jobs=1)
-    assert pipeline.sweep(*args, [0.9, 0.5, 0.7, 0.5], jobs=8) == serial
-    pipeline.sweep(*args, [0.6, 0.6, 0.9], jobs=2)  # one point left: no pool
-    assert _SerialPool.created == [2]
-
-
-def test_keypoint_sweep_parallel_equals_serial():
-    out = synth.generate(synth.calibrated_benchmark_spec(n_persons=2, n_frames=6, seed=4))
-    args = ([out.det], [out.gt], PipelineConfig(), "keypoint_threshold", [0.8, 0.5, 0.7])
-    assert pipeline.sweep(*args, jobs=2) == pipeline.sweep(*args, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +535,47 @@ def test_cli_sweep_jobs_below_one_is_usage_error(tmp_path, jobs):
     )
     assert code == 1
     assert not (tmp_path / "s").exists()
+
+
+def test_cli_sweep_jobs_is_accepted_only_as_one(tmp_path):
+    det, gt = _write_noiseless(tmp_path)
+    argv = ["sweep", "--det", str(det), "--gt", str(gt),
+            "--axis", "keypoint_threshold", "--values", "0.9,0.5,0.7"]
+    assert cli.main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert cli.main([*argv, "--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+    for name in ("sweep.csv", "sweep.json"):
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert cli.main([*argv, "--out", str(tmp_path / "j2"), "--jobs", "2"]) == 1
+    assert not (tmp_path / "j2").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bbox-infer", "--input", "{det}", "--enlarge", "-5"], "--enlarge"),
+        (["bbox-infer", "--input", "{det}", "--enlarge", "nan"], "--enlarge"),
+        (["run", "--det", "{det}", "--gt", "{gt}", "--candidate-threshold", "1.5"],
+         "--candidate-threshold"),
+        (["run", "--det", "{det}", "--gt", "{gt}", "--nms-iou", "nan"], "--nms-iou"),
+        (["run", "--det", "{det}", "--gt", "{gt}", "--keypoint-threshold", "-1"],
+         "--keypoint-threshold"),
+        (["synth", "--spec", "{spec}", "--seed", "-1"], "--seed"),
+    ],
+    ids=["enlarge-negative", "enlarge-nan", "candidate-threshold-above-one", "nms-iou-nan",
+         "keypoint-threshold-negative", "seed-negative"],
+)
+def test_cli_bad_flag_value_is_usage_error(tmp_path, capsys, argv, flag):
+    det, gt = _write_noiseless(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(noiseless_spec(n_frames=2).to_dict()))
+    paths = {"det": str(det), "gt": str(gt), "spec": str(spec)}
+    out = tmp_path / "out"
+    code = cli.main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"usage error: {flag}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis", pipeline.SWEEP_AXES)
