@@ -23,7 +23,11 @@ models; ``run`` plain and with ``--det-b`` in expert and average mode;
 ap|mot`` on each tracked output; ``bbox-infer`` on model A's detections
 without boxes; ``ensemble --mode expert|average`` of models A and B.  So
 every command that writes a sequence document is covered, with box
-inference, fusion and the writer.  Commands run
+inference, fusion and the writer.  The box-less copy that ``bbox-infer``
+reads gives every pose an extra ``note`` key, which the loader ignores but
+which sends that document through the ``json`` decoder and the
+field-by-field checks; every other input takes the orjson path, so both
+loader paths are covered.  Commands run
 in-process through ``topdown.cli.main`` with relative paths, and their
 argv, exit code and stdout go to ``calls.log``, which the manifest covers
 too.  Exits 1 when any command exits non-zero.
@@ -59,12 +63,16 @@ def _spec_docs(synth, spec: str, seed: int) -> tuple[dict, dict]:
     return doc_a, doc_b
 
 
-def _without_boxes(src: Path, dst: Path) -> str:
-    """Copy sequence document ``src`` to ``dst`` with every pose's box removed."""
+def _without_boxes(src: Path, dst: Path, **extra: str) -> str:
+    """Copy sequence document ``src`` to ``dst`` with every pose's box removed.
+
+    Each pose also gets the keys of ``extra``.
+    """
     doc = json.loads(src.read_text())
     for frame in doc["frames"]:
         for pose in frame["poses"]:
             pose["bbox"] = None
+            pose.update(extra)
     dst.write_text(json.dumps(doc, indent=2))
     return str(dst)
 
@@ -95,6 +103,7 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     det, gt = str(base / "a" / "det.json"), str(base / "a" / "gt.json")
     det_b = str(base / "b" / "det.json")
     boxless = _without_boxes(Path(det), base / "det_boxless.json")
+    noted = _without_boxes(Path(det), base / "det_boxless_noted.json", note="box removed")
     if spec == "sparse":
         det = boxless
     runs = {
@@ -112,7 +121,7 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
             for mode in ("ap", "mot"):
                 m.call("eval", "--preds", str(tracked), "--gt", gt, "--mode", mode,
                        "--out", str(base / f"eval_{name}"))
-    m.call("bbox-infer", "--input", boxless, "--out", str(base / "bbox_infer"))
+    m.call("bbox-infer", "--input", noted, "--out", str(base / "bbox_infer"))
     for mode in ("expert", "average"):
         m.call("ensemble", "--a", det, "--b", det_b, "--mode", mode,
                "--out", str(base / f"ensemble_{mode}"))

@@ -267,15 +267,25 @@ def _cmd_bbox_infer(args) -> int:
         enlarge = PipelineConfig(bbox_enlarge=args.enlarge).bbox_enlarge
     except ValueError as exc:
         raise _UsageError(f"--enlarge: {exc}") from exc
-    out = []
-    for seq in _load_sequences(args.input):
-        frames = tuple(
-            replace(frame, poses=tuple(with_box(p, enlarge) for p in frame.poses))
-            for frame in seq.frames
-        )
-        out.append(replace(seq, frames=frames))
+    out = [_boxed(seq, enlarge) for seq in _load_sequences(args.input)]
     _emit_sequences(out, args.out, "", "sequences")
     return 0
+
+
+def _boxed(seq: Sequence, enlarge: float) -> Sequence:
+    """``seq`` with a box inferred for each box-less pose; an error names the pose it cannot box."""
+    frames = []
+    for frame in seq.frames:
+        poses = []
+        for j, pose in enumerate(frame.poses):
+            try:
+                poses.append(with_box(pose, enlarge))
+            except DegenerateGeometryError as exc:
+                raise DegenerateGeometryError(
+                    f"sequence {seq.name!r}, frame {frame.index}, pose {j}: {exc}"
+                ) from exc
+        frames.append(replace(frame, poses=tuple(poses)))
+    return replace(seq, frames=tuple(frames))
 
 
 def _cmd_ensemble(args) -> int:

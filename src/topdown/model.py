@@ -37,11 +37,18 @@ a document that loads back equal.
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
 the plain-data view of the schema and the reference for that contract.
-:func:`load_sequence` checks each field in schema order and formats the
-path of a field (``$.frames[0].poses[1].keypoints[4].x``) only when it
-raises :class:`SequenceError` for it; a pose entry of the common shape is
-recognised in bulk.  The keypoint arrays of a whole document are built
-once, and each pose holds views of them.
+The decode rule of :func:`load_sequence`: text holding fewer than 20,000
+``[`` and ``{`` (about 1,000 poses; orjson has no nesting limit and would
+overflow the C stack) is decoded with orjson, and the result is accepted
+when the whole document has the common shape: exactly the schema's keys,
+plain value types, and the frame and range rules, checked on whole columns.
+Any other text (over the bound, refused by orjson, such as ``NaN``,
+``Infinity``, ``1e400`` or a lone surrogate, or of another shape) is
+decoded with ``json`` and checked field by field in schema order.  Only
+that path formats errors: a :class:`SequenceError` names the path of the
+field at fault (``$.frames[0].poses[1].keypoints[4].x``).  The keypoint
+arrays of a whole document are built once, and each pose holds views of
+them.
 """
 from __future__ import annotations
 
@@ -52,9 +59,11 @@ import numbers
 import operator
 from collections import Counter, abc
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Any, Iterator
 
 import numpy as np
+import orjson
 
 
 class Joint(enum.Enum):
@@ -551,8 +560,6 @@ def _as_bool(value: Any, path: str) -> bool:
 
 _MISSING = object()
 _SLOT_BY_NAME = {j.value: i for i, j in enumerate(JOINTS)}
-_FLOAT_TYPE = {float}
-_BOOL_TYPE = {bool}
 
 
 def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
@@ -562,47 +569,138 @@ def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
     return _as_float(value, f"{path}[{k}].{key}")
 
 
-def _document_keypoints(values: list[tuple]) -> list[Keypoints]:
+def _document_keypoints(
+    xs: abc.Sequence, ys: abc.Sequence, confidences: abc.Sequence, flags: abc.Sequence
+) -> list[Keypoints] | None:
     """One :class:`Keypoints` per pose, each a view of three arrays built once.
 
-    ``values`` holds each pose's ``(xs, ys, confidences, flags)`` in slot order.
+    The columns hold the values of every pose of a document, 15 slots per
+    pose in slot order.  ``None`` when a position is not finite or a
+    confidence is outside [0, 1]; the field-by-field checks raise for those
+    before they get here.
     """
-    n = len(values)
-    columns = [[v for pose in values for v in pose[c]] for c in range(4)]
-    xy = np.stack((np.array(columns[0], dtype=float), np.array(columns[1], dtype=float)), -1)
+    n = len(flags) // _N
+    xy = np.stack((np.array(xs, dtype=float), np.array(ys, dtype=float)), -1)
+    confidence = np.array(confidences, dtype=float)
+    if not (np.isfinite(xy).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()):
+        return None
     xy = _frozen(xy.reshape(n, _N, 2))
-    confidence = _frozen(np.array(columns[2], dtype=float).reshape(n, _N))
-    present = _frozen(np.array(columns[3], dtype=bool).reshape(n, _N))
-    return [_keypoints(xy[k], confidence[k], present[k]) for k in range(n)]
+    confidence = _frozen(confidence.reshape(n, _N))
+    present = _frozen(np.array(flags, dtype=bool).reshape(n, _N))
+    return list(map(_keypoints, xy, confidence, present))
 
 
+_FRAME_FIELDS = operator.itemgetter("index", "width", "height", "poses")
+_POSE_FIELDS = operator.itemgetter("det_score", "track_id", "bbox", "keypoints")
 _KEYPOINT_FIELDS = operator.itemgetter("joint", "x", "y", "confidence", "present")
+_NONE = type(None)
 
 
-def _plain_keypoints(items: Any) -> tuple | None:
-    """``(xs, ys, confidences, flags)`` of a pose's keypoint entries in the common case.
-
-    That is: 15 objects with all five fields, joints in slot order, finite
-    floats with confidences within [0, 1], and boolean flags.  Anything else
-    gives ``None``, and the caller runs the field-by-field checks.
-    """
-    if items.__class__ is not list or len(items) != _N:
+def _columns(fields: operator.itemgetter, width: int, objects: list) -> tuple | None:
+    """The ``fields`` of ``objects`` as columns, if each is a dict of exactly those keys."""
+    if not objects:
+        return ((),) * width
+    if set(map(type, objects)) != {dict} or set(map(len, objects)) != {width}:
         return None
     try:
-        names, xs, ys, confidences, flags = zip(*map(_KEYPOINT_FIELDS, items))
-    except (TypeError, KeyError):  # an entry that is not an object, or a missing field
+        return tuple(zip(*map(fields, objects)))
+    except KeyError:
         return None
-    if names != JOINT_NAMES or set(map(type, xs + ys + confidences)) != _FLOAT_TYPE:
+
+
+def _plain_document(doc: Any) -> Sequence | None:
+    """The :class:`Sequence` of a decoded document of the common shape, else ``None``.
+
+    The common shape: every object holds exactly the schema's keys, and every
+    value has its plain type: a ``str`` name, ``int`` frame fields, ``float``
+    scores, corners and coordinates, an ``int`` or null track id, a null or
+    4-item box, ``bool`` flags, and joints in slot order.  The frame and range
+    rules are checked on whole columns, and the keypoint arrays are built
+    once.  Anything else gives ``None``, and the caller runs the field-by-field
+    checks, which alone format error messages.  Exact key sets also bound the
+    depth of an accepted document.
+    """
+    if doc.__class__ is not dict or len(doc) != 2 or "name" not in doc or "frames" not in doc:
         return None
-    total = sum(xs) + sum(ys) + sum(confidences)  # not finite when any value is not
-    if (
-        total - total == 0.0
-        and min(confidences) >= 0.0
-        and max(confidences) <= 1.0
-        and set(map(type, flags)) == _BOOL_TYPE
+    name, frames = doc["name"], doc["frames"]
+    if name.__class__ is not str or frames.__class__ is not list:
+        return None
+    columns = _columns(_FRAME_FIELDS, 4, frames)
+    if columns is None:
+        return None
+    indices, widths, heights, pose_lists = columns
+    if not (
+        set(map(type, indices + widths + heights)) <= {int}
+        and set(map(type, pose_lists)) <= {list}
     ):
-        return xs, ys, confidences, flags
-    return None
+        return None
+    # indices strictly increase from 0 up; every frame has one positive size
+    if frames and not (
+        indices[0] >= 0
+        and all(map(operator.lt, indices, indices[1:]))
+        and len(set(widths)) == 1
+        and len(set(heights)) == 1
+        and widths[0] > 0
+        and heights[0] > 0
+    ):
+        return None
+    poses = list(chain.from_iterable(pose_lists))
+    columns = _columns(_POSE_FIELDS, 4, poses)
+    if columns is None:
+        return None
+    det_scores, track_ids, boxes, keypoint_lists = columns
+    if not (
+        set(map(type, det_scores)) <= {float}
+        and set(map(type, track_ids)) <= {int, _NONE}
+        and set(map(type, boxes)) <= {list, _NONE}
+        and set(map(type, keypoint_lists)) <= {list}
+        and set(map(len, keypoint_lists)) <= {_N}
+    ):
+        return None
+    if not (
+        all(map(math.isfinite, det_scores))
+        and min(det_scores, default=0.0) >= 0.0
+        and max(det_scores, default=1.0) <= 1.0
+        and min([t for t in track_ids if t is not None], default=0) >= 0
+    ):
+        return None
+    corners = [box for box in boxes if box is not None]
+    if not set(map(len, corners)) <= {4}:
+        return None
+    x1, y1, x2, y2 = zip(*corners) if corners else ((),) * 4
+    if not (
+        set(map(type, x1 + y1 + x2 + y2)) <= {float}
+        and all(map(math.isfinite, x1 + y1 + x2 + y2))
+        and all(map(operator.le, x1, x2))
+        and all(map(operator.le, y1, y2))
+    ):
+        return None
+    columns = _columns(_KEYPOINT_FIELDS, 5, list(chain.from_iterable(keypoint_lists)))
+    if columns is None:
+        return None
+    joints, xs, ys, confidences, flags = columns
+    if not (
+        joints == JOINT_NAMES * len(poses)
+        and set(map(type, xs)) <= {float}
+        and set(map(type, ys)) <= {float}
+        and set(map(type, confidences)) <= {float}
+        and set(map(type, flags)) <= {bool}
+    ):
+        return None
+    keypoints = _document_keypoints(xs, ys, confidences, flags)
+    if keypoints is None:
+        return None
+    built = iter([
+        Pose(kps, det, None if box is None else BBox(*box, score=det), track_id)
+        for kps, det, box, track_id in zip(keypoints, det_scores, boxes, track_ids)
+    ])
+    return Sequence(
+        name=name,
+        frames=tuple(
+            Frame(index, width, height, tuple(islice(built, len(pose_list))))
+            for index, width, height, pose_list in zip(indices, widths, heights, pose_lists)
+        ),
+    )
 
 
 def _parse_keypoints(items: Any, path: str) -> tuple[list, ...]:
@@ -654,41 +752,6 @@ def _parse_keypoints(items: Any, path: str) -> tuple[list, ...]:
     return xs, ys, confidences, flags
 
 
-def _plain_pose(raw: Any) -> tuple | None:
-    """What :func:`_parse_pose` returns, for a pose entry of the common case.
-
-    That is: a float ``det_score`` within [0, 1], a non-negative ``int`` or
-    null ``track_id``, null or four finite float corners in order for
-    ``bbox``, and plain keypoints (:func:`_plain_keypoints`).  Anything else
-    gives ``None``, and the caller runs the field-by-field checks, which
-    format the path of a field only when they raise for it.
-    """
-    if raw.__class__ is not dict:
-        return None
-    det_score = raw.get("det_score")
-    if det_score.__class__ is not float or not 0.0 <= det_score <= 1.0:
-        return None
-    track_id = raw.get("track_id", _MISSING)
-    if track_id is not None and (track_id.__class__ is not int or track_id < 0):
-        return None
-    corners = raw.get("bbox", _MISSING)
-    bbox = None
-    if corners is not None:
-        if corners.__class__ is not list or len(corners) != 4:
-            return None
-        if set(map(type, corners)) != _FLOAT_TYPE:
-            return None
-        x1, y1, x2, y2 = corners
-        total = x1 + y1 + x2 + y2  # not finite when any corner is not
-        if not (total - total == 0.0 and x1 <= x2 and y1 <= y2):
-            return None
-        bbox = BBox(x1, y1, x2, y2, score=det_score)
-    values = _plain_keypoints(raw.get("keypoints"))
-    if values is None:
-        return None
-    return det_score, bbox, track_id, values
-
-
 def _parse_pose(raw: Any, path: str) -> tuple:
     """Check a pose entry field by field: ``(det_score, bbox, track_id, keypoint values)``."""
     obj = _as_mapping(raw, path)
@@ -712,18 +775,15 @@ def _parse_pose(raw: Any, path: str) -> tuple:
         if x2 < x1 or y2 < y1:
             raise SequenceError(f"{path}.bbox: corners out of order")
         bbox = BBox(x1, y1, x2, y2, score=det_score)
-    items = _get(obj, "keypoints", path)
-    values = _plain_keypoints(items)
-    if values is None:
-        values = _parse_keypoints(items, f"{path}.keypoints")
+    values = _parse_keypoints(_get(obj, "keypoints", path), f"{path}.keypoints")
     return det_score, bbox, track_id, values
 
 
-def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
-    """Validate a decoded document and build a :class:`Sequence`.
+def _parse_document(doc: Any, path: str) -> Sequence:
+    """Check a decoded document field by field, in document order, and build its sequence.
 
-    Every field is checked first, in document order; the keypoint arrays of
-    all poses are then built at once and each pose holds views of them.
+    The first rule broken raises :class:`SequenceError` naming the path of
+    the field; the keypoint arrays of all poses are then built at once.
     """
     obj = _as_mapping(doc, path)
     name = _get(obj, "name", path)
@@ -753,14 +813,17 @@ def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
                 f"{frame_path}: image size {width}x{height} differs from {size[0]}x{size[1]}"
             )
         raw_poses = _as_list(_get(frame_obj, "poses", frame_path), f"{frame_path}.poses")
-        poses = []
-        for j, raw_pose in enumerate(raw_poses):
-            fields = _plain_pose(raw_pose)
-            if fields is None:
-                fields = _parse_pose(raw_pose, f"{frame_path}.poses[{j}]")
-            poses.append(fields)
+        poses = [
+            _parse_pose(raw_pose, f"{frame_path}.poses[{j}]")
+            for j, raw_pose in enumerate(raw_poses)
+        ]
         frames.append((index, width, height, poses))
-    keypoints = iter(_document_keypoints([p[3] for _, _, _, poses in frames for p in poses]))
+    columns: tuple[list, ...] = ([], [], [], [])
+    for _, _, _, poses in frames:
+        for pose in poses:
+            for column, values in zip(columns, pose[3]):
+                column += values
+    keypoints = iter(_document_keypoints(*columns))
     return Sequence(
         name=name,
         frames=tuple(
@@ -775,8 +838,46 @@ def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
     )
 
 
+def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
+    """Validate a decoded document and build a :class:`Sequence`.
+
+    A document of the common shape is checked in bulk (:func:`_plain_document`);
+    any other is checked field by field, and the first fault raises
+    :class:`SequenceError` naming its path.
+    """
+    seq = _plain_document(doc)
+    return _parse_document(doc, path) if seq is None else seq
+
+
+# orjson has no nesting limit, and deep enough nesting overflows the C stack.
+# Text with fewer "[" and "{" than this cannot nest deeper; about 1,000 poses fit.
+_ORJSON_MAX_BRACKETS = 20_000
+
+
+def _bracket_count(text: str) -> int:
+    """How many ``[`` and ``{`` ``text`` holds, counted at C speed.
+
+    A lone surrogate, which plain ``str.encode`` raises on, is encoded past.
+    """
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    return int(np.count_nonzero((data | 0x20) == ord("{")))  # ord("[") | 0x20 == ord("{")
+
+
 def load_sequence(text: str) -> Sequence:
-    """Parse and validate a sequence document; raise :class:`SequenceError` otherwise."""
+    """Parse and validate a sequence document; raise :class:`SequenceError` otherwise.
+
+    Text under the bracket bound is decoded with orjson; when that fails
+    (NaN, Infinity, ``1e400``, a lone surrogate, invalid JSON) or the result
+    is not of the common shape, the text is decoded again with ``json``,
+    which alone reports errors.
+    """
+    if _bracket_count(text) < _ORJSON_MAX_BRACKETS:
+        try:
+            seq = _plain_document(orjson.loads(text))
+        except orjson.JSONDecodeError:
+            seq = None
+        if seq is not None:
+            return seq
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting

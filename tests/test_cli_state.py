@@ -45,17 +45,25 @@ def test_consecutive_main_calls_give_the_outputs_of_fresh_processes(
         code = cli.main(argv)
         seen.append((code, capsys.readouterr().out))
 
-    env = dict(os.environ, PYTHONPATH=SRC)
+    # the default log level, so that stderr holds only what a command writes at it
+    env = {k: v for k, v in os.environ.items() if k != "TOPDOWN_LOG"}
+    env["PYTHONPATH"] = SRC
     expected = []
+    errors = []
     for argv in calls:
         proc = subprocess.run(
             [sys.executable, "-m", "topdown", *argv],
             capture_output=True, text=True, env=env, cwd=fresh,
         )
         expected.append((proc.returncode, proc.stdout))
+        errors.append(proc.stderr)
     assert [code for code, _ in seen] == [0, 0, 1, 0]
     assert seen == expected
     assert _files(in_process) == _files(fresh)
+    # a successful command writes nothing but its result; a usage error writes one line
+    assert [errors[k] for k in (0, 1, 3)] == ["", "", ""]
+    assert len(errors[2].splitlines()) == 1
+    assert errors[2].startswith("usage error: ")
 
 
 def test_parity_script_matrix_is_deterministic_and_exits_zero(tmp_path):

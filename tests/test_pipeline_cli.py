@@ -465,6 +465,42 @@ def test_cli_bbox_infer_fills_boxes(tmp_path):
     assert all(p.bbox is not None for _, p in seq.iter_poses())
 
 
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("one-present", "need at least 2 present keypoints"),
+        ("zero-area", "present keypoints span a zero-area box"),
+        ("enlarge-overflow", "the inferred box overflows the float range"),
+    ],
+)
+def test_cli_bbox_infer_names_the_pose_it_cannot_box(tmp_path, capsys, case, reason):
+    det, _ = _write_noiseless(tmp_path)
+    doc = json.loads(det.read_text())
+    for frame in doc["frames"]:
+        for pose in frame["poses"]:
+            pose["bbox"] = None
+    # every pose overflows under --enlarge 1e308, so the first one is named
+    frame, j, enlarge = doc["frames"][0], 0, "1e308"
+    if case != "enlarge-overflow":
+        frame, j, enlarge = doc["frames"][3], 1, "0.2"
+        keypoints = frame["poses"][j]["keypoints"]
+        for k, kp in enumerate(keypoints):
+            kp["present"] = case == "zero-area" or k == 0
+            if case == "zero-area":
+                kp["x"] = 7.0
+    stripped = tmp_path / "stripped.json"
+    stripped.write_text(json.dumps(doc))
+    out_dir = tmp_path / "boxed"
+    code = cli.main(
+        ["bbox-infer", "--input", str(stripped), "--enlarge", enlarge, "--out", str(out_dir)]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"sequence 'synthetic', frame {frame['index']}, pose {j}: {reason}" in err
+    assert not out_dir.exists()
+
+
 def test_cli_ensemble_average_equals_library(tmp_path):
     from topdown.ensemble import fuse_average
 

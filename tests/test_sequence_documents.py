@@ -5,16 +5,21 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import template_pose
-from topdown import cli, synth
+from topdown import cli, model, synth
 from topdown.model import (
     BBox,
     Frame,
@@ -27,10 +32,13 @@ from topdown.model import (
     SequenceError,
     load_sequence,
     save_predictions,
+    sequence_from_dict,
     sequence_to_dict,
 )
 from topdown.synth import noiseless_spec
 from topdown.tracker import prune_keypoints
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # ---------------------------------------------------------------------------
 # the writer is byte-identical to json.dumps(sequence_to_dict(seq), indent=2)
@@ -328,6 +336,180 @@ def test_pose_number_overflow_is_a_sequence_error(field, value, message):
 def test_unparseable_json_is_a_sequence_error(text):
     with pytest.raises(SequenceError, match=r"^\$: not valid JSON"):
         load_sequence(text)
+
+
+# ---------------------------------------------------------------------------
+# the orjson fast path loads what json and the field-by-field checks load
+
+
+def _reference_load(text: str) -> Sequence:
+    """The checked path alone: ``json`` decodes, and every field is checked in turn."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SequenceError(f"$: not valid JSON ({exc})") from exc
+    return model._parse_document(doc, "$")
+
+
+def _outcome(load, text: str):
+    """What ``load`` makes of ``text``: the sequence and its saved text, or the error message."""
+    try:
+        seq = load(text)
+    except SequenceError as exc:
+        return f"SequenceError: {exc}"
+    return seq, save_predictions(seq)
+
+
+def _edit(pattern: str, new: str):
+    regex = re.compile(pattern, re.MULTILINE)
+    return lambda text: regex.sub(lambda _: new, text, count=1)
+
+
+def _value_edit(field: str, literal: str):
+    """Replace the first value of ``field`` in a written document by ``literal``."""
+    return _edit(rf'"{field}": [^,\n]+', f'"{field}": {literal}')
+
+
+_NESTED_995 = "[" * 995 + "]" * 995
+_EDITS = {
+    "x-int": _value_edit("x", "5"),
+    **{
+        f"{field}-2**{p}": _value_edit(field, str(2**p))
+        for field in ("track_id", "index", "width")
+        for p in (64, 70)
+    },
+    "x-2**70": _value_edit("x", str(2**70)),
+    "x-10**400": _value_edit("x", str(10**400)),
+    **{
+        f"{field}-{literal}": _value_edit(field, literal)
+        for field in ("x", "confidence", "det_score")
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400")
+    },
+    "x-25-digit-mantissa": _value_edit("x", "1234567890123456789012345e-20"),
+    "name-lone-surrogate": _edit(r'^  "name": .*,$', '  "name": "\\ud800",'),
+    # the text itself holds a lone surrogate, which a plain str.encode() raises on
+    "name-raw-lone-surrogate": _edit(r'^  "name": .*,$', '  "name": "\ud800",'),
+    "duplicate-key": _edit(r'"det_score": ', '"det_score": 0.25, "det_score": '),
+    "extra-pose-key": _edit(r'"det_score": ', '"note": "box removed", "det_score": '),
+    "extra-key-995-nested-arrays": _edit(r"^\{", '{"deep": ' + _NESTED_995 + ", "),
+    "det_score-true": _value_edit("det_score", "true"),
+}
+
+
+def _plain(seq: Sequence) -> bool:
+    """Whether the document of ``seq`` is of the shape the orjson path takes."""
+    try:
+        seq.name.encode()
+    except UnicodeEncodeError:  # written as a lone surrogate escape, which orjson refuses
+        return False
+    return all(
+        p.det_score.__class__ is not int and (p.track_id is None or p.track_id < 2**64)
+        for _, p in seq.iter_poses()
+    )
+
+
+@settings(max_examples=200)
+@given(_written_sequences(), st.sampled_from(sorted(_EDITS)) | st.none())
+def test_loader_equals_the_checked_path_on_json(seq, edit):
+    text = save_predictions(seq)
+    if edit is not None:
+        text = _EDITS[edit](text)
+    expected = _outcome(_reference_load, text)
+    assert _outcome(load_sequence, text) == expected
+    if edit is None and _plain(seq):
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+            assert _outcome(load_sequence, text) == expected
+
+
+@pytest.mark.parametrize("boxes", [True, False], ids=["boxes", "box-less"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        synth.calibrated_benchmark_spec(n_persons=2, n_frames=30, fp_rate=0.5, seed=0),
+        synth.calibrated_benchmark_spec(n_persons=4, n_frames=10, seed=0),
+    ],
+    ids=["sparse", "sweep"],
+)
+def test_written_documents_load_without_json(spec, boxes):
+    out = synth.generate(spec)
+    for seq in (out.gt, out.det):
+        if not boxes:
+            seq = replace(seq, frames=tuple(
+                replace(f, poses=tuple(replace(p, bbox=None) for p in f.poses))
+                for f in seq.frames
+            ))
+        text = save_predictions(seq)
+        expected = _reference_load(text)
+        with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
+            loaded = load_sequence(text)
+        assert loaded == expected
+        assert save_predictions(loaded) == text
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("frames", 0, "poses", 0, "keypoints", 4, "x"), math.nan),
+        (("frames", 0, "poses", 0, "keypoints", 4, "confidence"), math.inf),
+        (("frames", 0, "poses", 0, "det_score"), math.nan),
+        (("frames", 0, "poses", 0, "bbox"), [0.0, 0.0, math.inf, 1.0]),
+    ],
+    ids=["x-nan", "confidence-inf", "det_score-nan", "bbox-inf"],
+)
+def test_a_decoded_document_with_values_json_cannot_spell_gets_the_checked_message(path, value):
+    # no JSON text decodes to these values, so only a dict given directly holds them
+    doc = _one_pose_doc()
+    _replace(doc, path, value)
+    with pytest.raises(SequenceError) as expected:
+        model._parse_document(doc, "$")
+    with pytest.raises(SequenceError) as excinfo:
+        sequence_from_dict(doc)
+    assert str(excinfo.value) == str(expected.value)
+
+
+def test_an_extra_key_holding_995_nested_arrays_is_not_valid_json():
+    text = _EDITS["extra-key-995-nested-arrays"](json.dumps(_named_pair("deep")[0], indent=2))
+    with pytest.raises(SequenceError, match=r"^\$: not valid JSON"):
+        load_sequence(text)
+
+
+@pytest.mark.parametrize("shape", ["arrays", "objects"])
+def test_deep_nesting_is_invalid_json_in_a_fresh_process(tmp_path, shape):
+    """Deep nesting is refused, never decoded by a parser without a depth limit.
+
+    Each load runs in its own process, so a crash fails the test instead of
+    ending the test run.
+    """
+    deep = tmp_path / "deep.json"
+    if shape == "arrays":
+        deep.write_text("[" * 1_000_000 + "]" * 1_000_000)
+    else:
+        deep.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000)
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps(_named_pair("deep")[1]))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    load = (
+        "import pathlib, sys\n"
+        "from topdown.model import SequenceError, load_sequence\n"
+        "try:\n"
+        "    load_sequence(pathlib.Path(sys.argv[1]).read_text())\n"
+        "except SequenceError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", load, str(deep)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("$: not valid JSON")
+    proc = subprocess.run(
+        [sys.executable, "-m", "topdown", "run", "--det", str(deep), "--gt", str(gt),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: $: not valid JSON")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
