@@ -27,7 +27,10 @@ inference, fusion and the writer.  The box-less copy that ``bbox-infer``
 reads gives every pose an extra ``note`` key, which the loader ignores but
 which sends that document through the ``json`` decoder and the
 field-by-field checks; every other input takes the orjson path, so both
-loader paths are covered.  Commands run
+loader paths are covered.  That copy also holds one keypoint confidence of
+``1e-05``, which orjson would spell differently from ``json``, so its
+``bbox-infer`` output is written by the template writer and every other
+output by orjson: both writer paths are covered too.  Commands run
 in-process through ``topdown.cli.main`` with relative paths, and their
 argv, exit code and stdout go to ``calls.log``, which the manifest covers
 too.  Exits 1 when any command exits non-zero.
@@ -63,16 +66,21 @@ def _spec_docs(synth, spec: str, seed: int) -> tuple[dict, dict]:
     return doc_a, doc_b
 
 
-def _without_boxes(src: Path, dst: Path, **extra: str) -> str:
+def _without_boxes(src: Path, dst: Path, marked: bool = False) -> str:
     """Copy sequence document ``src`` to ``dst`` with every pose's box removed.
 
-    Each pose also gets the keys of ``extra``.
+    A ``marked`` copy also gives every pose a ``note`` key and the first
+    keypoint of its first pose a confidence of ``1e-05``.
     """
     doc = json.loads(src.read_text())
     for frame in doc["frames"]:
         for pose in frame["poses"]:
             pose["bbox"] = None
-            pose.update(extra)
+            if marked:
+                pose["note"] = "box removed"
+    if marked:
+        first = next(pose for frame in doc["frames"] for pose in frame["poses"])
+        first["keypoints"][0]["confidence"] = 1e-05
     dst.write_text(json.dumps(doc, indent=2))
     return str(dst)
 
@@ -103,7 +111,7 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     det, gt = str(base / "a" / "det.json"), str(base / "a" / "gt.json")
     det_b = str(base / "b" / "det.json")
     boxless = _without_boxes(Path(det), base / "det_boxless.json")
-    noted = _without_boxes(Path(det), base / "det_boxless_noted.json", note="box removed")
+    noted = _without_boxes(Path(det), base / "det_boxless_noted.json", marked=True)
     if spec == "sparse":
         det = boxless
     runs = {

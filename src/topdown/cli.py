@@ -18,10 +18,11 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from . import heatmaps, metrics, pipeline, synth
-from .ensemble import fuse
+from .ensemble import fuse_all, route_codes
 from .geometry import DegenerateGeometryError, with_box
 from .metrics import EvaluationError
 from .model import Sequence, SequenceError, load_sequence, pair_by_name, save_predictions
@@ -294,18 +295,26 @@ def _cmd_ensemble(args) -> int:
     pairs = pair_by_name(
         seqs_a, _load_sequences(args.b), "model B predictions", PipelineContractError
     )
+    routes = route_codes(args.mode, config.expert_map)
     fused_seqs = []
     for a, b in pairs:
-        frames = []
-        for fa, fb in zip(a.frames, b.frames):
-            if len(fa.poses) != len(fb.poses):
-                raise PipelineContractError(
-                    f"frame {fa.index}: pose counts differ ({len(fa.poses)} vs {len(fb.poses)})"
-                )
-            poses = tuple(
-                fuse(pa, pb, args.mode, config.expert_map) for pa, pb in zip(fa.poses, fb.poses)
+        # the frames before the first pose-count mismatch are fused, then it raises,
+        # so errors come in the order of a frame-by-frame walk
+        counts = [(len(fa.poses), len(fb.poses)) for fa, fb in zip(a.frames, b.frames)]
+        aligned = next((k for k, (na, nb) in enumerate(counts) if na != nb), len(counts))
+        fused = iter(
+            fuse_all(
+                [p for f in a.frames[:aligned] for p in f.poses],
+                [p for f in b.frames[:aligned] for p in f.poses],
+                routes,
             )
-            frames.append(replace(fa, poses=poses))
+        )
+        frames = [replace(f, poses=tuple(islice(fused, len(f.poses)))) for f in a.frames[:aligned]]
+        if aligned < len(counts):
+            raise PipelineContractError(
+                f"frame {a.frames[aligned].index}: pose counts differ "
+                f"({counts[aligned][0]} vs {counts[aligned][1]})"
+            )
         fused_seqs.append(replace(a, frames=tuple(frames)))
     _emit_sequences(fused_seqs, args.out, "fused_", "fused sequences")
     return 0

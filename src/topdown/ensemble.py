@@ -4,11 +4,17 @@ Average mode takes per-joint arithmetic means; expert mode routes every joint
 to the model configured for it.  Both assume the inputs were predicted on the
 same detection candidate (shared detection score and box), which is what the
 pipeline produces when two estimators run on one detector's output.
+
+:func:`fuse_average` and :func:`fuse_expert` fuse one pair of poses; they are
+the reference.  A run fuses many pairs under one mode, so it resolves the
+mode to a (15,) route code once (:func:`route_codes`) and fuses every pair
+of a document in one array pass (:func:`fused_keypoints`, :func:`fuse_all`),
+with the same values.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -91,15 +97,22 @@ def _fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keyp
     return Keypoints.from_checked(positions, np.array(confidence), np.array(present))
 
 
+def mean_box(
+    a: Sequence[float], a_score: float, b: Sequence[float], b_score: float
+) -> BBox:
+    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners and a score each."""
+    return BBox(
+        0.5 * (a[0] + b[0]),
+        0.5 * (a[1] + b[1]),
+        0.5 * (a[2] + b[2]),
+        0.5 * (a[3] + b[3]),
+        score=0.5 * (a_score + b_score),
+    )
+
+
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
     if a is not None and b is not None:
-        return BBox(
-            0.5 * (a.x1 + b.x1),
-            0.5 * (a.y1 + b.y1),
-            0.5 * (a.x2 + b.x2),
-            0.5 * (a.y2 + b.y2),
-            score=0.5 * (a.score + b.score),
-        )
+        return mean_box((a.x1, a.y1, a.x2, a.y2), a.score, (b.x1, b.y1, b.x2, b.y2), b.score)
     return a if a is not None else b
 
 
@@ -133,10 +146,58 @@ def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
     return _fused_pose(a, b, _fuse_keypoints(a.keypoints, b.keypoints, routes))
 
 
-def fuse(a: Pose, b: Pose, mode: str, route_map: ExpertMap) -> Pose:
-    """:func:`fuse_average` for ``mode="average"``, :func:`fuse_expert` for ``"expert"``."""
+# route codes: one per joint slot, resolved once per run
+_CODE = {Route.A: 0, Route.B: 1, Route.AVG: 2}
+
+
+def route_codes(mode: str, route_map: ExpertMap) -> np.ndarray:
+    """The (15,) route code of every slot for ``mode``; ``"average"`` routes every slot to AVG."""
     if mode == "average":
-        return fuse_average(a, b)
+        return np.full(len(JOINTS), _CODE[Route.AVG])
     if mode == "expert":
-        return fuse_expert(a, b, route_map)
+        validate_expert_map(route_map)
+        return np.array([_CODE[route_map[j]] for j in JOINTS])
     raise ValueError(f"unknown fusion mode {mode!r}")
+
+
+def _stacked(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.array([p.xy for p in poses]),
+        np.array([p.confidence for p in poses]),
+        np.array([p.present for p in poses]),
+    )
+
+
+def fused_keypoints(
+    a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray
+) -> Iterator[Keypoints]:
+    """The fused keypoints of each pair ``(a[i], b[i])``, computed in one array pass.
+
+    ``routes`` is a :func:`route_codes` array; the rule per slot is
+    :func:`_fuse_keypoints`'s.  Rows are checked as they are yielded: a row
+    holding a mean beyond the float range raises the ``Keypoints``
+    constructor's error, naming the slot.
+    """
+    if not a:
+        return
+    (axy, ac, ap), (bxy, bc, bp) = _stacked(a), _stacked(b)
+    avg = (routes == _CODE[Route.AVG]) & (ap == bp)
+    take_a = np.where(routes == _CODE[Route.A], ap | ~bp, ap & ~bp)
+    with np.errstate(over="ignore"):
+        xy = np.where(avg[..., None], 0.5 * (axy + bxy), np.where(take_a[..., None], axy, bxy))
+        confidence = np.where(avg, 0.5 * (ac + bc), np.where(take_a, ac, bc))
+    present = np.where(take_a, ap, bp)
+    finite = np.isfinite(xy).all(axis=(1, 2)).tolist()
+    for row_xy, row_confidence, row_present, ok in zip(xy, confidence, present, finite):
+        if ok:
+            yield Keypoints.from_checked(row_xy, row_confidence, row_present)
+        else:
+            yield Keypoints(row_xy, row_confidence, row_present)
+
+
+def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Pose]:
+    """:func:`fuse_average` or :func:`fuse_expert` of every pair ``(a[i], b[i])``, in one array pass.
+
+    Boxes are taken as given: the mean of two boxes, else the one present.
+    """
+    return [_fused_pose(pa, pb, k) for pa, pb, k in zip(a, b, fused_keypoints(a, b, routes))]

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -15,6 +16,7 @@ __all__ = [
     "DegenerateGeometryError",
     "bbox_from_keypoints",
     "with_box",
+    "infer_corners",
     "iou",
     "iou_matrix",
     "prune_candidates",
@@ -87,14 +89,43 @@ def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
     return Pose(pose.keypoints, pose.det_score, bbox_from_keypoints(pose, enlarge), pose.track_id)
 
 
+def infer_corners(
+    xy: np.ndarray, present: np.ndarray, enlarge: float = 0.20
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`bbox_from_keypoints`'s corners for ``m`` poses at once, with its arithmetic.
+
+    ``xy`` is ``(m, 15, 2)`` and ``present`` ``(m, 15)``.  Returns ``(m, 4)``
+    corner rows ``[x1, y1, x2, y2]`` and an ``(m,)`` mask of the rows that
+    are boxes: the rows :func:`bbox_from_keypoints` would raise for (fewer
+    than two present keypoints, a zero-area span, a corner beyond the float
+    range) are ``False`` and hold no box.
+    """
+    mask = present[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = np.where(mask, xy, np.inf).min(axis=1)
+        high = np.where(mask, xy, -np.inf).max(axis=1)
+        half = 0.5 * (1.0 + enlarge) * (high - low)
+        center = 0.5 * (low + high)
+        corners = np.concatenate((center - half, center + half), axis=1)
+    ok = (present.sum(axis=1) >= 2) & (low < high).all(axis=1) & np.isfinite(corners).all(axis=1)
+    return corners, ok
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union; 0.0 when the union has no area."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
+    return _corner_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
+
+
+def _corner_iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """:func:`iou` of two ``[x1, y1, x2, y2]`` corner rows (``min``/``max`` written out)."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    ix = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    iy = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     if ix <= 0.0 or iy <= 0.0:
         return 0.0
     inter = ix * iy
-    union = a.area + b.area - inter
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     return inter / union if union > 0.0 else 0.0
 
 
@@ -119,29 +150,33 @@ def prune_candidates(poses: list[Pose], threshold: float) -> list[Pose]:
     return [p for p in poses if p.det_score >= threshold]
 
 
-def nms_indices(poses: list[Pose], iou_threshold: float) -> list[int]:
-    """Greedy non-maximum suppression over pose boxes; returns the kept input indices.
+def nms_indices(
+    boxes: Sequence[Sequence[float]], scores: Sequence[float], iou_threshold: float
+) -> list[int]:
+    """Greedy non-maximum suppression over ``[x1, y1, x2, y2]`` corner rows; the kept indices.
 
-    Poses are visited by descending detection score (ties by input index) and
-    kept iff their IoU with every already-kept pose is at most the threshold.
-    The indices are in visit order, so callers can select matching entries
-    of a parallel list (a second model's poses for the same candidates).
+    Boxes are visited by descending score (ties by input index) and kept iff
+    their IoU with every already-kept box is at most the threshold.  The
+    indices are in visit order, so callers can select matching entries of a
+    parallel list (a second model's poses for the same candidates).
     """
-    for i, pose in enumerate(poses):
-        if pose.bbox is None:
-            raise ValueError(f"pose {i} has no bbox; run box inference first")
-    order = sorted(range(len(poses)), key=lambda i: (-poses[i].det_score, i))
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     kept: list[int] = []
     for i in order:
-        box = poses[i].bbox
-        if all(iou(box, poses[k].bbox) <= iou_threshold for k in kept):
+        box = boxes[i]
+        if all(_corner_iou(box, boxes[k]) <= iou_threshold for k in kept):
             kept.append(i)
     return kept
 
 
 def nms_boxes(poses: list[Pose], iou_threshold: float) -> list[Pose]:
-    """The poses :func:`nms_indices` keeps: a subsequence of the score-sorted input."""
-    return [poses[i] for i in nms_indices(poses, iou_threshold)]
+    """The poses :func:`nms_indices` keeps, by box and detection score, in visit order."""
+    for i, pose in enumerate(poses):
+        if pose.bbox is None:
+            raise ValueError(f"pose {i} has no bbox; run box inference first")
+    boxes = [(p.bbox.x1, p.bbox.y1, p.bbox.x2, p.bbox.y2) for p in poses]
+    kept = nms_indices(boxes, [p.det_score for p in poses], iou_threshold)
+    return [poses[i] for i in kept]
 
 
 def detection_pr(

@@ -37,6 +37,12 @@ a document that loads back equal.
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
 the plain-data view of the schema and the reference for that contract.
+The write rule: a document whose name is printable ASCII and whose scores,
+corners, coordinates and confidences are all 0 or of magnitude within
+[1e-4, 1e16) (checked on whole columns) is encoded with orjson, which
+spells such values as ``json`` does; one orjson refuses (an int beyond 64
+bits, a float subclass, a numpy scalar) and any other document is written
+from templates that spell every value as ``json`` does.
 The decode rule of :func:`load_sequence`: text holding fewer than 20,000
 ``[`` and ``{`` (about 1,000 poses; orjson has no nesting limit and would
 overflow the C stack) is decoded with orjson, and the result is accepted
@@ -886,38 +892,44 @@ def load_sequence(text: str) -> Sequence:
 
 
 def sequence_to_dict(seq: Sequence) -> dict:
-    """Schema-conformant plain-data view of ``seq``."""
+    """Schema-conformant plain-data view of ``seq``.
+
+    Keypoint values come from each pose's arrays as Python floats and bools;
+    every other value is the one the types hold.
+    """
+    poses = [p for f in seq.frames for p in f.poses]
+    keypoints: list[dict] = []
+    if poses:
+        xs, ys = np.concatenate([p.xy for p in poses]).T.tolist()
+        keypoints = [
+            {"joint": joint, "x": x, "y": y, "confidence": c, "present": flag}
+            for joint, x, y, c, flag in zip(
+                JOINT_NAMES * len(poses),
+                xs,
+                ys,
+                np.concatenate([p.confidence for p in poses]).tolist(),
+                np.concatenate([p.present for p in poses]).tolist(),
+            )
+        ]
+    rows = iter([
+        {
+            "det_score": p.det_score,
+            "track_id": p.track_id,
+            "bbox": None if (b := p.bbox) is None else [b.x1, b.y1, b.x2, b.y2],
+            "keypoints": keypoints[k * _N : (k + 1) * _N],
+        }
+        for k, p in enumerate(poses)
+    ])
     return {
         "name": seq.name,
         "frames": [
             {
-                "index": frame.index,
-                "width": frame.width,
-                "height": frame.height,
-                "poses": [
-                    {
-                        "det_score": pose.det_score,
-                        "track_id": pose.track_id,
-                        "bbox": (
-                            None
-                            if pose.bbox is None
-                            else [pose.bbox.x1, pose.bbox.y1, pose.bbox.x2, pose.bbox.y2]
-                        ),
-                        "keypoints": [
-                            {
-                                "joint": kp.joint.value,
-                                "x": kp.x,
-                                "y": kp.y,
-                                "confidence": kp.confidence,
-                                "present": kp.present,
-                            }
-                            for kp in pose.keypoints
-                        ],
-                    }
-                    for pose in frame.poses
-                ],
+                "index": f.index,
+                "width": f.width,
+                "height": f.height,
+                "poses": list(islice(rows, len(f.poses))),
             }
-            for frame in seq.frames
+            for f in seq.frames
         ],
     }
 
@@ -1009,16 +1021,56 @@ def _frame_text(frame: Frame) -> str:
     )
 
 
-def save_predictions(seq: Sequence) -> str:
-    """Serialize ``seq`` to the sequence document format.
-
-    The text is byte-identical to ``json.dumps(sequence_to_dict(seq),
-    indent=2)``.  It is built straight from the dataclasses because ``json``
-    runs its pure-Python encoder whenever ``indent`` is set.
-    """
+def _template_text(seq: Sequence) -> str:
+    """The document text of ``seq`` built from templates, spelling every value as ``json`` does."""
     if seq.frames:
         frames = ",\n    ".join([_frame_text(f) for f in seq.frames])
         frames = f"[\n    {frames}\n  ]"
     else:
         frames = "[]"
     return f'{{\n  "name": {_json_value(seq.name, "  ")},\n  "frames": {frames}\n}}'
+
+
+def _spelled_alike(values: np.ndarray) -> bool:
+    """Whether orjson spells each of ``values`` as ``repr`` does: 0, or 1e-4 <= |v| < 1e16."""
+    magnitude = np.abs(values)
+    return bool((((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)).all())
+
+
+def _orjson_text(seq: Sequence) -> str | None:
+    """The document text of ``seq`` from orjson; ``None`` where it would differ from ``json``'s.
+
+    orjson writes the bytes of ``json.dumps(..., indent=2)`` for a printable
+    ASCII name (``json`` escapes other characters, orjson writes them raw),
+    ints within 64 bits, plain floats (not subclasses or numpy scalars) and
+    float values that both spell alike.  Whole columns are checked at once.
+    """
+    if not (seq.name.isascii() and seq.name.isprintable()):
+        return None
+    poses = [p for f in seq.frames for p in f.poses]
+    if poses:
+        boxes = [(b.x1, b.y1, b.x2, b.y2) for p in poses if (b := p.bbox) is not None]
+        scalars = [p.det_score for p in poses] + list(chain(*boxes))
+        if not (
+            _spelled_alike(np.concatenate([p.xy for p in poses]))
+            and _spelled_alike(np.concatenate([p.confidence for p in poses]))
+            and _spelled_alike(np.array(scalars, dtype=float))
+        ):
+            return None
+    try:
+        return orjson.dumps(sequence_to_dict(seq), option=orjson.OPT_INDENT_2).decode()
+    except orjson.JSONEncodeError:  # an int beyond 64 bits, a float subclass, a numpy scalar
+        return None
+
+
+def save_predictions(seq: Sequence) -> str:
+    """Serialize ``seq`` to the sequence document format.
+
+    The text is byte-identical to ``json.dumps(sequence_to_dict(seq),
+    indent=2)``.  ``json`` runs its pure-Python encoder whenever ``indent``
+    is set, so the text comes from ``orjson`` when every value of the
+    document is one both spell alike (:func:`_orjson_text`), and is built
+    from templates with ``json``'s spelling otherwise.
+    """
+    text = _orjson_text(seq)
+    return _template_text(seq) if text is None else text

@@ -4,6 +4,11 @@ Stages run in order: drop low-likelihood candidates, infer missing boxes,
 suppress overlapping boxes, optionally fuse a second model's predictions for
 the surviving candidates, assign track ids, prune low-confidence keypoints,
 then score single-frame AP and tracking metrics against ground truth.
+Detection and fusion work on one document at a time: the boxes of all
+box-less poses are inferred in one array pass, each frame is pruned and
+suppressed on corner rows, and all kept poses are fused in one more array
+pass under a route code resolved once per run; ``Pose`` objects are built
+only for the survivors.
 
 Scoring builds one :class:`~topdown.metrics.PairTable` of the tracked
 output against ground truth, matches each frame once, and both scores read
@@ -19,13 +24,24 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable
 
-from .ensemble import Route, default_expert_map, fuse, validate_expert_map
+import numpy as np
+
+from .ensemble import (
+    Route,
+    default_expert_map,
+    fused_keypoints,
+    mean_box,
+    route_codes,
+    validate_expert_map,
+)
 from .geometry import (
     DegenerateGeometryError,
     PRResult,
     detection_pr,
+    infer_corners,
     nms_indices,
     prune_candidates,
     with_box,
@@ -73,6 +89,7 @@ class PipelineConfig:
             "detection_iou_threshold",
         ):
             value = getattr(self, name)
+            require_real(value, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {value!r}")
         require_real(self.bbox_enlarge, "bbox_enlarge")
@@ -122,6 +139,11 @@ class PipelineConfig:
         if schema != 1:
             raise ValueError(f"unsupported config schema {schema!r}")
         doc.pop("synth", None)  # generator section, consumed by the synth command
+        for section in ("expert_map", "tracker", "pckh"):
+            if section in doc and not isinstance(doc[section], dict):
+                raise ValueError(
+                    f"{section} must be a JSON object, got {type(doc[section]).__name__}"
+                )
         try:
             if "expert_map" in doc:
                 by_name = {j.value: j for j in JOINTS}
@@ -157,40 +179,116 @@ def _with_box(pose: Pose, enlarge: float) -> Pose | None:
         return None
 
 
-def _detect_frame(
-    frame: Frame, b_frame: Frame | None, config: PipelineConfig
-) -> tuple[Pose, ...]:
-    """Candidate pruning, box inference and NMS for one frame, plus fusion."""
-    if b_frame is not None and len(b_frame.poses) != len(frame.poses):
-        raise PipelineContractError(
-            f"frame {frame.index}: second model has {len(b_frame.poses)} poses, "
-            f"expected {len(frame.poses)}"
+def _corner_rows(poses: list[Pose], enlarge: float) -> list:
+    """Each pose's box corners ``[x1, y1, x2, y2]``; ``None`` where none can be inferred.
+
+    A pose's own box is taken as is; the boxes of all box-less poses are
+    inferred in one :func:`~topdown.geometry.infer_corners` pass.
+    """
+    rows: list = [None if (b := p.bbox) is None else (b.x1, b.y1, b.x2, b.y2) for p in poses]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    if missing:
+        corners, ok = infer_corners(
+            np.array([poses[i].xy for i in missing]),
+            np.array([poses[i].present for i in missing]),
+            enlarge,
         )
-    survivors: list[tuple[int, Pose]] = []
-    for i, pose in enumerate(frame.poses):
-        if pose.det_score < config.candidate_drop_threshold:
-            continue
-        boxed = _with_box(pose, config.bbox_enlarge)
-        if boxed is None:
+        for i, row, boxed in zip(missing, corners.tolist(), ok.tolist()):
+            if boxed:
+                rows[i] = row
+    return rows
+
+
+def _box_score(pose: Pose) -> float:
+    """The score of the pose's box: its own, or the detection score an inferred box gets."""
+    return pose.det_score if pose.bbox is None else pose.bbox.score
+
+
+def _boxed(pose: Pose, corners: Iterable[float]) -> Pose:
+    """``pose`` with the box ``corners`` when it has none, as ``with_box`` gives it."""
+    if pose.bbox is not None:
+        return pose
+    return Pose(pose.keypoints, pose.det_score, BBox(*corners, score=pose.det_score), pose.track_id)
+
+
+def _detect_sequence(
+    det: Sequence, det_b: Sequence | None, config: PipelineConfig, routes: np.ndarray | None
+) -> Sequence:
+    """Candidate pruning, box inference and NMS for every frame of ``det``, plus fusion.
+
+    Per frame, poses below the candidate threshold are dropped, then poses
+    with no inferable box (with a warning), and greedy NMS keeps the rest in
+    visit order.  With a second model, each kept pose is fused with the pose
+    at its input index (``routes`` from :func:`~topdown.ensemble.route_codes`),
+    or passes through with a warning when that pose has no inferable box.
+    Boxes are inferred for the whole document in one array pass, and every
+    fused pose of the document in one more; warnings and errors come in the
+    order of a frame-by-frame walk.
+    """
+    poses = list(chain.from_iterable(f.poses for f in det.frames))
+    scores = [p.det_score for p in poses]
+    boxes = _corner_rows(poses, config.bbox_enlarge)
+    plan: list[tuple[Frame, int, list[int], list[int]]] = []  # frame, start, unboxed, kept
+    mismatch = None
+    start = 0
+    for fi, frame in enumerate(det.frames):
+        n = len(frame.poses)
+        if det_b is not None and len(det_b.frames[fi].poses) != n:
+            mismatch = PipelineContractError(
+                f"frame {frame.index}: second model has {len(det_b.frames[fi].poses)} poses, "
+                f"expected {n}"
+            )
+            break
+        candidates = []
+        unboxed = []
+        for i in range(start, start + n):
+            if scores[i] < config.candidate_drop_threshold:
+                continue
+            if boxes[i] is None:
+                unboxed.append(i - start)
+            else:
+                candidates.append(i)
+        kept = nms_indices(
+            [boxes[i] for i in candidates],
+            [scores[i] for i in candidates],
+            config.nms_iou_threshold,
+        )
+        plan.append((frame, start, unboxed, [candidates[k] for k in kept]))
+        start += n
+    if det_b is not None:
+        # the frames planned hold as many second-model poses as first-model ones,
+        # so one flat index selects a candidate on both sides
+        poses_b = list(chain.from_iterable(f.poses for f in det_b.frames))
+        boxes_b = _corner_rows(poses_b, config.bbox_enlarge)
+        pairs = [s for _, _, _, kept in plan for s in kept if boxes_b[s] is not None]
+        fused = fused_keypoints([poses[s] for s in pairs], [poses_b[s] for s in pairs], routes)
+    frames = []
+    for frame, start, unboxed, kept in plan:
+        for i in unboxed:
             log.warning("frame %d: dropping pose %d with no inferable box", frame.index, i)
-            continue
-        survivors.append((i, boxed))
-    # survivors keep their input index so it can select the second model's pose
-    selected = [
-        survivors[k]
-        for k in nms_indices([pose for _, pose in survivors], config.nms_iou_threshold)
-    ]
-    if b_frame is None or config.ensemble_mode == "none":
-        return tuple(p for _, p in selected)
-    fused = []
-    for i, pose in selected:
-        other = _with_box(b_frame.poses[i], config.bbox_enlarge)
-        if other is None:
-            log.warning("frame %d: second model pose %d has no box; using first model", frame.index, i)
-            fused.append(pose)
-        else:
-            fused.append(fuse(pose, other, config.ensemble_mode, config.expert_map))
-    return tuple(fused)
+        out = []
+        for s in kept:
+            if det_b is not None and boxes_b[s] is not None:
+                pose_a, pose_b = poses[s], poses_b[s]
+                out.append(
+                    Pose(
+                        next(fused),
+                        0.5 * (pose_a.det_score + pose_b.det_score),
+                        mean_box(boxes[s], _box_score(pose_a), boxes_b[s], _box_score(pose_b)),
+                    )
+                )
+                continue
+            if det_b is not None:
+                log.warning(
+                    "frame %d: second model pose %d has no box; using first model",
+                    frame.index,
+                    s - start,
+                )
+            out.append(_boxed(poses[s], boxes[s]))
+        frames.append(Frame(frame.index, frame.width, frame.height, tuple(out)))
+    if mismatch is not None:
+        raise mismatch
+    return replace(det, frames=tuple(frames))
 
 
 def run_pipeline(
@@ -213,13 +311,10 @@ def run_pipeline(
         pairs = pair_by_name(
             det_seqs, det_b_seqs, "second model predictions", PipelineContractError
         )
+    routes = None if det_b_seqs is None else route_codes(config.ensemble_mode, config.expert_map)
     tracked = []
     for det, det_b in pairs:
-        frames = []
-        for fi, frame in enumerate(det.frames):
-            b_frame = det_b.frames[fi] if det_b is not None else None
-            frames.append(replace(frame, poses=_detect_frame(frame, b_frame, config)))
-        processed = replace(det, frames=tuple(frames))
+        processed = _detect_sequence(det, det_b, config, routes)
         tracked_seq = track_sequence(processed, config.tracker)
         tracked.append(
             prune_sequence_keypoints(tracked_seq, config.keypoint_drop_threshold)

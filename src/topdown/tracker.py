@@ -20,7 +20,16 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geometry import iou_matrix, with_box
-from .model import GROUPS, JOINTS, EvalGroup, Pose, Sequence, joint_group, require_int
+from .model import (
+    GROUPS,
+    JOINTS,
+    EvalGroup,
+    Pose,
+    Sequence,
+    joint_group,
+    require_int,
+    require_real,
+)
 
 _METHODS = ("greedy", "hungarian")
 
@@ -45,6 +54,8 @@ class TrackerConfig:
     kappa: float | tuple[float, ...] = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("w_iou", "w_pose", "similarity_min"):
+            require_real(getattr(self, name), name)
         if self.w_iou < 0.0 or self.w_pose < 0.0 or self.w_iou + self.w_pose <= 0.0:
             raise ValueError("similarity weights must be non-negative with positive sum")
         if not 0.0 <= self.similarity_min <= 1.0:
@@ -55,13 +66,17 @@ class TrackerConfig:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if isinstance(self.kappa, (list, tuple)):
+            for j, k in enumerate(self.kappa):
+                require_real(k, f"kappa[{j}]")
             object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
             if len(self.kappa) != len(JOINTS):
                 raise ValueError(f"per-joint kappa needs {len(JOINTS)} entries")
             if any(k <= 0.0 for k in self.kappa):
                 raise ValueError("kappa entries must be positive")
-        elif self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa!r}")
+        else:
+            require_real(self.kappa, "kappa")
+            if self.kappa <= 0.0:
+                raise ValueError(f"kappa must be positive, got {self.kappa!r}")
 
 
 class PoseArrays(NamedTuple):

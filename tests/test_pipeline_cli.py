@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import template_pose
 from topdown import cli, metrics, pipeline, synth
-from topdown.ensemble import fuse_average, fuse_expert
+from topdown.ensemble import fuse_average, fuse_expert, route_codes
 from topdown.geometry import iou, nms_boxes, prune_candidates
 from topdown.metrics import evaluate_ap, evaluate_mot
 from topdown.model import Frame, Sequence, load_sequence, save_predictions
@@ -106,7 +106,7 @@ def test_detect_frame_matches_geometry_nms():
             for _ in range(int(rng.integers(0, 8)))
         ]
         frame = Frame(index=0, width=2000, height=2000, poses=tuple(poses))
-        got = pipeline._detect_frame(frame, None, config)
+        got = pipeline._detect_sequence(Sequence("s", (frame,)), None, config, None).frames[0].poses
         expected = nms_boxes(
             prune_candidates(list(poses), config.candidate_drop_threshold),
             config.nms_iou_threshold,
@@ -127,7 +127,10 @@ def test_detect_frame_fuses_each_kept_pose_with_its_own_second_model_pose(mode):
     assert iou(a[0].bbox, a[2].bbox) > config.nms_iou_threshold  # pose 2 suppresses pose 0
     frame = Frame(index=0, width=2000, height=2000, poses=tuple(a))
     b_frame = Frame(index=0, width=2000, height=2000, poses=tuple(b))
-    got = pipeline._detect_frame(frame, b_frame, config)
+    routes = route_codes(mode, config.expert_map)
+    got = pipeline._detect_sequence(
+        Sequence("s", (frame,)), Sequence("s", (b_frame,)), config, routes
+    ).frames[0].poses
     kept = (3, 1, 2)  # visit order, not input order
     boxed_b = [pipeline._with_box(p, config.bbox_enlarge) for p in b]
     if mode == "average":
@@ -753,6 +756,40 @@ def test_cli_bad_config_value_exits_2_at_load_naming_the_field(
     assert field in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "document, field",
+    [
+        ({"detection_iou_threshold": True}, "detection_iou_threshold"),
+        ({"tracker": {"similarity_min": True}}, "similarity_min"),
+        ({"tracker": {"w_iou": "x"}}, "w_iou"),
+        ({"nms_iou_threshold": "x"}, "nms_iou_threshold"),
+        ({"candidate_drop_threshold": None}, "candidate_drop_threshold"),
+        ({"tracker": {"kappa": "x"}}, "kappa"),
+        ({"expert_map": [1]}, "expert_map"),
+    ],
+    ids=["detection-iou-bool", "similarity-min-bool", "w-iou-string", "nms-iou-string",
+         "candidate-threshold-null", "kappa-string", "expert-map-array"],
+)
+def test_cli_config_field_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, document, field):
+    det, gt = _write_noiseless(tmp_path)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(document))
+    code = cli.main(["run", "--config", str(config), "--det", str(det), "--gt", str(gt),
+                     "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:"), err
+    assert field in lines[0].replace(str(config), "")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_per_joint_kappa_entries_name_themselves():
+    with pytest.raises(ValueError, match=r"kappa\[3\] must be a finite number, got True"):
+        TrackerConfig(kappa=[0.1, 0.1, 0.1, True] + [0.1] * 11)
 
 
 def test_config_accepts_a_huge_finite_bbox_enlarge():

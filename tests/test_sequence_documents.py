@@ -43,22 +43,29 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # ---------------------------------------------------------------------------
 # the writer is byte-identical to json.dumps(sequence_to_dict(seq), indent=2)
 
+# values at the edges of the range that orjson spells as json does: 1e-4 <= |v| < 1e16
+_SPELLING_EDGES = [1e-4, 9.999999999999999e-05, 1e-05, 1.5e-09]
 _coordinates = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.floats(-1e6, 1e6, allow_nan=False).map(np.float64),
     st.integers(-(10**20), 10**20),
-    st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 0.1]),
+    st.sampled_from(
+        [0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 9999999999999998.0]
+        + _SPELLING_EDGES
+    ),
 )
 # a pose holds its keypoint values as float64, so a float32 is a valid keypoint value
 _keypoint_coordinates = _coordinates | st.floats(-1e6, 1e6, width=32).map(np.float32)
 _unit = st.one_of(
     st.floats(0, 1),
     st.floats(0, 1).map(np.float64),
-    st.sampled_from([0, 1]),
+    st.sampled_from([0, 1] + _SPELLING_EDGES),
 )
 _names = st.one_of(
     st.text(st.characters(exclude_categories=()), max_size=12),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é中\U0001f600", "\ud800", "a\nb\tc"]),
+    st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "é中\U0001f600", "\ud800", "a\nb\tc", "\x7f", "é"]
+    ),
 )
 
 
@@ -83,7 +90,7 @@ def _written_poses(draw) -> Pose:
         # an integer beyond 2**53 plus a float can round below the integer
         y1, y2 = sorted((y1, y1 + draw(st.floats(0, 500))))
         bbox = BBox(x1, y1, x1 + draw(st.integers(0, 500)), y2)
-    track_id = draw(st.one_of(st.none(), st.integers(0, 10**20)))
+    track_id = draw(st.one_of(st.none(), st.integers(0, 10**20), st.sampled_from([2**63, 2**64])))
     return Pose(keypoints, det_score=draw(_unit), bbox=bbox, track_id=track_id)
 
 
@@ -107,6 +114,45 @@ def test_writer_is_byte_identical_on_synthetic_sequences():
     out = synth.generate(synth.calibrated_benchmark_spec(n_persons=3, n_frames=8, seed=5))
     for seq in (out.gt, out.det, Sequence(name="empty"), Sequence("no poses", (Frame(0, 9, 9),))):
         assert save_predictions(seq) == json.dumps(sequence_to_dict(seq), indent=2)
+
+
+def _fixture_documents() -> list[Sequence]:
+    """The documents the benchmark fixtures are made of: det, gt and box-less det of both specs."""
+    specs = (
+        synth.calibrated_benchmark_spec(n_persons=2, n_frames=30, fp_rate=0.5, seed=3),
+        synth.calibrated_benchmark_spec(n_persons=4, n_frames=10, seed=3),
+    )
+    seqs = []
+    for spec in specs:
+        out = synth.generate(spec)
+        boxless = replace(
+            out.det,
+            frames=tuple(
+                replace(f, poses=tuple(replace(p, bbox=None) for p in f.poses))
+                for f in out.det.frames
+            ),
+        )
+        seqs += [out.det, out.gt, boxless]
+    return seqs
+
+
+def test_fixture_documents_are_written_without_the_template_writer():
+    seqs = _fixture_documents()
+    expected = [json.dumps(sequence_to_dict(seq), indent=2) for seq in seqs]
+    with mock.patch.object(model, "_template_text", side_effect=AssertionError("template")):
+        assert [save_predictions(seq) for seq in seqs] == expected
+
+
+def test_a_value_orjson_spells_otherwise_takes_the_template_writer():
+    pose = template_pose((200, 200))
+    confidence = pose.confidence.copy()
+    confidence[4] = 1e-05
+    faint = replace(pose, keypoints=Keypoints(pose.xy, confidence, pose.present))
+    seq = Sequence("doc", (Frame(0, 640, 480, (pose, faint)),))
+    assert model._orjson_text(seq) is None
+    text = save_predictions(seq)
+    assert text == json.dumps(sequence_to_dict(seq), indent=2)
+    assert '"confidence": 1e-05' in text
 
 
 class _Float(float):
