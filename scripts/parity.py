@@ -27,10 +27,12 @@ inference, fusion and the writer.  The box-less copy that ``bbox-infer``
 reads gives every pose an extra ``note`` key, which the loader ignores but
 which sends that document through the ``json`` decoder and the
 field-by-field checks; every other input takes the orjson path, so both
-loader paths are covered.  That copy also holds one keypoint confidence of
-``1e-05``, which orjson would spell differently from ``json``, so its
-``bbox-infer`` output is written by the template writer and every other
-output by orjson: both writer paths are covered too.  Commands run
+loader paths are covered.  That copy also holds, on its first pose, a
+``det_score`` of ``5e-05``, an ``x`` of ``3e-05`` and a confidence of
+``1e-05`` on the first keypoint: values orjson would spell differently from
+``json``, so its ``bbox-infer`` output is written with holes in three
+columns, filled in with ``json``'s spelling after orjson has encoded the
+document, while the other outputs need no hole.  Commands run
 in-process through ``topdown.cli.main`` with relative paths, and their
 argv, exit code and stdout go to ``calls.log``, which the manifest covers
 too.  Exits 1 when any command exits non-zero.
@@ -69,8 +71,9 @@ def _spec_docs(synth, spec: str, seed: int) -> tuple[dict, dict]:
 def _without_boxes(src: Path, dst: Path, marked: bool = False) -> str:
     """Copy sequence document ``src`` to ``dst`` with every pose's box removed.
 
-    A ``marked`` copy also gives every pose a ``note`` key and the first
-    keypoint of its first pose a confidence of ``1e-05``.
+    A ``marked`` copy also gives every pose a ``note`` key, and its first
+    pose a ``det_score`` of ``5e-05`` and, on the first keypoint, an ``x`` of
+    ``3e-05`` and a confidence of ``1e-05``.
     """
     doc = json.loads(src.read_text())
     for frame in doc["frames"]:
@@ -80,6 +83,8 @@ def _without_boxes(src: Path, dst: Path, marked: bool = False) -> str:
                 pose["note"] = "box removed"
     if marked:
         first = next(pose for frame in doc["frames"] for pose in frame["poses"])
+        first["det_score"] = 5e-05
+        first["keypoints"][0]["x"] = 3e-05
         first["keypoints"][0]["confidence"] = 1e-05
     dst.write_text(json.dumps(doc, indent=2))
     return str(dst)

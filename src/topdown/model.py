@@ -37,17 +37,19 @@ a document that loads back equal.
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
 the plain-data view of the schema and the reference for that contract.
-The write rule: a document whose name is printable ASCII and whose scores,
-corners, coordinates and confidences are all 0 or of magnitude within
-[1e-4, 1e16) (checked on whole columns) is encoded with orjson, which
-spells such values as ``json`` does; one orjson refuses (an int beyond 64
-bits, a float subclass, a numpy scalar) and any other document is written
-from templates that spell every value as ``json`` does.
+The write rule: orjson encodes ``sequence_to_dict(seq)`` with an empty name
+and, in place of each score, corner, coordinate or confidence that is not 0
+and of magnitude outside [1e-4, 1e16) (found on whole columns), a hole: a
+negative int that numbers the value.  orjson spells every other value as
+``json`` does; each hole is then filled with ``json``'s spelling of its
+value, and the name is written by ``json``.  A document orjson refuses (an
+int beyond 64 bits, a float subclass, a numpy scalar) is written by
+``json.dumps(sequence_to_dict(seq), indent=2)`` itself.
 The decode rule of :func:`load_sequence`: text holding fewer than 20,000
 ``[`` and ``{`` (about 1,000 poses; orjson has no nesting limit and would
 overflow the C stack) is decoded with orjson, and the result is accepted
-when the whole document has the common shape: exactly the schema's keys,
-plain value types, and the frame and range rules, checked on whole columns.
+when the whole document has the common shape: exactly the schema's keys
+and plain value types, checked on whole columns, and values the types accept.
 Any other text (over the bound, refused by orjson, such as ``NaN``,
 ``Infinity``, ``1e400`` or a lone surrogate, or of another shape) is
 decoded with ``json`` and checked field by field in schema order.  Only
@@ -63,6 +65,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from collections import Counter, abc
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -620,11 +623,12 @@ def _plain_document(doc: Any) -> Sequence | None:
     The common shape: every object holds exactly the schema's keys, and every
     value has its plain type: a ``str`` name, ``int`` frame fields, ``float``
     scores, corners and coordinates, an ``int`` or null track id, a null or
-    4-item box, ``bool`` flags, and joints in slot order.  The frame and range
-    rules are checked on whole columns, and the keypoint arrays are built
-    once.  Anything else gives ``None``, and the caller runs the field-by-field
-    checks, which alone format error messages.  Exact key sets also bound the
-    depth of an accepted document.
+    4-item box, ``bool`` flags, and joints in slot order.  The keypoint range
+    rules are checked on whole columns as the keypoint arrays are built once;
+    the frame, score, track id and corner rules are those of the types, which
+    check them as they are built.  Anything else gives ``None``, and the
+    caller runs the field-by-field checks, which alone format error messages.
+    Exact key sets also bound the depth of an accepted document.
     """
     if doc.__class__ is not dict or len(doc) != 2 or "name" not in doc or "frames" not in doc:
         return None
@@ -640,16 +644,6 @@ def _plain_document(doc: Any) -> Sequence | None:
         and set(map(type, pose_lists)) <= {list}
     ):
         return None
-    # indices strictly increase from 0 up; every frame has one positive size
-    if frames and not (
-        indices[0] >= 0
-        and all(map(operator.lt, indices, indices[1:]))
-        and len(set(widths)) == 1
-        and len(set(heights)) == 1
-        and widths[0] > 0
-        and heights[0] > 0
-    ):
-        return None
     poses = list(chain.from_iterable(pose_lists))
     columns = _columns(_POSE_FIELDS, 4, poses)
     if columns is None:
@@ -663,22 +657,9 @@ def _plain_document(doc: Any) -> Sequence | None:
         and set(map(len, keypoint_lists)) <= {_N}
     ):
         return None
-    if not (
-        all(map(math.isfinite, det_scores))
-        and min(det_scores, default=0.0) >= 0.0
-        and max(det_scores, default=1.0) <= 1.0
-        and min([t for t in track_ids if t is not None], default=0) >= 0
-    ):
-        return None
     corners = [box for box in boxes if box is not None]
-    if not set(map(len, corners)) <= {4}:
-        return None
-    x1, y1, x2, y2 = zip(*corners) if corners else ((),) * 4
     if not (
-        set(map(type, x1 + y1 + x2 + y2)) <= {float}
-        and all(map(math.isfinite, x1 + y1 + x2 + y2))
-        and all(map(operator.le, x1, x2))
-        and all(map(operator.le, y1, y2))
+        set(map(len, corners)) <= {4} and set(map(type, chain.from_iterable(corners))) <= {float}
     ):
         return None
     columns = _columns(_KEYPOINT_FIELDS, 5, list(chain.from_iterable(keypoint_lists)))
@@ -696,17 +677,21 @@ def _plain_document(doc: Any) -> Sequence | None:
     keypoints = _document_keypoints(xs, ys, confidences, flags)
     if keypoints is None:
         return None
-    built = iter([
-        Pose(kps, det, None if box is None else BBox(*box, score=det), track_id)
-        for kps, det, box, track_id in zip(keypoints, det_scores, boxes, track_ids)
-    ])
-    return Sequence(
-        name=name,
-        frames=tuple(
-            Frame(index, width, height, tuple(islice(built, len(pose_list))))
-            for index, width, height, pose_list in zip(indices, widths, heights, pose_lists)
-        ),
-    )
+    # the types check the frame, score, track id and corner rules as they are built
+    try:
+        built = iter([
+            Pose(kps, det, None if box is None else BBox(*box, score=det), track_id)
+            for kps, det, box, track_id in zip(keypoints, det_scores, boxes, track_ids)
+        ])
+        return Sequence(
+            name=name,
+            frames=tuple(
+                Frame(index, width, height, tuple(islice(built, len(pose_list))))
+                for index, width, height, pose_list in zip(indices, widths, heights, pose_lists)
+            ),
+        )
+    except ValueError:
+        return None
 
 
 def _parse_keypoints(items: Any, path: str) -> tuple[list, ...]:
@@ -875,20 +860,25 @@ def load_sequence(text: str) -> Sequence:
     Text under the bracket bound is decoded with orjson; when that fails
     (NaN, Infinity, ``1e400``, a lone surrogate, invalid JSON) or the result
     is not of the common shape, the text is decoded again with ``json``,
-    which alone reports errors.
+    which alone reports errors.  A document the bulk check has refused goes
+    straight to the field-by-field checks.
     """
+    checked = False  # whether the bulk check already refused this document
     if _bracket_count(text) < _ORJSON_MAX_BRACKETS:
         try:
-            seq = _plain_document(orjson.loads(text))
+            doc = orjson.loads(text)
         except orjson.JSONDecodeError:
-            seq = None
-        if seq is not None:
-            return seq
+            pass
+        else:
+            seq = _plain_document(doc)
+            if seq is not None:
+                return seq
+            checked = True
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SequenceError(f"$: not valid JSON ({exc})") from exc
-    return sequence_from_dict(doc)
+    return _parse_document(doc, "$") if checked else sequence_from_dict(doc)
 
 
 def sequence_to_dict(seq: Sequence) -> dict:
@@ -934,143 +924,84 @@ def sequence_to_dict(seq: Sequence) -> dict:
     }
 
 
-_INF = float("inf")
+# orjson spells a float as json does (float.__repr__) when it is 0 or of
+# magnitude within [1e-4, 1e16), and any other float in another notation
+# (0.00001 for 1e-05, 1e16 for 1e+16) that reads back to the same float.  The
+# writer hands orjson each such float as a hole, the int _HOLE + k, and then
+# writes the k-th json spelling over it.  No other token matches _HOLE_TEXT: a
+# document holds no negative int (frame index >= 0, size > 0, track_id >= 0,
+# det_score in [0, 1]), a float within the range has at most 16 integer
+# digits, and the name is written apart.
+_HOLE = -(2**63)
+_HOLE_TEXT = re.compile(r"-9223372036\d{9}")
 
 
-def _json_value(value: Any, pad: str) -> str:
-    """``value`` as ``json.dumps(..., indent=2)`` writes it in a document, ``pad`` deep.
-
-    Scalars follow the rules of ``json``'s encoder: ``null``/``true``/``false``
-    by identity, then ``int.__repr__`` for ints and ``NaN``/``Infinity`` or
-    ``float.__repr__`` for floats, subclasses included.  Any other value is
-    written by ``json.dumps`` itself and re-indented to ``pad``.
-    """
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
-# The writer lays the document out as json.dumps(..., indent=2) does: frames
-# 4 spaces deep, frame fields 6, poses 8, pose fields 10, keypoints 12 and
-# keypoint fields 14, items separated by ",\n".  One template holds a pose's
-# 15 keypoints in slot order, with x, y, confidence and present of each.
-_KEYPOINTS_TEXT = ",\n            ".join(
-    "{\n"
-    f'              "joint": {json.dumps(name)},\n'
-    '              "x": %r,\n'
-    '              "y": %r,\n'
-    '              "confidence": %r,\n'
-    '              "present": %s\n'
-    "            }"
-    for name in JOINT_NAMES
-)
-_FLAG_TEXT = {True: "true", False: "false"}
-_BOX_TEXT = "[\n            %r,\n            %r,\n            %r,\n            %r\n          ]"
-
-
-def _pose_text(pose: Pose) -> str:
-    box = pose.bbox
-    if box is None:
-        bbox = "null"
-    else:  # a BBox holds finite floats
-        bbox = _BOX_TEXT % (box.x1, box.y1, box.x2, box.y2)
-    # the arrays hold finite float64 values and bools: json spells the floats with repr
-    values: list = []
-    for (x, y), confidence, present in zip(
-        pose.xy.tolist(), pose.confidence.tolist(), pose.present.tolist()
-    ):
-        values += (x, y, confidence, _FLAG_TEXT[present])
-    keypoints = _KEYPOINTS_TEXT % tuple(values)
-    return (
-        "{\n"
-        f'          "det_score": {_json_value(pose.det_score, " " * 10)},\n'
-        f'          "track_id": {_json_value(pose.track_id, " " * 10)},\n'
-        f'          "bbox": {bbox},\n'
-        f'          "keypoints": [\n            {keypoints}\n          ]\n'
-        "        }"
-    )
-
-
-def _frame_text(frame: Frame) -> str:
-    if frame.poses:
-        poses = ",\n        ".join([_pose_text(p) for p in frame.poses])
-        poses = f"[\n        {poses}\n      ]"
-    else:
-        poses = "[]"
-    return (
-        "{\n"
-        f'      "index": {_json_value(frame.index, " " * 6)},\n'
-        f'      "width": {_json_value(frame.width, " " * 6)},\n'
-        f'      "height": {_json_value(frame.height, " " * 6)},\n'
-        f'      "poses": {poses}\n'
-        "    }"
-    )
-
-
-def _template_text(seq: Sequence) -> str:
-    """The document text of ``seq`` built from templates, spelling every value as ``json`` does."""
-    if seq.frames:
-        frames = ",\n    ".join([_frame_text(f) for f in seq.frames])
-        frames = f"[\n    {frames}\n  ]"
-    else:
-        frames = "[]"
-    return f'{{\n  "name": {_json_value(seq.name, "  ")},\n  "frames": {frames}\n}}'
-
-
-def _spelled_alike(values: np.ndarray) -> bool:
-    """Whether orjson spells each of ``values`` as ``repr`` does: 0, or 1e-4 <= |v| < 1e16."""
+def _misspelled(values: np.ndarray) -> np.ndarray:
+    """Mask of the ``values`` orjson spells otherwise: not 0, and |v| outside [1e-4, 1e16)."""
     magnitude = np.abs(values)
-    return bool((((magnitude >= 1e-4) & (magnitude < 1e16)) | (magnitude == 0.0)).all())
+    return ((magnitude < 1e-4) | (magnitude >= 1e16)) & (magnitude != 0.0)
 
 
-def _orjson_text(seq: Sequence) -> str | None:
-    """The document text of ``seq`` from orjson; ``None`` where it would differ from ``json``'s.
+def _put_holes(seq: Sequence, doc: dict) -> list[str]:
+    """Put a hole in ``doc`` (``sequence_to_dict(seq)``) for each float orjson spells otherwise.
 
-    orjson writes the bytes of ``json.dumps(..., indent=2)`` for a printable
-    ASCII name (``json`` escapes other characters, orjson writes them raw),
-    ints within 64 bits, plain floats (not subclasses or numpy scalars) and
-    float values that both spell alike.  Whole columns are checked at once.
+    Returns the ``json`` spelling of each hole's float, indexed by the hole's
+    number.  The columns are checked at once, and the rows of ``doc`` are
+    only walked when some value needs a hole.
     """
-    if not (seq.name.isascii() and seq.name.isprintable()):
-        return None
     poses = [p for f in seq.frames for p in f.poses]
-    if poses:
-        boxes = [(b.x1, b.y1, b.x2, b.y2) for p in poses if (b := p.bbox) is not None]
-        scalars = [p.det_score for p in poses] + list(chain(*boxes))
-        if not (
-            _spelled_alike(np.concatenate([p.xy for p in poses]))
-            and _spelled_alike(np.concatenate([p.confidence for p in poses]))
-            and _spelled_alike(np.array(scalars, dtype=float))
-        ):
-            return None
-    try:
-        return orjson.dumps(sequence_to_dict(seq), option=orjson.OPT_INDENT_2).decode()
-    except orjson.JSONEncodeError:  # an int beyond 64 bits, a float subclass, a numpy scalar
-        return None
+    if not poses:
+        return []
+    boxes = {k: p.bbox for k, p in enumerate(poses) if p.bbox is not None}
+    scalars = [p.det_score for p in poses]  # a det_score held as an int is 0 or 1: no hole
+    for b in boxes.values():
+        scalars += (b.x1, b.y1, b.x2, b.y2)
+    # the columns end to end: x and y, confidence, det_score, box corners
+    mask = _misspelled(np.concatenate((
+        np.concatenate([p.xy for p in poses]).ravel(),
+        np.concatenate([p.confidence for p in poses]),
+        np.array(scalars, dtype=float),
+    )))
+    if not mask.any():
+        return []
+    n = len(poses) * _N
+    xy, confidence, scores, corners = np.split(mask, [2 * n, 3 * n, 3 * n + len(poses)])
+    rows = [row for frame in doc["frames"] for row in frame["poses"]]
+    entries = [entry for row in rows for entry in row["keypoints"]]
+    cells = (
+        (xy.reshape(-1, 2), entries, ("x", "y")),
+        (confidence[:, None], entries, ("confidence",)),
+        (scores[:, None], rows, ("det_score",)),
+        (corners.reshape(-1, 4), [rows[k]["bbox"] for k in boxes], range(4)),
+    )
+    spelled: list[str] = []
+    for column, containers, keys in cells:
+        for i, j in np.argwhere(column).tolist():
+            container, key = containers[i], keys[j]
+            spelled.append(float.__repr__(container[key]))
+            container[key] = _HOLE + len(spelled) - 1
+    return spelled
 
 
 def save_predictions(seq: Sequence) -> str:
     """Serialize ``seq`` to the sequence document format.
 
     The text is byte-identical to ``json.dumps(sequence_to_dict(seq),
-    indent=2)``.  ``json`` runs its pure-Python encoder whenever ``indent``
-    is set, so the text comes from ``orjson`` when every value of the
-    document is one both spell alike (:func:`_orjson_text`), and is built
-    from templates with ``json``'s spelling otherwise.
+    indent=2)``, which runs ``json``'s pure-Python encoder whenever
+    ``indent`` is set.  So orjson encodes ``sequence_to_dict(seq)`` with an
+    empty name and a hole in place of each float it would spell otherwise;
+    then each hole is filled with ``json``'s spelling, and the name as
+    ``json`` writes it is put in.  A document orjson refuses (an int beyond
+    64 bits, a float subclass, a numpy scalar) is written by ``json``.
     """
-    text = _orjson_text(seq)
-    return _template_text(seq) if text is None else text
+    doc = sequence_to_dict(seq)
+    doc["name"] = ""
+    spelled = _put_holes(seq, doc)
+    try:
+        text = orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode()
+    except orjson.JSONEncodeError:
+        return json.dumps(sequence_to_dict(seq), indent=2)
+    if spelled:
+        text = _HOLE_TEXT.sub(lambda m: spelled[int(m[0]) - _HOLE], text)
+    # the text starts '{\n  "name": ""', so its first "" is the name
+    return text.replace('""', json.dumps(seq.name), 1)

@@ -136,23 +136,90 @@ def _fixture_documents() -> list[Sequence]:
     return seqs
 
 
-def test_fixture_documents_are_written_without_the_template_writer():
+@contextlib.contextmanager
+def _one_orjson_pass():
+    """Fail on the whole-document ``json.dumps`` fallback; the name is still written by ``json``."""
+    dumps = json.dumps
+
+    def name_only(value, **kwargs):
+        assert isinstance(value, str), "the writer fell back to json.dumps"
+        return dumps(value, **kwargs)
+
+    with mock.patch.object(model.json, "dumps", side_effect=name_only):
+        yield
+
+
+def test_fixture_documents_are_written_without_a_hole_or_the_fallback():
     seqs = _fixture_documents()
     expected = [json.dumps(sequence_to_dict(seq), indent=2) for seq in seqs]
-    with mock.patch.object(model, "_template_text", side_effect=AssertionError("template")):
+    no_holes = mock.Mock(sub=mock.Mock(side_effect=AssertionError("a hole was filled")))
+    with _one_orjson_pass(), mock.patch.object(model, "_HOLE_TEXT", no_holes):
         assert [save_predictions(seq) for seq in seqs] == expected
 
 
-def test_a_value_orjson_spells_otherwise_takes_the_template_writer():
+# floats orjson spells otherwise than json: 0.00001 for 1e-05, 1e16 for 1e+16, ...
+_MISSPELLED = [1e-05, 9.999999999999999e-05, 1.5e-09, 5e-324, 1e16, 1.7976931348623157e308]
+
+
+def _with_value(column: str, value: float) -> Pose:
     pose = template_pose((200, 200))
-    confidence = pose.confidence.copy()
-    confidence[4] = 1e-05
-    faint = replace(pose, keypoints=Keypoints(pose.xy, confidence, pose.present))
-    seq = Sequence("doc", (Frame(0, 640, 480, (pose, faint)),))
-    assert model._orjson_text(seq) is None
-    text = save_predictions(seq)
-    assert text == json.dumps(sequence_to_dict(seq), indent=2)
-    assert '"confidence": 1e-05' in text
+    xy, confidence = pose.xy.copy(), pose.confidence.copy()
+    if column == "x":
+        xy[3, 0] = value
+    elif column == "y":
+        xy[3, 1] = value
+    elif column == "confidence":
+        confidence[3] = value
+    elif column == "det_score":
+        return replace(pose, det_score=value)
+    else:  # a box corner
+        return replace(pose, bbox=BBox(value, -5.0, max(value, 10.0), 20.0))
+    return replace(pose, keypoints=Keypoints(xy, confidence, pose.present))
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        (column, value)
+        for column in ("x", "y", "confidence", "det_score", "bbox")
+        for value in _MISSPELLED + [-v for v in _MISSPELLED]
+        if column in ("x", "y", "bbox") or 0.0 <= value <= 1.0  # scores lie in [0, 1]
+    ],
+)
+def test_a_value_orjson_spells_otherwise_is_filled_in_with_json_spelling(column, value):
+    poses = (template_pose((300, 300), track_id=2), _with_value(column, value))
+    seq = Sequence("doc", (Frame(0, 640, 480, poses), Frame(3, 640, 480)))
+    expected = json.dumps(sequence_to_dict(seq), indent=2)
+    with _one_orjson_pass():
+        text = save_predictions(seq)
+    assert text == expected
+    assert repr(value) in text
+
+
+@pytest.mark.parametrize("name", ["é中", "\x7f", "a\nb"])
+def test_a_name_orjson_spells_otherwise_is_written_by_json(name):
+    seq = Sequence(name, (Frame(0, 640, 480, (_with_value("x", 1e-05),)),))
+    expected = json.dumps(sequence_to_dict(seq), indent=2)
+    with _one_orjson_pass():
+        assert save_predictions(seq) == expected
+
+
+def test_a_document_with_faint_joints_is_written_in_one_orjson_pass():
+    # a box-less sparse_ensemble det document with 10% of its confidences at 5e-05
+    seq = _fixture_documents()[2]
+    rng = np.random.default_rng(0)
+
+    def faint(pose: Pose) -> Pose:
+        confidence = np.where(rng.random(15) < 0.1, 5e-05, pose.confidence)
+        return replace(pose, keypoints=Keypoints(pose.xy, confidence, pose.present))
+
+    frames = tuple(replace(f, poses=tuple(map(faint, f.poses))) for f in seq.frames)
+    seq = replace(seq, frames=frames)
+    expected = json.dumps(sequence_to_dict(seq), indent=2)
+    with _one_orjson_pass():
+        text = save_predictions(seq)
+    assert text == expected
+    assert text.count('"confidence": 5e-05') > 10
 
 
 class _Float(float):
@@ -465,6 +532,46 @@ def test_loader_equals_the_checked_path_on_json(seq, edit):
     if edit is None and _plain(seq):
         with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
             assert _outcome(load_sequence, text) == expected
+
+
+def test_a_document_the_bulk_check_refuses_is_checked_in_bulk_once():
+    doc = sequence_to_dict(synth.generate(noiseless_spec(n_persons=2, n_frames=3, seed=4)).det)
+    for frame in doc["frames"]:
+        for pose in frame["poses"]:
+            pose["note"] = "an extra key"
+    text = json.dumps(doc, indent=2)
+    with mock.patch.object(model, "_plain_document", wraps=model._plain_document) as bulk:
+        loaded = load_sequence(text)
+    assert bulk.call_count == 1
+    assert loaded == _reference_load(text)
+
+
+_FIRST_POSE = ("frames", 0, "poses", 0)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("frames", 0, "index"), -1),
+        (("frames", 1, "index"), 0),
+        (("frames", 1, "width"), 641),
+        (("frames", 0, "height"), 0),
+        (_FIRST_POSE + ("det_score",), 1.5),
+        (_FIRST_POSE + ("track_id",), -1),
+        (_FIRST_POSE + ("bbox",), [10.0, 0.0, 5.0, 1.0]),
+    ],
+    ids=["index-negative", "index-repeated", "width-differs", "height-zero",
+         "det_score-above", "track_id-negative", "corners-out-of-order"],
+)
+def test_the_bulk_check_leaves_value_rules_to_the_types(path, value):
+    seq = Sequence("doc", tuple(Frame(i, 640, 480, (template_pose((200, 200)),)) for i in (0, 1)))
+    doc = sequence_to_dict(seq)
+    _replace(doc, path, value)
+    assert model._plain_document(doc) is None
+    text = json.dumps(doc)
+    outcome = _outcome(load_sequence, text)
+    assert outcome == _outcome(_reference_load, text)
+    assert outcome.startswith("SequenceError: $.frames[")
 
 
 @pytest.mark.parametrize("boxes", [True, False], ids=["boxes", "box-less"])
