@@ -164,10 +164,12 @@ def _cmd_run(args) -> int:
     gt_seqs = _load_sequences(args.gt)
     det_b = _load_sequences(args.det_b) if args.det_b else None
     result = pipeline.run_pipeline(det_seqs, gt_seqs, config, det_b)
+    # scored on first read, so that a scoring error leaves no output behind
+    ap, mot = result.ap, result.mot
     out_dir = Path(args.out)
     _dump_reports(out_dir, result)
-    print(f"AP total: {result.ap.total:.4f}")
-    print(f"MOTA total: {result.mot.mota_total:.4f}")
+    print(f"AP total: {ap.total:.4f}")
+    print(f"MOTA total: {mot.mota_total:.4f}")
     print(f"reports written to {out_dir}")
     return 0
 

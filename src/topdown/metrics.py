@@ -24,12 +24,15 @@ Every score is read from one :class:`PairTable`, built once per call by
   and one holding the MOTP term ``1 - d / r`` of those joints.
 
 :meth:`PairTable.match` assigns each frame's poses and returns a
-:class:`Matching`; AP records, MOT counts, MOTP and id switches are array
-operations on it, with per-joint tallies mapped to groups through one fixed
-joint -> group index table.  A predicted keypoint counts as present under
-the mask ``present & ~(confidence < threshold)``, which is exactly what
-:func:`topdown.tracker.prune_keypoints` keeps, so one table scores every
-value of a keypoint-threshold sweep without building pruned sequences.
+:class:`Matching`.  :func:`ap_reports` and :func:`mot_reports` score a list
+of matchings of one table in one array pass each: AP records, MOT counts and
+id switches of matching ``v`` sit in segments offset by ``v``, with
+per-joint tallies mapped to groups through one fixed joint -> group index
+table; one matching goes through the same code.  A predicted keypoint counts
+as present under the mask ``present & ~(confidence < threshold)``, which is
+exactly what :func:`topdown.tracker.prune_keypoints` keeps, so one table
+scores every value of a keypoint-threshold sweep without building pruned
+sequences.  AP and MOT stay two functions because AP needs no track ids.
 
 The reports are the same bytes as the plain per-keypoint loops they
 replace, so the table keeps these rules:
@@ -349,87 +352,6 @@ class Matching:
     pairs: np.ndarray
     hits: np.ndarray
 
-    def ap_report(self) -> "ApReport":
-        """AP of the table's predictions, pruned at the matching's threshold."""
-        table = self.table
-        matched = table.pair_pred[self.pairs]
-        unmatched = np.ones(len(table.pred_frame), dtype=bool)
-        unmatched[matched] = False
-        hits = np.zeros_like(self.present)
-        hits[matched] = self.hits
-        # per frame: matched predictions by index, then unmatched ones
-        rank = np.argsort(table.pred_frame * 2 + unmatched, kind="stable")
-        joint, position = np.nonzero(self.present[rank].T)
-        pred = rank[position]
-        per_joint = _envelope_aps(
-            joint,
-            table.pred_confidence[pred, joint],
-            hits[pred, joint],
-            table.gt_present.sum(axis=0).tolist(),
-        )
-        per_group = [_mean([per_joint[j] for j in members]) for members in _GROUP_MEMBERS]
-        return ApReport(
-            per_joint=dict(zip(JOINTS, per_joint)),
-            per_group=dict(zip(GROUPS, per_group)),
-            total=_mean(per_joint),
-        )
-
-    def mot_report(self) -> "MotReport":
-        """CLEAR MOT of the table's predictions, pruned at the matching's threshold."""
-        table = self.table
-        if (table.pred_track < 0).any() or (table.gt_track < 0).any():
-            for pred_seq, gt_seq in _align(list(table.pred_seqs), list(table.gt_seqs)):
-                _require_track_ids(pred_seq, "prediction")
-                _require_track_ids(gt_seq, "ground-truth")
-        hits = self.hits
-        matches = hits.sum(axis=0)
-        # a hit continues the (sequence, ground-truth track, joint) of the previous hit
-        key = (table.gt_track[table.pair_gt[self.pairs]][:, None] * _N + np.arange(_N))[hits]
-        ids = np.broadcast_to(table.pred_track[table.pair_pred[self.pairs]][:, None], hits.shape)
-        order = np.argsort(key, kind="stable")
-        key, ids = key[order], ids[hits][order]
-        switched = (key[1:] == key[:-1]) & (ids[1:] != ids[:-1])
-        per_joint = np.stack([
-            table.gt_present.sum(axis=0),
-            matches,
-            self.present.sum(axis=0) - matches,
-            table.gt_present.sum(axis=0) - matches,
-            np.bincount(key[1:][switched] % _N, minlength=_N),
-        ])
-        per_group = (per_joint @ _GROUP_ONEHOT).T.tolist()
-        counts = {g: MotCounts(*column) for g, column in zip(GROUPS, per_group)}
-        motp_sum = 0.0
-        for term in table.motp_term[self.pairs][hits].tolist():
-            motp_sum += term
-        return _mot_report(counts, motp_sum)
-
-
-def match_sequences(
-    pred_seqs: list[Sequence],
-    gt_seqs: list[Sequence],
-    t: PckhThreshold = PckhThreshold(),
-) -> Matching:
-    """Align sequences by name and match the poses of every frame, once."""
-    return pair_table(pred_seqs, gt_seqs, t).match()
-
-
-def _matching_for(
-    pred_seqs: list[Sequence],
-    gt_seqs: list[Sequence],
-    t: PckhThreshold,
-    matching: Matching | None,
-) -> Matching:
-    """``matching`` when it was built from these inputs, else a fresh one."""
-    if matching is None:
-        return match_sequences(pred_seqs, gt_seqs, t)
-    table = matching.table
-    # identical sequence objects compare without walking their frames
-    if matching.threshold is not None or (table.pred_seqs, table.gt_seqs, table.t) != (
-        tuple(pred_seqs), tuple(gt_seqs), t
-    ):
-        raise EvaluationError("matching was built from other sequences or thresholds")
-    return matching
-
 
 # ---------------------------------------------------------------------------
 # average precision
@@ -501,12 +423,58 @@ def _envelope_ap(records: list[tuple[float, bool]], n_gt: int) -> float:
     return _envelope_aps(np.zeros(len(records), dtype=np.intp), confidence, hit, [n_gt])[0]
 
 
+def _table_of(matchings: list[Matching]) -> PairTable:
+    """The one pair table that every matching of ``matchings`` was made from."""
+    table = matchings[0].table
+    if any(m.table is not table for m in matchings):
+        raise ValueError("matchings scored together must come from one pair table")
+    return table
+
+
+def ap_reports(matchings: list[Matching]) -> list[ApReport]:
+    """AP of each matching of one pair table, all in one :func:`_envelope_aps` pass.
+
+    The records of matching ``v`` and joint ``j`` form segment ``v * 15 + j``,
+    in the order a lone matching gives them (per frame: matched predictions
+    by index, then unmatched ones), so each report is the one that matching
+    gets on its own.
+    """
+    table = _table_of(matchings)
+    n = len(table.pred_frame)
+    present = np.concatenate([m.present for m in matchings])  # (values * n, 15)
+    hits = np.zeros_like(present)
+    unmatched = np.ones((len(matchings), n), dtype=bool)
+    for v, m in enumerate(matchings):
+        matched = table.pair_pred[m.pairs]
+        unmatched[v, matched] = False
+        hits[v * n + matched] = m.hits
+    rank = np.argsort(table.pred_frame * 2 + unmatched, axis=1, kind="stable")
+    rows = (rank + n * np.arange(len(matchings))[:, None]).ravel()
+    joint, position = np.nonzero(present[rows].T)
+    aps = _envelope_aps(
+        position // n * _N + joint,  # empty when there are no predictions
+        table.pred_confidence[rank.ravel()[position], joint],
+        hits[rows[position], joint],
+        table.gt_present.sum(axis=0).tolist() * len(matchings),
+    )
+    reports = []
+    for v in range(len(matchings)):
+        per_joint = aps[v * _N:(v + 1) * _N]
+        per_group = [_mean([per_joint[j] for j in members]) for members in _GROUP_MEMBERS]
+        reports.append(
+            ApReport(
+                per_joint=dict(zip(JOINTS, per_joint)),
+                per_group=dict(zip(GROUPS, per_group)),
+                total=_mean(per_joint),
+            )
+        )
+    return reports
+
+
 def evaluate_ap(
     pred_seqs: list[Sequence],
     gt_seqs: list[Sequence],
     t: PckhThreshold = PckhThreshold(),
-    *,
-    matching: Matching | None = None,
 ) -> ApReport:
     """Score keypoint predictions against aligned ground-truth sequences.
 
@@ -515,11 +483,8 @@ def evaluate_ap(
     joint is present within the correctness radius, a false positive
     otherwise (including all keypoints of unmatched poses).  Ground-truth
     joints never claimed count as misses through the recall denominator.
-
-    ``matching``, when given, must be :func:`match_sequences` of the same
-    arguments; it lets AP and MOT share one matching pass.
     """
-    return _matching_for(pred_seqs, gt_seqs, t, matching).ap_report()
+    return ap_reports([pair_table(pred_seqs, gt_seqs, t).match()])[0]
 
 
 def _mean(values: list[float]) -> float:
@@ -610,8 +575,6 @@ def evaluate_mot(
     pred_seqs: list[Sequence],
     gt_seqs: list[Sequence],
     t: PckhThreshold = PckhThreshold(),
-    *,
-    matching: Matching | None = None,
 ) -> MotReport:
     """CLEAR-style keypoint tracking metrics over aligned sequences.
 
@@ -622,14 +585,55 @@ def evaluate_mot(
     ``100 * (1 - (fn + fp + idsw) / gt)``; localization quality is the mean of
     ``1 - d / radius`` over matched keypoints (0 when nothing matched), and
     precision/recall use the same keypoint counts.
-
-    ``matching``, when given, must be :func:`match_sequences` of the same
-    arguments; it lets AP and MOT share one matching pass.
     """
+    # before the table is built, so a missing track id wins over a radius error
     for pred_seq, gt_seq in _align(pred_seqs, gt_seqs):
         _require_track_ids(pred_seq, "prediction")
         _require_track_ids(gt_seq, "ground-truth")
-    return _matching_for(pred_seqs, gt_seqs, t, matching).mot_report()
+    return mot_reports([pair_table(pred_seqs, gt_seqs, t).match()])[0]
+
+
+def mot_reports(matchings: list[Matching]) -> list[MotReport]:
+    """CLEAR MOT of each matching of one pair table, all in one array pass.
+
+    The id-switch keys (sequence, ground-truth track, joint) of matching
+    ``v`` are offset by ``v`` strides, so one stable sort and one
+    ``bincount`` over matching x joint count each matching's switches as it
+    would count them alone.  MOTP is summed per matching, one ``+=`` at a
+    time in loop order.
+    """
+    table = _table_of(matchings)
+    if (table.pred_track < 0).any() or (table.gt_track < 0).any():
+        for pred_seq, gt_seq in _align(list(table.pred_seqs), list(table.gt_seqs)):
+            _require_track_ids(pred_seq, "prediction")
+            _require_track_ids(gt_seq, "ground-truth")
+    stride = (int(table.gt_track.max(initial=0)) + 1) * _N
+    keys, ids = [], []
+    for v, m in enumerate(matchings):
+        # a hit continues the (sequence, ground-truth track, joint) of the previous hit
+        key = table.gt_track[table.pair_gt[m.pairs]][:, None] * _N + np.arange(_N) + v * stride
+        keys.append(key[m.hits])
+        pred_ids = table.pred_track[table.pair_pred[m.pairs]][:, None]
+        ids.append(np.broadcast_to(pred_ids, m.hits.shape)[m.hits])
+    key, ids = np.concatenate(keys), np.concatenate(ids)
+    order = np.argsort(key, kind="stable")
+    key, ids = key[order], ids[order]
+    switched = key[1:][(key[1:] == key[:-1]) & (ids[1:] != ids[:-1])]
+    idsw = np.bincount(
+        switched // stride * _N + switched % _N, minlength=len(matchings) * _N
+    ).reshape(len(matchings), _N)
+    gt = table.gt_present.sum(axis=0)
+    reports = []
+    for m, switches in zip(matchings, idsw):
+        matches = m.hits.sum(axis=0)
+        per_joint = np.stack([gt, matches, m.present.sum(axis=0) - matches, gt - matches, switches])
+        per_group = (per_joint @ _GROUP_ONEHOT).T.tolist()
+        counts = {g: MotCounts(*column) for g, column in zip(GROUPS, per_group)}
+        motp_sum = 0.0
+        for term in table.motp_term[m.pairs][m.hits].tolist():
+            motp_sum += term
+        reports.append(_mot_report(counts, motp_sum))
+    return reports
 
 
 def _mot_report(counts: dict[EvalGroup, MotCounts], motp_sum: float) -> MotReport:

@@ -10,14 +10,17 @@ suppressed on corner rows, and all kept poses are fused in one more array
 pass under a route code resolved once per run; ``Pose`` objects are built
 only for the survivors.
 
-Scoring builds one :class:`~topdown.metrics.PairTable` of the tracked
-output against ground truth, matches each frame once, and both scores read
-that matching.  Threshold sweeps yield AP/MOTA totals per keypoint threshold
-and detection precision/recall per box threshold.  The keypoint threshold
-acts only after tracking, so a keypoint sweep runs the pipeline once, at its
-lowest value, and scores every other value from that run's pair table, with
-the prediction keypoints pruned at the value as a presence mask; no pruned
-sequences are built for them.
+:func:`run_pipeline` builds one :class:`~topdown.metrics.PairTable` of the
+tracked output against ground truth, so errors in deriving a correctness
+radius are raised by the run itself; its AP and MOT reports are computed from
+one matching of that table the first time either is read, and kept.
+Threshold sweeps yield AP/MOTA totals per keypoint threshold and detection
+precision/recall per box threshold.  The keypoint threshold acts only after
+tracking, so a keypoint sweep is the work of one run: it detects and tracks
+once with nothing pruned, matches the one table once per value with the
+prediction keypoints pruned at the value as a presence mask, and scores all
+those matchings together (:func:`~topdown.metrics.ap_reports`,
+:func:`~topdown.metrics.mot_reports`); no pruned sequences are built.
 """
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import metrics
 from .ensemble import (
     Route,
     default_expert_map,
@@ -51,9 +55,8 @@ from .metrics import (
     MotReport,
     PairTable,
     PckhThreshold,
-    evaluate_ap,
-    evaluate_mot,
-    match_sequences,
+    ap_reports,
+    mot_reports,
 )
 from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name, require_real
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
@@ -163,12 +166,33 @@ class PipelineConfig:
 
 @dataclass(frozen=True, slots=True)
 class PipelineResult:
-    """Tracked output, its reports, and the pair table they were scored from."""
+    """Tracked output and the pair table of it against ground truth.
+
+    ``ap`` and ``mot`` are scored from one matching of the table the first
+    time either is read, and kept; that read raises what scoring raises
+    (ground truth without track ids, or with no present keypoint).
+    """
 
     tracked: tuple[Sequence, ...]
-    ap: ApReport
-    mot: MotReport
     table: PairTable = field(compare=False, repr=False)
+    _reports: tuple[ApReport, MotReport] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def ap(self) -> ApReport:
+        return self._scored()[0]
+
+    @property
+    def mot(self) -> MotReport:
+        return self._scored()[1]
+
+    def _scored(self) -> tuple[ApReport, MotReport]:
+        if self._reports is None:
+            matching = [self.table.match()]
+            reports = (ap_reports(matching)[0], mot_reports(matching)[0])
+            object.__setattr__(self, "_reports", reports)
+        return self._reports
 
 
 def _with_box(pose: Pose, enlarge: float) -> Pose | None:
@@ -297,7 +321,10 @@ def run_pipeline(
     config: PipelineConfig = PipelineConfig(),
     det_b_seqs: list[Sequence] | None = None,
 ) -> PipelineResult:
-    """Run detection post-processing, tracking and scoring end to end."""
+    """Run detection post-processing and tracking, and pair the output with ground truth.
+
+    The reports are scored when first read (see :class:`PipelineResult`).
+    """
     if det_b_seqs is not None and config.ensemble_mode == "none":
         raise PipelineContractError(
             "second model predictions supplied but ensemble_mode is 'none'"
@@ -319,17 +346,7 @@ def run_pipeline(
         tracked.append(
             prune_sequence_keypoints(tracked_seq, config.keypoint_drop_threshold)
         )
-    return _score(tracked, gt_seqs, config.pckh)
-
-
-def _score(
-    tracked: list[Sequence], gt_seqs: list[Sequence], pckh: PckhThreshold
-) -> PipelineResult:
-    """AP and MOT of tracked sequences, from one pair table and one matching pass."""
-    matching = match_sequences(tracked, gt_seqs, pckh)
-    ap = evaluate_ap(tracked, gt_seqs, pckh, matching=matching)
-    mot = evaluate_mot(tracked, gt_seqs, pckh, matching=matching)
-    return PipelineResult(tracked=tuple(tracked), ap=ap, mot=mot, table=matching.table)
+    return PipelineResult(tuple(tracked), metrics.pair_table(tracked, gt_seqs, config.pckh))
 
 
 def _boxes(poses: Iterable[Pose], config: PipelineConfig) -> list[BBox]:
@@ -390,12 +407,13 @@ def sweep(
 
     Every value must be finite and within [0, 1]; all are checked before any
     work starts.  A box-axis point prunes candidates and scores detection.
-    A keypoint-axis sweep runs :func:`run_pipeline` once, at the lowest value,
-    and scores each other value from that run's pair table, counting a
-    tracked keypoint as present when it is present and not below the value
-    (the mask :func:`~topdown.tracker.prune_keypoints` applies).  That gives
-    the rows of a full run per value, because pruning is monotone: a keypoint
-    below the lowest threshold is below every other one.
+    A keypoint-axis sweep runs :func:`run_pipeline` once, with nothing
+    pruned, matches its pair table once per value, counting a tracked
+    keypoint as present when it is present and not below the value (the mask
+    :func:`~topdown.tracker.prune_keypoints` applies), and scores all the
+    matchings in one pass.  That gives the rows of a full run per value:
+    pruning acts after tracking, and nothing in the table but prediction
+    presence depends on it.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -412,14 +430,9 @@ def sweep(
                 SweepRow(value=value, precision=100.0 * pr.precision, recall=100.0 * pr.recall)
             )
         return rows
-    lowest = min(values)
-    base = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=lowest))
-    for value in values:
-        if value == lowest:
-            ap, mot = base.ap, base.mot
-        else:
-            matching = base.table.match(value)
-            ap, mot = matching.ap_report(), matching.mot_report()
+    base = run_pipeline(det_seqs, gt_seqs, replace(config, keypoint_drop_threshold=0.0))
+    matchings = [base.table.match(value) for value in values]
+    for value, ap, mot in zip(values, ap_reports(matchings), mot_reports(matchings)):
         rows.append(SweepRow(value=value, ap_total=ap.total, mota_total=mot.mota_total))
     return rows
 

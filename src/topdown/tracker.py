@@ -126,6 +126,13 @@ def prune_keypoints(pose: Pose, threshold: float) -> Pose:
 
 
 def prune_sequence_keypoints(seq: Sequence, threshold: float) -> Sequence:
+    """``seq`` with every pose's keypoints pruned at ``threshold``.
+
+    At a threshold of 0 or below that is ``seq`` itself: confidences lie in
+    [0, 1], so no keypoint is below it.
+    """
+    if threshold <= 0.0:
+        return seq
     return replace(
         seq,
         frames=tuple(

@@ -16,7 +16,6 @@ from topdown.metrics import (
     evaluate_mot,
     head_size,
     match_poses_frame,
-    match_sequences,
     reference_head_size,
 )
 from topdown.model import (
@@ -257,17 +256,6 @@ def test_mot_no_predictions():
     assert report.mota_total == 0.0
     assert report.recall_total == 0.0
     assert report.total_counts.fn == report.total_counts.gt
-
-
-@pytest.mark.parametrize("evaluate", [evaluate_ap, evaluate_mot])
-def test_scorers_accept_only_a_matching_of_their_own_inputs(evaluate):
-    gt = _two_person_scene(3)
-    other = _two_person_scene(4)
-    matching = match_sequences([gt], [gt])
-    assert evaluate([gt], [gt], matching=matching) == evaluate([gt], [gt])
-    for seqs, t in (([other], PckhThreshold()), ([gt], PckhThreshold(factor=0.2))):
-        with pytest.raises(EvaluationError, match="matching"):
-            evaluate(seqs, seqs, t, matching=matching)
 
 
 def test_mot_requires_track_ids():

@@ -268,7 +268,8 @@ def test_keypoint_sweep_tracks_once_and_matches_each_frame_once_per_point(monkey
     _count_calls(monkeypatch, pipeline, "prune_sequence_keypoints", counts)
     _count_calls(monkeypatch, metrics, "pair_table", counts)
     _count_calls(monkeypatch, metrics, "match_poses_frame", counts)
-    # scored points: 0.5 (the tracked run, also standing in for its duplicate), 0.7, 0.9
+    # one run with nothing pruned (each sequence passes through pruning at 0 unchanged)
+    # and one pair table; the four values are matches of that table, scored together
     pipeline.sweep(dets, gts, PipelineConfig(), "keypoint_threshold", [0.7, 0.5, 0.9, 0.5])
     assert counts == {
         "run_pipeline": 1, "track_sequence": 2, "prune_sequence_keypoints": 2, "pair_table": 1
@@ -383,6 +384,37 @@ def test_cli_contract_violation_exits_3(tmp_path):
          "--gt", str(gt), "--out", str(tmp_path / "o3")]
     )
     assert code == 3
+
+
+def _strip_track_ids(doc):
+    for frame in doc["frames"]:
+        for pose in frame["poses"]:
+            pose["track_id"] = None
+
+
+def _absent_keypoints(doc):
+    for frame in doc["frames"]:
+        for pose in frame["poses"]:
+            assert pose["bbox"] is not None  # so a radius comes from the box
+            for keypoint in pose["keypoints"]:
+                keypoint["present"] = False
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_strip_track_ids, "lacks a track id"), (_absent_keypoints, "no ground-truth keypoints")],
+)
+def test_cli_run_scoring_error_exits_3_and_writes_nothing(tmp_path, capsys, edit, message):
+    det, gt = _write_noiseless(tmp_path)
+    doc = json.loads(gt.read_text())
+    edit(doc)
+    gt.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--det", str(det), "--gt", str(gt), "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("contract violation:") == 1 and message in err
+    assert not out_dir.exists()
 
 
 def test_cli_eval_equals_library(tmp_path):
