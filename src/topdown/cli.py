@@ -16,14 +16,13 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
 from . import heatmaps, metrics, pipeline, synth
 from .ensemble import fuse_all, route_codes
-from .geometry import DegenerateGeometryError, with_box
+from .geometry import DegenerateGeometryError, box_corners, box_error, with_corners
 from .metrics import EvaluationError
 from .model import Sequence, SequenceError, load_sequence, pair_by_name, save_predictions
 from .pipeline import PipelineConfig, PipelineContractError
@@ -41,7 +40,7 @@ class _UsageError(Exception):
 
 
 class _InputError(Exception):
-    """Unparseable config or spec document."""
+    """An input document that is not text or does not parse."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,30 +49,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a unique temp file next to ``path``, then rename it into place.
+    """Write ``text`` to a new temp file next to ``path``, then rename it into place.
 
-    The temp file is removed if the write or the rename fails.  The output
-    gets the permissions a plain ``open`` would give it, not ``mkstemp``'s 0600.
+    The temp file is created with mode 0666 less the process umask, the
+    permissions a plain ``open`` would give the output, and is removed if
+    the write or the rename fails.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    while True:
+        tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # a str: pathlib would intern every name
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str | Path) -> str:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    return p.read_text()
+    try:
+        return p.read_text()
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _load_sequences(path: str) -> list[Sequence]:
@@ -83,7 +89,7 @@ def _load_sequences(path: str) -> list[Sequence]:
         files = sorted(p.glob("*.json"))
         if not files:
             raise FileNotFoundError(f"no *.json sequence files in directory: {path}")
-        return [load_sequence(f.read_text()) for f in files]
+        return [load_sequence(_read_text(f)) for f in files]
     return [load_sequence(_read_text(path))]
 
 
@@ -111,7 +117,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 # Bytes in one file name on common file systems, and what the temp file of
-# _write_atomic adds to a name (".", 8 random characters, ".tmp").
+# _write_atomic adds to a name (".", 8 random hex digits, ".tmp").
 _NAME_MAX = 255
 _TEMP_SUFFIX_LEN = 13
 
@@ -277,18 +283,19 @@ def _cmd_bbox_infer(args) -> int:
 
 def _boxed(seq: Sequence, enlarge: float) -> Sequence:
     """``seq`` with a box inferred for each box-less pose; an error names the pose it cannot box."""
-    frames = []
-    for frame in seq.frames:
-        poses = []
-        for j, pose in enumerate(frame.poses):
-            try:
-                poses.append(with_box(pose, enlarge))
-            except DegenerateGeometryError as exc:
-                raise DegenerateGeometryError(
-                    f"sequence {seq.name!r}, frame {frame.index}, pose {j}: {exc}"
-                ) from exc
-        frames.append(replace(frame, poses=tuple(poses)))
-    return replace(seq, frames=tuple(frames))
+    poses = [p for f in seq.frames for p in f.poses]
+    corners, ok = box_corners(poses, enlarge)
+    if not ok.all():
+        s = ok.tolist().index(False)
+        frame, j = [(f, j) for f in seq.frames for j in range(len(f.poses))][s]
+        exc = box_error(poses[s].xy, poses[s].present, corners[s])
+        raise DegenerateGeometryError(
+            f"sequence {seq.name!r}, frame {frame.index}, pose {j}: {exc}"
+        ) from exc
+    boxed = map(with_corners, poses, corners.tolist())
+    return replace(
+        seq, frames=tuple(replace(f, poses=tuple(islice(boxed, len(f.poses)))) for f in seq.frames)
+    )
 
 
 def _cmd_ensemble(args) -> int:

@@ -5,16 +5,15 @@ to the model configured for it.  Both assume the inputs were predicted on the
 same detection candidate (shared detection score and box), which is what the
 pipeline produces when two estimators run on one detector's output.
 
-:func:`fuse_average` and :func:`fuse_expert` fuse one pair of poses; they are
-the reference.  A run fuses many pairs under one mode, so it resolves the
-mode to a (15,) route code once (:func:`route_codes`) and fuses every pair
-of a document in one array pass (:func:`fused_keypoints`, :func:`fuse_all`),
-with the same values.
+The rule is written once, as an array pass over many pairs: a mode resolves
+to a (15,) route code (:func:`route_codes`), and :func:`fused_keypoints` /
+:func:`fuse_all` fuse every pair of a document under it.  A run resolves the
+code once; :func:`fuse_average` and :func:`fuse_expert` fuse one pair.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +27,6 @@ class Route(enum.Enum):
     B = "b"
     AVG = "avg"
 
-
-_A, _AVG = Route.A, Route.AVG
 
 ExpertMap = Mapping[Joint, Route]
 
@@ -54,47 +51,11 @@ def validate_expert_map(route_map: ExpertMap) -> None:
     missing = [j.value for j in JOINTS if j not in route_map]
     if missing:
         raise ValueError(f"expert map missing joints: {missing}")
-
-
-def _fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keypoints:
-    """Fuse slot by slot, ``routes`` giving each slot's :class:`Route`.
-
-    A slot routed to one model takes that model's joint when it is present
-    or the other model's is absent, else the other's.  An AVG slot takes the
-    mean when both or neither are present (placeholders are averaged too, so
-    fusing a pose with itself is an exact identity) and copies the present
-    one otherwise.
-    """
-    xy: list[float] = []
-    confidence: list[float] = []
-    present: list[bool] = []
-    for route, (ax, ay), (bx, by), ca, cb, pa, pb in zip(
-        routes,
-        a.xy.tolist(),
-        b.xy.tolist(),
-        a.confidence.tolist(),
-        b.confidence.tolist(),
-        a.present.tolist(),
-        b.present.tolist(),
-    ):
-        if route is _AVG and pa is pb:
-            xy += (0.5 * (ax + bx), 0.5 * (ay + by))
-            confidence.append(0.5 * (ca + cb))
-            present.append(pa)
-        elif (pa or not pb) if route is _A else (pa and not pb):
-            xy += (ax, ay)
-            confidence.append(ca)
-            present.append(pa)
-        else:
-            xy += (bx, by)
-            confidence.append(cb)
-            present.append(pb)
-    positions = np.array(xy).reshape(len(JOINTS), 2)
-    total = sum(xy)
-    if total - total != 0.0:  # a mean beyond the float range (or a sum that overflows)
-        return Keypoints(positions, confidence, present)  # checks, naming the slot at fault
-    # every other value is copied from a checked input or is a mean of two of them
-    return Keypoints.from_checked(positions, np.array(confidence), np.array(present))
+    for joint in JOINTS:
+        if not isinstance(route_map[joint], Route):
+            raise ValueError(
+                f"expert map routes joint {joint.value!r} to {route_map[joint]!r}, not a Route"
+            )
 
 
 def mean_box(
@@ -125,27 +86,6 @@ def _fused_pose(a: Pose, b: Pose, keypoints: Keypoints) -> Pose:
     )
 
 
-_AVERAGE_ROUTES = (Route.AVG,) * len(JOINTS)
-
-
-def fuse_average(a: Pose, b: Pose) -> Pose:
-    """Per-joint arithmetic mean; a joint present in one model only is copied."""
-    return _fused_pose(a, b, _fuse_keypoints(a.keypoints, b.keypoints, _AVERAGE_ROUTES))
-
-
-def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
-    """Route each joint to the configured model; AVG routes take the mean.
-
-    When the routed model's joint is absent but the other model has it, the
-    present one is used so fusion never loses a joint both inputs could
-    supply.
-    """
-    routes = list(map(route_map.get, JOINTS))
-    if None in routes:
-        validate_expert_map(route_map)
-    return _fused_pose(a, b, _fuse_keypoints(a.keypoints, b.keypoints, routes))
-
-
 # route codes: one per joint slot, resolved once per run
 _CODE = {Route.A: 0, Route.B: 1, Route.AVG: 2}
 
@@ -173,10 +113,13 @@ def fused_keypoints(
 ) -> Iterator[Keypoints]:
     """The fused keypoints of each pair ``(a[i], b[i])``, computed in one array pass.
 
-    ``routes`` is a :func:`route_codes` array; the rule per slot is
-    :func:`_fuse_keypoints`'s.  Rows are checked as they are yielded: a row
-    holding a mean beyond the float range raises the ``Keypoints``
-    constructor's error, naming the slot.
+    ``routes`` is a :func:`route_codes` array.  A slot routed to one model
+    takes that model's joint when it is present or the other model's is
+    absent, else the other's.  An AVG slot takes the mean when both or
+    neither are present (placeholders are averaged too, so fusing a pose with
+    itself is an exact identity) and copies the present one otherwise.  Rows
+    are checked as they are yielded: a row holding a mean beyond the float
+    range raises the ``Keypoints`` constructor's error, naming the slot.
     """
     if not a:
         return
@@ -196,8 +139,25 @@ def fused_keypoints(
 
 
 def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Pose]:
-    """:func:`fuse_average` or :func:`fuse_expert` of every pair ``(a[i], b[i])``, in one array pass.
+    """Every pair ``(a[i], b[i])`` fused under ``routes``, in one array pass.
 
-    Boxes are taken as given: the mean of two boxes, else the one present.
+    A fused pose holds :func:`fused_keypoints`'s keypoints, the mean
+    detection score and no track id.  Boxes are taken as given: the mean of
+    two boxes, else the one present.
     """
     return [_fused_pose(pa, pb, k) for pa, pb, k in zip(a, b, fused_keypoints(a, b, routes))]
+
+
+def fuse_average(a: Pose, b: Pose) -> Pose:
+    """Per-joint arithmetic mean; a joint present in one model only is copied."""
+    return fuse_all([a], [b], route_codes("average", {}))[0]
+
+
+def fuse_expert(a: Pose, b: Pose, route_map: ExpertMap) -> Pose:
+    """Route each joint to the configured model; AVG routes take the mean.
+
+    When the routed model's joint is absent but the other model has it, the
+    present one is used so fusion never loses a joint both inputs could
+    supply.
+    """
+    return fuse_all([a], [b], route_codes("expert", route_map))[0]

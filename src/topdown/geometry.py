@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +15,10 @@ __all__ = [
     "DegenerateGeometryError",
     "bbox_from_keypoints",
     "with_box",
+    "with_corners",
     "infer_corners",
+    "box_error",
+    "box_corners",
     "iou",
     "iou_matrix",
     "prune_candidates",
@@ -51,32 +53,17 @@ class PRResult:
 def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
     """Tight box around the present keypoints, grown about its center.
 
-    The raw box spans the minimum and maximum keypoint coordinates; width and
-    height are then scaled by ``1 + enlarge`` (20% per axis by default, not per
-    side).  The box score is the pose detection score.  Boxes are not clipped
-    to image bounds.  Raises :class:`DegenerateGeometryError` for fewer than
+    :func:`infer_corners` on one row: the raw box spans the minimum and
+    maximum keypoint coordinates; width and height are then scaled by
+    ``1 + enlarge`` (20% per axis by default, not per side).  The box score is
+    the pose detection score.  Boxes are not clipped to image bounds.  Raises
+    :class:`DegenerateGeometryError` (see :func:`box_error`) for fewer than
     two present keypoints, a zero-area span, or a corner beyond the float range.
     """
-    present = pose.present.tolist()
-    xs, ys = pose.xy.T.tolist()
-    xs = list(compress(xs, present))
-    ys = list(compress(ys, present))
-    if len(xs) < 2:
-        raise DegenerateGeometryError(
-            f"need at least 2 present keypoints to infer a box, got {len(xs)}"
-        )
-    x1, x2 = min(xs), max(xs)
-    y1, y2 = min(ys), max(ys)
-    if x1 == x2 or y1 == y2:
-        raise DegenerateGeometryError("present keypoints span a zero-area box")
-    half_w = 0.5 * (1.0 + enlarge) * (x2 - x1)
-    half_h = 0.5 * (1.0 + enlarge) * (y2 - y1)
-    cx = 0.5 * (x1 + x2)
-    cy = 0.5 * (y1 + y2)
-    corners = (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
-    if not all(map(math.isfinite, corners)):
-        raise DegenerateGeometryError(f"the inferred box overflows the float range: {corners}")
-    return BBox(*corners, score=pose.det_score)
+    corners, ok = infer_corners(pose.xy[None], pose.present[None], enlarge)
+    if not ok[0]:
+        raise box_error(pose.xy, pose.present, corners[0])
+    return BBox(*corners[0].tolist(), score=pose.det_score)
 
 
 def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
@@ -89,16 +76,23 @@ def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
     return Pose(pose.keypoints, pose.det_score, bbox_from_keypoints(pose, enlarge), pose.track_id)
 
 
+def with_corners(pose: Pose, corners: Sequence[float]) -> Pose:
+    """``pose`` itself when it has a box, else a copy boxed by ``corners``, as :func:`with_box` boxes it."""
+    if pose.bbox is not None:
+        return pose
+    return Pose(pose.keypoints, pose.det_score, BBox(*corners, score=pose.det_score), pose.track_id)
+
+
 def infer_corners(
     xy: np.ndarray, present: np.ndarray, enlarge: float = 0.20
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`bbox_from_keypoints`'s corners for ``m`` poses at once, with its arithmetic.
+    """The inferred box corners of ``m`` poses at once: the box-inference rule.
 
     ``xy`` is ``(m, 15, 2)`` and ``present`` ``(m, 15)``.  Returns ``(m, 4)``
     corner rows ``[x1, y1, x2, y2]`` and an ``(m,)`` mask of the rows that
-    are boxes: the rows :func:`bbox_from_keypoints` would raise for (fewer
-    than two present keypoints, a zero-area span, a corner beyond the float
-    range) are ``False`` and hold no box.
+    are boxes: a row with fewer than two present keypoints, a zero-area span,
+    or a corner beyond the float range is ``False``, and :func:`box_error`
+    says which.
     """
     mask = present[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,6 +102,43 @@ def infer_corners(
         center = 0.5 * (low + high)
         corners = np.concatenate((center - half, center + half), axis=1)
     ok = (present.sum(axis=1) >= 2) & (low < high).all(axis=1) & np.isfinite(corners).all(axis=1)
+    return corners, ok
+
+
+def box_error(
+    xy: np.ndarray, present: np.ndarray, corners: Sequence[float]
+) -> DegenerateGeometryError:
+    """Why :func:`infer_corners` gave the row ``xy`` / ``present`` / ``corners`` no box."""
+    count = int(present.sum())
+    if count < 2:
+        return DegenerateGeometryError(
+            f"need at least 2 present keypoints to infer a box, got {count}"
+        )
+    points = xy[present]
+    if (points.min(axis=0) == points.max(axis=0)).any():
+        return DegenerateGeometryError("present keypoints span a zero-area box")
+    return DegenerateGeometryError(
+        f"the inferred box overflows the float range: {tuple(map(float, corners))}"
+    )
+
+
+def box_corners(poses: Sequence[Pose], enlarge: float = 0.20) -> tuple[np.ndarray, np.ndarray]:
+    """Each pose's box as an ``(n, 4)`` corner array, and an ``(n,)`` mask of the poses that have one.
+
+    A pose's own box is taken as is; the boxes of all box-less poses are
+    inferred in one :func:`infer_corners` pass, and a row the mask marks
+    ``False`` holds that pass's corners for :func:`box_error`.
+    """
+    rows = [(math.nan,) * 4 if (b := p.bbox) is None else (b.x1, b.y1, b.x2, b.y2) for p in poses]
+    corners = np.array(rows).reshape(len(poses), 4)
+    ok = np.ones(len(poses), dtype=bool)
+    missing = [i for i, p in enumerate(poses) if p.bbox is None]
+    if missing:
+        corners[missing], ok[missing] = infer_corners(
+            np.array([poses[i].xy for i in missing]),
+            np.array([poses[i].present for i in missing]),
+            enlarge,
+        )
     return corners, ok
 
 

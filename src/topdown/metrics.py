@@ -122,12 +122,21 @@ class PckhThreshold:
             )
 
 
+def _head_sizes(x: np.ndarray, y: np.ndarray, t: PckhThreshold) -> np.ndarray:
+    """The ``math.hypot`` head-keypoint distance of each ``(m, 15)`` row, at least ``min_head_size``."""
+    with np.errstate(over="ignore"):  # an offset beyond the float range is inf, as in Python
+        dx = x[:, _TOP] - x[:, _BOTTOM]
+        dy = y[:, _TOP] - y[:, _BOTTOM]
+    sizes = map(math.hypot, dx.tolist(), dy.tolist())
+    return np.maximum(np.fromiter(sizes, float, len(x)), t.min_head_size)
+
+
 def head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
     """Distance between the head keypoints, clamped below by ``min_head_size``."""
     if not (pose.present[_TOP] and pose.present[_BOTTOM]):
         raise EvaluationError("pose is missing a head keypoint")
-    (tx, ty), (bx, by) = pose.xy[[_TOP, _BOTTOM]].tolist()
-    return max(math.hypot(tx - bx, ty - by), t.min_head_size)
+    xy = pose.xy[None]
+    return float(_head_sizes(xy[..., 0], xy[..., 1], t)[0])
 
 
 def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
@@ -168,9 +177,7 @@ def _radii(
     """Correctness radius of each pose of ``gts``, as :func:`reference_head_size` gives it."""
     radius = np.empty(len(gts))
     head = present[:, _TOP] & present[:, _BOTTOM]
-    sizes = map(math.hypot, (x[head, _TOP] - x[head, _BOTTOM]).tolist(),
-                (y[head, _TOP] - y[head, _BOTTOM]).tolist())
-    radius[head] = np.maximum(np.fromiter(sizes, float, int(head.sum())), t.min_head_size)
+    radius[head] = _head_sizes(x[head], y[head], t)
     # only the fallback can raise; it runs in pose order
     radius[~head] = [reference_head_size(gts[i], t) for i in np.flatnonzero(~head).tolist()]
     return t.factor * radius

@@ -27,8 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
-from typing import Iterable
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,15 +40,7 @@ from .ensemble import (
     route_codes,
     validate_expert_map,
 )
-from .geometry import (
-    DegenerateGeometryError,
-    PRResult,
-    detection_pr,
-    infer_corners,
-    nms_indices,
-    prune_candidates,
-    with_box,
-)
+from .geometry import PRResult, box_corners, detection_pr, nms_indices, with_corners
 from .metrics import (
     ApReport,
     MotReport,
@@ -195,44 +186,15 @@ class PipelineResult:
         return self._reports
 
 
-def _with_box(pose: Pose, enlarge: float) -> Pose | None:
-    """:func:`~topdown.geometry.with_box`, or ``None`` when no box can be inferred."""
-    try:
-        return with_box(pose, enlarge)
-    except DegenerateGeometryError:
-        return None
-
-
-def _corner_rows(poses: list[Pose], enlarge: float) -> list:
-    """Each pose's box corners ``[x1, y1, x2, y2]``; ``None`` where none can be inferred.
-
-    A pose's own box is taken as is; the boxes of all box-less poses are
-    inferred in one :func:`~topdown.geometry.infer_corners` pass.
-    """
-    rows: list = [None if (b := p.bbox) is None else (b.x1, b.y1, b.x2, b.y2) for p in poses]
-    missing = [i for i, row in enumerate(rows) if row is None]
-    if missing:
-        corners, ok = infer_corners(
-            np.array([poses[i].xy for i in missing]),
-            np.array([poses[i].present for i in missing]),
-            enlarge,
-        )
-        for i, row, boxed in zip(missing, corners.tolist(), ok.tolist()):
-            if boxed:
-                rows[i] = row
-    return rows
+def _corner_rows(poses: list[Pose], enlarge: float) -> tuple[list, list[bool]]:
+    """:func:`~topdown.geometry.box_corners` of ``poses`` as lists."""
+    corners, ok = box_corners(poses, enlarge)
+    return corners.tolist(), ok.tolist()
 
 
 def _box_score(pose: Pose) -> float:
     """The score of the pose's box: its own, or the detection score an inferred box gets."""
     return pose.det_score if pose.bbox is None else pose.bbox.score
-
-
-def _boxed(pose: Pose, corners: Iterable[float]) -> Pose:
-    """``pose`` with the box ``corners`` when it has none, as ``with_box`` gives it."""
-    if pose.bbox is not None:
-        return pose
-    return Pose(pose.keypoints, pose.det_score, BBox(*corners, score=pose.det_score), pose.track_id)
 
 
 def _detect_sequence(
@@ -251,7 +213,7 @@ def _detect_sequence(
     """
     poses = list(chain.from_iterable(f.poses for f in det.frames))
     scores = [p.det_score for p in poses]
-    boxes = _corner_rows(poses, config.bbox_enlarge)
+    boxes, boxed = _corner_rows(poses, config.bbox_enlarge)
     plan: list[tuple[Frame, int, list[int], list[int]]] = []  # frame, start, unboxed, kept
     mismatch = None
     start = 0
@@ -268,7 +230,7 @@ def _detect_sequence(
         for i in range(start, start + n):
             if scores[i] < config.candidate_drop_threshold:
                 continue
-            if boxes[i] is None:
+            if not boxed[i]:
                 unboxed.append(i - start)
             else:
                 candidates.append(i)
@@ -283,8 +245,8 @@ def _detect_sequence(
         # the frames planned hold as many second-model poses as first-model ones,
         # so one flat index selects a candidate on both sides
         poses_b = list(chain.from_iterable(f.poses for f in det_b.frames))
-        boxes_b = _corner_rows(poses_b, config.bbox_enlarge)
-        pairs = [s for _, _, _, kept in plan for s in kept if boxes_b[s] is not None]
+        boxes_b, boxed_b = _corner_rows(poses_b, config.bbox_enlarge)
+        pairs = [s for _, _, _, kept in plan for s in kept if boxed_b[s]]
         fused = fused_keypoints([poses[s] for s in pairs], [poses_b[s] for s in pairs], routes)
     frames = []
     for frame, start, unboxed, kept in plan:
@@ -292,7 +254,7 @@ def _detect_sequence(
             log.warning("frame %d: dropping pose %d with no inferable box", frame.index, i)
         out = []
         for s in kept:
-            if det_b is not None and boxes_b[s] is not None:
+            if det_b is not None and boxed_b[s]:
                 pose_a, pose_b = poses[s], poses_b[s]
                 out.append(
                     Pose(
@@ -308,7 +270,7 @@ def _detect_sequence(
                     frame.index,
                     s - start,
                 )
-            out.append(_boxed(poses[s], boxes[s]))
+            out.append(with_corners(poses[s], boxes[s]))
         frames.append(Frame(frame.index, frame.width, frame.height, tuple(out)))
     if mismatch is not None:
         raise mismatch
@@ -349,10 +311,38 @@ def run_pipeline(
     return PipelineResult(tuple(tracked), metrics.pair_table(tracked, gt_seqs, config.pckh))
 
 
-def _boxes(poses: Iterable[Pose], config: PipelineConfig) -> list[BBox]:
-    """The poses' boxes, inferred when absent; a pose with no inferable box has none."""
-    boxed = (_with_box(p, config.bbox_enlarge) for p in poses)
-    return [p.bbox for p in boxed if p is not None]
+def _frame_boxes(seq: Sequence, enlarge: float) -> list[list[tuple[float, BBox]]]:
+    """Each frame's ``(detection score, box)`` of every pose that has or gets a box."""
+    poses = list(chain.from_iterable(f.poses for f in seq.frames))
+    boxes, boxed = _corner_rows(poses, enlarge)
+    scored = iter([(p.det_score, with_corners(p, row).bbox) if ok else None
+                   for p, row, ok in zip(poses, boxes, boxed)])
+    return [[b for b in islice(scored, len(f.poses)) if b is not None] for f in seq.frames]
+
+
+def _detection_prs(
+    det_seqs: list[Sequence],
+    gt_seqs: list[Sequence],
+    thresholds: list[float],
+    config: PipelineConfig,
+) -> list[PRResult]:
+    """:func:`detection_pr_at` at each threshold, from one box inference per sequence."""
+    frames = []
+    for det, gt in pair_by_name(det_seqs, gt_seqs, "ground truth", PipelineContractError):
+        frames += zip(_frame_boxes(det, config.bbox_enlarge), _frame_boxes(gt, config.bbox_enlarge))
+
+    def at(threshold: float) -> PRResult:
+        prs = [
+            detection_pr(
+                [box for score, box in det_boxes if score >= threshold],
+                [box for _, box in gt_boxes],
+                config.detection_iou_threshold,
+            )
+            for det_boxes, gt_boxes in frames
+        ]
+        return PRResult(sum(r.tp for r in prs), sum(r.fp for r in prs), sum(r.fn for r in prs))
+
+    return [at(threshold) for threshold in thresholds]
 
 
 def detection_pr_at(
@@ -366,16 +356,7 @@ def detection_pr_at(
     Boxes come from the poses themselves (inferred from keypoints when
     absent); counts are summed over all frames of all aligned sequences.
     """
-    tp = fp = fn = 0
-    for det, gt in pair_by_name(det_seqs, gt_seqs, "ground truth", PipelineContractError):
-        for det_frame, gt_frame in zip(det.frames, gt.frames):
-            det_boxes = _boxes(prune_candidates(list(det_frame.poses), threshold), config)
-            gt_boxes = _boxes(gt_frame.poses, config)
-            result = detection_pr(det_boxes, gt_boxes, config.detection_iou_threshold)
-            tp += result.tp
-            fp += result.fp
-            fn += result.fn
-    return PRResult(tp=tp, fp=fp, fn=fn)
+    return _detection_prs(det_seqs, gt_seqs, [threshold], config)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -424,8 +405,7 @@ def sweep(
             raise ValueError(f"sweep values must be finite and within [0, 1], got {value!r}")
     rows = []
     if axis == "bbox_threshold":
-        for value in values:
-            pr = detection_pr_at(det_seqs, gt_seqs, value, config)
+        for value, pr in zip(values, _detection_prs(det_seqs, gt_seqs, values, config)):
             rows.append(
                 SweepRow(value=value, precision=100.0 * pr.precision, recall=100.0 * pr.recall)
             )

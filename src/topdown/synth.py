@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, Mapping
 
 import numpy as np
 
-from .geometry import bbox_from_keypoints
+from .geometry import box_error, infer_corners
 from .model import (
     GROUPS,
     JOINTS,
+    BBox,
     EvalGroup,
     Frame,
     Joint,
@@ -307,19 +308,27 @@ def _position(spec: SynthSpec, motion: _Motion, t: int) -> tuple[float, float]:
 _ALL_PRESENT = np.ones(len(JOINTS), dtype=bool)
 
 
-def _make_pose(
-    template: np.ndarray,
-    center: tuple[float, float],
-    scale: float,
-    offsets: np.ndarray,
-    confidences: np.ndarray,
-    det_score: float,
-    track_id: int | None,
-) -> Pose:
-    """The template (15, 2) placed at ``center``, plus ``offsets``, with its inferred box."""
-    xy = np.array(center) + template * scale + offsets
-    pose = Pose(Keypoints(xy, confidences, _ALL_PRESENT), det_score=det_score, track_id=track_id)
-    return replace(pose, bbox=bbox_from_keypoints(pose))
+# a pose as drawn: (the frame's pose list it goes to, xy, confidences, det_score, track_id)
+_Drawn = tuple[list[Pose], np.ndarray, np.ndarray, float, int | None]
+
+
+def _build(drawn: list[_Drawn]) -> None:
+    """Build each drawn pose with its inferred box and append it to its frame's poses.
+
+    The boxes of all poses are inferred in one pass; errors come in drawing
+    order, a pose's ``Keypoints`` error before its box error.
+    """
+    corners, ok = infer_corners(
+        np.array([d[1] for d in drawn]).reshape(len(drawn), len(JOINTS), 2),
+        np.ones((len(drawn), len(JOINTS)), dtype=bool),
+    )
+    for (poses, xy, confidences, det_score, track_id), row, boxed in zip(
+        drawn, corners.tolist(), ok.tolist()
+    ):
+        keypoints = Keypoints(xy, confidences, _ALL_PRESENT)
+        if not boxed:
+            raise box_error(xy, _ALL_PRESENT, row)
+        poses.append(Pose(keypoints, det_score, BBox(*row, score=det_score), track_id))
 
 
 def _occluded(spec: SynthSpec, person: int, frame: int) -> bool:
@@ -339,8 +348,9 @@ def generate(spec: SynthSpec) -> SynthOutput:
     )
     zero_offsets = np.zeros((len(JOINTS), 2))
     ones = np.ones(len(JOINTS))
-    gt_frames: list[Frame] = []
-    det_frames: list[Frame] = []
+    gt_frames: list[list[Pose]] = []
+    det_frames: list[list[Pose]] = []
+    drawn: list[_Drawn] = []
     provenance: list[tuple[int | Literal["fp"], ...]] = []
     margin_x = 0.30 * spec.scale
     margin_y = 0.55 * spec.scale
@@ -354,24 +364,13 @@ def generate(spec: SynthSpec) -> SynthOutput:
                 continue
             center = _position(spec, motions[person], f)
             live_centers.append(center)
-            gt_poses.append(
-                _make_pose(template, center, spec.scale, zero_offsets, ones, 1.0, person)
-            )
+            placed = np.array(center) + template * spec.scale
+            drawn.append((gt_poses, placed + zero_offsets, ones, 1.0, person))
             if rng.uniform() < spec.p_miss:
                 continue
             offsets = rng.normal(0.0, spec.jitter, size=(len(JOINTS), 2))
             confidences = np.clip(rng.normal(conf_means, conf_spreads), 0.0, 1.0)
-            det_poses.append(
-                _make_pose(
-                    template,
-                    center,
-                    spec.scale,
-                    offsets,
-                    confidences,
-                    float(np.mean(confidences)),
-                    None,
-                )
-            )
+            drawn.append((det_poses, placed + offsets, confidences, float(np.mean(confidences)), None))
             sources.append(person)
         for _ in range(int(rng.poisson(spec.fp_rate))):
             clearance = spec.fp_clearance * spec.scale
@@ -398,28 +397,17 @@ def generate(spec: SynthSpec) -> SynthOutput:
                 0.0,
                 1.0,
             )
-            det_poses.append(
-                _make_pose(
-                    template,
-                    center,
-                    spec.scale,
-                    offsets,
-                    confidences,
-                    float(np.mean(confidences)),
-                    None,
-                )
-            )
+            xy = np.array(center) + template * spec.scale + offsets
+            drawn.append((det_poses, xy, confidences, float(np.mean(confidences)), None))
             sources.append("fp")
-        gt_frames.append(
-            Frame(index=f, width=spec.width, height=spec.height, poses=tuple(gt_poses))
-        )
-        det_frames.append(
-            Frame(index=f, width=spec.width, height=spec.height, poses=tuple(det_poses))
-        )
+        gt_frames.append(gt_poses)
+        det_frames.append(det_poses)
         provenance.append(tuple(sources))
+    _build(drawn)
+    size = (spec.width, spec.height)
     return SynthOutput(
-        gt=Sequence(name=spec.name, frames=tuple(gt_frames)),
-        det=Sequence(name=spec.name, frames=tuple(det_frames)),
+        gt=Sequence(spec.name, tuple(Frame(f, *size, tuple(p)) for f, p in enumerate(gt_frames))),
+        det=Sequence(spec.name, tuple(Frame(f, *size, tuple(p)) for f, p in enumerate(det_frames))),
         provenance=tuple(provenance),
     )
 

@@ -3,23 +3,24 @@
 Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
-Each frame is scored as one array operation: a pose already holds its joint
-positions and presence flags as arrays, :func:`pose_arrays` stacks them with
-the box corners, a track keeps its latest pose and that pose's corners, and
-:func:`similarity_matrix` broadcasts the whole tracks x poses matrix in one
-call.  Keypoint pruning is one presence mask per pose.
+Each frame is scored as one array operation: a sequence's joint positions,
+presence flags and box corners are stacked once (:func:`pose_arrays`, the
+boxes of box-less poses inferred in one pass), a track keeps the row of its
+latest pose, and :func:`similarity_matrix` broadcasts the whole tracks x
+poses matrix in one call.  Keypoint pruning is one presence mask per pose.
 Unmatched ids survive a configurable retention window and are then discarded;
 ids are never reused within a sequence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import iou_matrix, with_box
+from .geometry import box_corners, box_error, iou_matrix
 from .model import (
     GROUPS,
     JOINTS,
@@ -86,17 +87,20 @@ class PoseArrays(NamedTuple):
     present: np.ndarray
     box: np.ndarray
 
+    def take(self, rows) -> "PoseArrays":
+        """The poses at ``rows`` (an index list or a slice)."""
+        return PoseArrays(self.xy[rows], self.present[rows], self.box[rows])
+
 
 @dataclass(slots=True)
 class _Track:
-    pose: Pose
     last_frame: int
-    box: tuple[float, ...] | None = None  # the pose's box corners, set when first scored
+    row: int  # the row of the track's latest pose in the sequence's PoseArrays
 
 
 @dataclass(slots=True)
 class TrackerState:
-    """Live id table: monotone id counter plus last pose/frame per active id."""
+    """Live id table: monotone id counter plus last frame and pose row per active id."""
 
     next_id: int = 0
     active: dict[int, _Track] = field(default_factory=dict)
@@ -177,9 +181,23 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     return RetentionTable(per_group=per_group, total=total)
 
 
-def _corners(pose: Pose) -> tuple[float, float, float, float]:
-    box = with_box(pose).bbox
-    return (box.x1, box.y1, box.x2, box.y2)
+def _stacked(poses: list[Pose]) -> tuple[PoseArrays, list[bool]]:
+    """:class:`PoseArrays` of ``poses``, and which of them have or get a box."""
+    n = len(poses)
+    box, ok = box_corners(poses)
+    arrays = PoseArrays(
+        np.array([p.xy for p in poses]).reshape(n, len(JOINTS), 2),
+        np.array([p.present for p in poses], dtype=bool).reshape(n, len(JOINTS)),
+        box,
+    )
+    return arrays, ok.tolist()
+
+
+def _require_boxes(arrays: PoseArrays, ok: list[bool], rows: Iterable[int]) -> None:
+    """Raise the box-inference error of the first of ``rows`` that has no box."""
+    for i in rows:
+        if not ok[i]:
+            raise box_error(arrays.xy[i], arrays.present[i], arrays.box[i])
 
 
 def pose_arrays(poses: Iterable[Pose]) -> PoseArrays:
@@ -189,16 +207,9 @@ def pose_arrays(poses: Iterable[Pose]) -> PoseArrays:
     no box and no inferable one.
     """
     poses = list(poses)
-    return _stacked(poses, [_corners(p) for p in poses])
-
-
-def _stacked(poses: list[Pose], boxes: list[tuple[float, ...]]) -> PoseArrays:
-    n = len(poses)
-    return PoseArrays(
-        np.array([p.xy for p in poses]).reshape(n, len(JOINTS), 2),
-        np.array([p.present for p in poses], dtype=bool).reshape(n, len(JOINTS)),
-        np.array(boxes, dtype=float).reshape(n, 4),
-    )
+    arrays, ok = _stacked(poses)
+    _require_boxes(arrays, ok, range(len(poses)))
+    return arrays
 
 
 def _kappa_vector(config: TrackerConfig) -> np.ndarray:
@@ -293,27 +304,28 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     frames (by frame index) are discarded first.
     """
     kappa = _kappa_vector(config)
+    poses = [p for f in seq.frames for p in f.poses]
+    arrays, ok = _stacked(poses)
     state = TrackerState()
     frames_out = []
+    start = 0
     for frame in seq.frames:
         for pose in frame.poses:
             if pose.track_id is not None:
                 raise TrackingError(
                     f"frame {frame.index}: pose already carries track_id {pose.track_id}"
                 )
+        stop = start + len(frame.poses)
         state.expire(frame.index, config.retention_window)
         track_ids = list(state.active)
         assigned: dict[int, int] = {}
-        candidates = None
         if track_ids and frame.poses:
-            tracks = [state.active[tid] for tid in track_ids]
-            for track in tracks:
-                if track.box is None:
-                    track.box = _corners(track.pose)
-            candidates = pose_arrays(frame.poses)
+            rows = [state.active[tid].row for tid in track_ids]
+            # a pose's box is needed, and its error raised, only once it is scored
+            _require_boxes(arrays, ok, chain(rows, range(start, stop)))
             similarity = similarity_matrix(
-                _stacked([t.pose for t in tracks], [t.box for t in tracks]),
-                candidates,
+                arrays.take(rows),
+                arrays.take(slice(start, stop)),
                 kappa,
                 config.w_iou,
                 config.w_pose,
@@ -321,15 +333,13 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
             for row, col in solve_assignment(1.0 - similarity, config.method):
                 if similarity[row, col] >= config.similarity_min:
                     assigned[col] = track_ids[row]
-        boxes = candidates.box.tolist() if candidates is not None else None
         new_poses = []
         for idx, pose in enumerate(frame.poses):
             tid = assigned.get(idx)
             if tid is None:
                 tid = state.fresh_id()
-            tracked = Pose(pose.keypoints, pose.det_score, pose.bbox, tid)
-            box = boxes[idx] if boxes is not None else None
-            state.active[tid] = _Track(pose=tracked, last_frame=frame.index, box=box)
-            new_poses.append(tracked)
+            state.active[tid] = _Track(last_frame=frame.index, row=start + idx)
+            new_poses.append(Pose(pose.keypoints, pose.det_score, pose.bbox, tid))
         frames_out.append(replace(frame, poses=tuple(new_poses)))
+        start = stop
     return replace(seq, frames=tuple(frames_out))

@@ -1,8 +1,8 @@
 """The document-level detection stage equals the frame-by-frame reference it replaced.
 
 ``_reference_detect_frame`` is the per-frame stage as it was written with the
-per-pose helpers (``with_box``, a scalar-IoU greedy NMS over poses, ``fuse_average``
-and ``fuse_expert``);
+per-pose helpers (the scalar ``with_box``, ``fuse_average`` and ``fuse_expert``
+of ``oracles.py``, and a scalar-IoU greedy NMS over poses);
 the property runs it frame by frame and checks that
 ``pipeline._detect_sequence`` gives the same poses, bit for bit, in the same
 order, with the same warnings, or raises the same error.
@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from topdown import pipeline
-from topdown.ensemble import Route, fuse_average, fuse_expert, route_codes
-from topdown.geometry import DegenerateGeometryError, iou, with_box
+from oracles import fuse_average, fuse_expert, with_box
+from topdown.ensemble import Route, route_codes
+from topdown.geometry import DegenerateGeometryError, iou
 from topdown.model import JOINTS, BBox, Frame, Keypoints, Pose, Sequence
 from topdown.pipeline import PipelineConfig, PipelineContractError
 

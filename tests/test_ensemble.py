@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import points_pose, template_pose
-from topdown.ensemble import Route, default_expert_map, fuse_average, fuse_expert
+from topdown.ensemble import (
+    Route,
+    default_expert_map,
+    fuse_average,
+    fuse_expert,
+    route_codes,
+    validate_expert_map,
+)
 from topdown.model import GROUPS, JOINTS, EvalGroup, Joint, Keypoint, Pose, joint_group
 
 
@@ -103,6 +110,22 @@ def test_fuse_expert_requires_total_map():
     partial = {Joint.NOSE: Route.A}
     with pytest.raises(ValueError):
         fuse_expert(a, a, partial)
+
+
+@pytest.mark.parametrize("route", ["a", None, 0])
+def test_expert_map_value_that_is_not_a_route_is_rejected_naming_the_joint(route):
+    route_map = default_expert_map()
+    route_map[Joint.LEFT_WRIST] = route
+    pose = template_pose((100, 100))
+    message = f"expert map routes joint 'left_wrist' to {route!r}, not a Route"
+    for call in (
+        lambda: validate_expert_map(route_map),
+        lambda: fuse_expert(pose, pose, route_map),
+        lambda: route_codes("expert", route_map),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_default_map_routes_by_group():

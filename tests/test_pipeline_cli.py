@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import with_box
 from conftest import template_pose
 from topdown import cli, metrics, pipeline, synth
 from topdown.ensemble import fuse_average, fuse_expert, route_codes
@@ -132,7 +133,7 @@ def test_detect_frame_fuses_each_kept_pose_with_its_own_second_model_pose(mode):
         Sequence("s", (frame,)), Sequence("s", (b_frame,)), config, routes
     ).frames[0].poses
     kept = (3, 1, 2)  # visit order, not input order
-    boxed_b = [pipeline._with_box(p, config.bbox_enlarge) for p in b]
+    boxed_b = [with_box(p, config.bbox_enlarge) for p in b]
     if mode == "average":
         expected = [fuse_average(a[i], boxed_b[i]) for i in kept]
     else:
@@ -345,6 +346,25 @@ def test_write_atomic_failure_keeps_target_and_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_outputs_get_the_umask_without_the_umask_being_changed(tmp_path, monkeypatch):
+    det, gt = _write_noiseless(tmp_path)
+    out_dir = tmp_path / "out"
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            def refuse(mask):
+                raise AssertionError(f"os.umask({mask:#o}) called")
+
+            patch.setattr(os, "umask", refuse)
+            code = cli.main(["run", "--det", str(det), "--gt", str(gt), "--out", str(out_dir)])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    outputs = sorted(out_dir.iterdir())
+    assert len(outputs) == 5
+    assert {stat.S_IMODE(p.stat().st_mode) for p in outputs} == {0o640}
+
+
 def test_cli_missing_input_exits_2_with_path(tmp_path, capsys):
     code = cli.main(
         ["run", "--det", str(tmp_path / "absent.json"), "--gt", str(tmp_path / "gt.json"),
@@ -353,6 +373,33 @@ def test_cli_missing_input_exits_2_with_path(tmp_path, capsys):
     assert code == 2
     assert "absent.json" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["run --det", "run --gt directory", "run --config", "eval", "synth", "decode"]
+)
+def test_cli_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    det, gt = _write_noiseless(tmp_path)
+    bad = tmp_path / "latin1" / "doc.json"
+    bad.parent.mkdir()
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    argv = {
+        "run --det": ["run", "--det", str(bad), "--gt", str(gt), "--out", str(out)],
+        "run --gt directory": ["run", "--det", str(det), "--gt", str(bad.parent), "--out", str(out)],
+        "run --config": [
+            "run", "--config", str(bad), "--det", str(det), "--gt", str(gt), "--out", str(out)
+        ],
+        "eval": ["eval", "--preds", str(bad), "--gt", str(gt), "--mode", "ap", "--out", str(out)],
+        "synth": ["synth", "--spec", str(bad), "--out", str(out)],
+        "decode": ["decode", "--maps", str(bad), "--out", str(out / "keypoints.json")],
+    }[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"input error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_parse_error_exits_2(tmp_path):

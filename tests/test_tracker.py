@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import points_pose, template_pose
 from topdown import synth, tracker
 from topdown.geometry import DegenerateGeometryError, bbox_from_keypoints, iou
@@ -487,3 +488,21 @@ def test_similarity_matrix_called_once_per_scored_frame(monkeypatch):
     track_sequence(_sequence_of(frames), TrackerConfig(retention_window=2))
     # frame 0: no tracks yet; 2-4: no poses; 5: both tracks expired (gap 4 > 2)
     assert shapes == [(2, 2), (2, 1), (2, 2)]
+
+
+def test_a_pose_without_an_inferable_box_raises_once_it_is_scored():
+    """Its error is the scalar rule's; a frame that scores nothing needs no box."""
+    lone = points_pose({Joint.NOSE: (10.0, 10.0)})  # one present keypoint, no box
+    flat = points_pose({Joint.NOSE: (10.0, 10.0), Joint.HEAD_TOP: (30.0, 10.0)})  # zero height
+    person = template_pose((200, 200))
+    for unboxable in (lone, flat):
+        with pytest.raises(DegenerateGeometryError) as expected:
+            oracles.bbox_from_keypoints(unboxable)
+        # first frame, or no live track: nothing is scored
+        tracked = track_sequence(_sequence_of([[unboxable, person], [], [], []]))
+        assert [p.track_id for p in tracked.frames[0].poses] == [0, 1]
+        # as a pose of a scored frame, and as the track of a frame scored later
+        for frames in ([[person], [person, unboxable]], [[unboxable, person], [person]]):
+            with pytest.raises(DegenerateGeometryError) as got:
+                track_sequence(_sequence_of(frames))
+            assert str(got.value) == str(expected.value)
