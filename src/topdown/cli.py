@@ -17,7 +17,6 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 
 from . import heatmaps, metrics, pipeline, synth
@@ -72,6 +71,20 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _check_out(out: str, directory: bool) -> None:
+    """Refuse ``--out`` (a usage error) when something other than its kind of output is in place.
+
+    An existing ``--out`` must be a directory when ``directory``, else not
+    one; its nearest existing parent must be a directory.
+    """
+    path = Path(out)
+    if path.exists() and path.is_dir() != directory:
+        raise _UsageError(f"--out: {out} is {'not ' if directory else ''}a directory")
+    parent = next((p for p in path.parents if p.exists()), Path("."))
+    if not parent.is_dir():
+        raise _UsageError(f"--out: {parent} is not a directory")
+
+
 def _read_text(path: str | Path) -> str:
     p = Path(path)
     if not p.exists():
@@ -80,6 +93,8 @@ def _read_text(path: str | Path) -> str:
         return p.read_text()
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+    except OSError as exc:  # a directory, an unreadable file
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_sequences(path: str) -> list[Sequence]:
@@ -242,6 +257,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    if args.radius is not None:
+        try:
+            heatmaps.require_radius(args.radius)
+        except ValueError as exc:
+            raise _UsageError(f"--radius: {exc}") from exc
     try:
         stack = heatmaps.load_stack_json(_read_text(args.maps))
     except ValueError as exc:
@@ -283,7 +303,7 @@ def _cmd_bbox_infer(args) -> int:
 
 def _boxed(seq: Sequence, enlarge: float) -> Sequence:
     """``seq`` with a box inferred for each box-less pose; an error names the pose it cannot box."""
-    poses = [p for f in seq.frames for p in f.poses]
+    poses = seq.all_poses()
     corners, ok = box_corners(poses, enlarge)
     if not ok.all():
         s = ok.tolist().index(False)
@@ -292,10 +312,7 @@ def _boxed(seq: Sequence, enlarge: float) -> Sequence:
         raise DegenerateGeometryError(
             f"sequence {seq.name!r}, frame {frame.index}, pose {j}: {exc}"
         ) from exc
-    boxed = map(with_corners, poses, corners.tolist())
-    return replace(
-        seq, frames=tuple(replace(f, poses=tuple(islice(boxed, len(f.poses)))) for f in seq.frames)
-    )
+    return seq.with_poses(map(with_corners, poses, corners.tolist()))
 
 
 def _cmd_ensemble(args) -> int:
@@ -311,20 +328,14 @@ def _cmd_ensemble(args) -> int:
         # so errors come in the order of a frame-by-frame walk
         counts = [(len(fa.poses), len(fb.poses)) for fa, fb in zip(a.frames, b.frames)]
         aligned = next((k for k, (na, nb) in enumerate(counts) if na != nb), len(counts))
-        fused = iter(
-            fuse_all(
-                [p for f in a.frames[:aligned] for p in f.poses],
-                [p for f in b.frames[:aligned] for p in f.poses],
-                routes,
-            )
-        )
-        frames = [replace(f, poses=tuple(islice(fused, len(f.poses)))) for f in a.frames[:aligned]]
+        n = sum(na for na, _ in counts[:aligned])
+        fused = fuse_all(a.all_poses()[:n], b.all_poses()[:n], routes)
         if aligned < len(counts):
             raise PipelineContractError(
                 f"frame {a.frames[aligned].index}: pose counts differ "
                 f"({counts[aligned][0]} vs {counts[aligned][1]})"
             )
-        fused_seqs.append(replace(a, frames=tuple(frames)))
+        fused_seqs.append(a.with_poses(fused))
     _emit_sequences(fused_seqs, args.out, "fused_", "fused sequences")
     return 0
 
@@ -404,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None):  # checked before any input is read
+            _check_out(args.out, directory=args.command != "decode")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import JOINTS, BBox, EvalGroup, Joint, Keypoints, Pose, joint_group
+from .model import JOINTS, BBox, EvalGroup, Joint, Keypoints, Pose, joint_group, keypoint_arrays
 
 
 class Route(enum.Enum):
@@ -100,14 +100,6 @@ def route_codes(mode: str, route_map: ExpertMap) -> np.ndarray:
     raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def _stacked(poses: Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.array([p.xy for p in poses]),
-        np.array([p.confidence for p in poses]),
-        np.array([p.present for p in poses]),
-    )
-
-
 def fused_keypoints(
     a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray
 ) -> Iterator[Keypoints]:
@@ -121,9 +113,7 @@ def fused_keypoints(
     are checked as they are yielded: a row holding a mean beyond the float
     range raises the ``Keypoints`` constructor's error, naming the slot.
     """
-    if not a:
-        return
-    (axy, ac, ap), (bxy, bc, bp) = _stacked(a), _stacked(b)
+    (axy, ac, ap), (bxy, bc, bp) = keypoint_arrays(a), keypoint_arrays(b)
     avg = (routes == _CODE[Route.AVG]) & (ap == bp)
     take_a = np.where(routes == _CODE[Route.A], ap | ~bp, ap & ~bp)
     with np.errstate(over="ignore"):

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BBox, Pose
+from .model import BBox, Pose, keypoint_arrays
 
 __all__ = [
     "BBox",
@@ -134,11 +134,8 @@ def box_corners(poses: Sequence[Pose], enlarge: float = 0.20) -> tuple[np.ndarra
     ok = np.ones(len(poses), dtype=bool)
     missing = [i for i, p in enumerate(poses) if p.bbox is None]
     if missing:
-        corners[missing], ok[missing] = infer_corners(
-            np.array([poses[i].xy for i in missing]),
-            np.array([poses[i].present for i in missing]),
-            enlarge,
-        )
+        xy, _, present = keypoint_arrays([poses[i] for i in missing])
+        corners[missing], ok[missing] = infer_corners(xy, present, enlarge)
     return corners, ok
 
 

@@ -41,6 +41,8 @@ class Heatmap:
             raise ValueError("grid scores must lie in [0, 1]")
         if self.stride <= 0.0:
             raise ValueError(f"stride must be positive, got {self.stride!r}")
+        if not math.isfinite(self.stride):
+            raise ValueError(f"stride must be finite, got {self.stride!r}")
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -63,6 +65,8 @@ class HeatmapStack:
         strides = {hm.stride for hm in self.maps}
         if len(shapes) > 1 or len(strides) > 1:
             raise ValueError("maps must share shape and stride")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin!r}")
 
     def map_for(self, joint: Joint) -> Heatmap:
         return self.maps[joint.index]
@@ -144,6 +148,12 @@ def local_peaks(grid: np.ndarray, cap: int = 5) -> list[tuple[int, int, float]]:
     return [(int(rows[i]), int(cols[i]), float(scores[i])) for i in order]
 
 
+def require_radius(radius: float) -> None:
+    """Raise ``ValueError`` unless ``radius`` is a suppression radius: ``>= 0``, so not NaN."""
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be non-negative, got {radius!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class StackDecodeResult:
     """Decoded keypoints (one per joint) and the joints that needed the fallback."""
@@ -163,8 +173,7 @@ def decode_stack(
     tries its next local maximum and, with all candidates rejected, falls back
     to its plain argmax decode.
     """
-    if radius < 0.0:
-        raise ValueError(f"radius must be non-negative, got {radius!r}")
+    require_radius(radius)
     candidates: dict[Joint, list[Keypoint]] = {}
     for hm in stack.maps:
         peaks = local_peaks(hm.grid, cap=max_peaks)

@@ -15,10 +15,11 @@ be recomputed from its parts.
 Every score is read from one :class:`PairTable`, built once per call by
 :func:`pair_table` over all aligned sequences (ordered by name):
 
-- flat ``(n, 15)`` arrays of confidence and presence for every predicted
-  pose, and of presence for every ground-truth pose, with the frame and
-  track id of each pose;
-- the correctness radius of each ground-truth pose;
+- the :func:`~topdown.model.keypoint_arrays` of every predicted and every
+  ground-truth pose, numbered frame by frame, whose confidence and presence
+  the table keeps, with the frame and track id of each pose;
+- the correctness radius of each ground-truth pose, the boxes of head-less
+  ones inferred in one pass;
 - every same-frame (prediction, ground truth) pair as flat index arrays,
   with one ``(pairs, 15)`` array telling which joints lie within the radius
   and one holding the MOTP term ``1 - d / r`` of those joints.
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import DegenerateGeometryError, with_box
+from .geometry import box_corners, box_error
 from .model import (
     GROUPS,
     JOINTS,
@@ -70,6 +71,7 @@ from .model import (
     Pose,
     Sequence,
     joint_group,
+    keypoint_arrays,
     pair_by_name,
     require_real,
 )
@@ -140,47 +142,38 @@ def head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
 
 
 def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
-    """Head size with the documented fallback chain.
+    """Head size with the documented fallback chain: :func:`_reference_head_sizes` on one pose.
 
     Order: head keypoints, then ``bbox_diag_fraction`` of the box diagonal
     (inferring the box from keypoints when absent).
     """
-    try:
-        return head_size(pose, t)
-    except EvaluationError:
-        pass
-    try:
-        box = with_box(pose).bbox
-    except DegenerateGeometryError as exc:
+    return float(_reference_head_sizes([pose], pose.xy[None], pose.present[None], t)[0])
+
+
+def _reference_head_sizes(
+    poses: list[Pose], xy: np.ndarray, present: np.ndarray, t: PckhThreshold
+) -> np.ndarray:
+    """Reference head size of each of ``poses``; ``xy`` / ``present`` are their keypoint arrays.
+
+    Head keypoints give :func:`_head_sizes`; any other pose gets
+    ``bbox_diag_fraction`` of its box's ``math.hypot`` diagonal (the boxes
+    of all such poses from one :func:`box_corners` pass), at least
+    ``min_head_size``.  The first of them with no inferable box raises.
+    """
+    sizes = np.empty(len(poses))
+    head = present[:, _TOP] & present[:, _BOTTOM]
+    sizes[head] = _head_sizes(xy[head, :, 0], xy[head, :, 1], t)
+    rest = np.flatnonzero(~head).tolist()
+    corners, ok = box_corners([poses[i] for i in rest])
+    if not ok.all():
+        k = ok.tolist().index(False)
         raise EvaluationError(
             "cannot derive a head size: no head keypoints and no inferable box"
-        ) from exc
-    diag = math.hypot(box.width, box.height)
-    return max(t.bbox_diag_fraction * diag, t.min_head_size)
-
-
-def _keypoint_arrays(poses: list[Pose]) -> tuple[np.ndarray, ...]:
-    """``(n, 15)`` arrays of x, y, confidence and presence of ``poses``."""
-    n = len(poses)
-    xy = np.array([p.xy for p in poses]).reshape(n, _N, 2)
-    return (
-        xy[..., 0],
-        xy[..., 1],
-        np.array([p.confidence for p in poses]).reshape(n, _N),
-        np.array([p.present for p in poses], dtype=bool).reshape(n, _N),
-    )
-
-
-def _radii(
-    gts: list[Pose], x: np.ndarray, y: np.ndarray, present: np.ndarray, t: PckhThreshold
-) -> np.ndarray:
-    """Correctness radius of each pose of ``gts``, as :func:`reference_head_size` gives it."""
-    radius = np.empty(len(gts))
-    head = present[:, _TOP] & present[:, _BOTTOM]
-    radius[head] = _head_sizes(x[head], y[head], t)
-    # only the fallback can raise; it runs in pose order
-    radius[~head] = [reference_head_size(gts[i], t) for i in np.flatnonzero(~head).tolist()]
-    return t.factor * radius
+        ) from box_error(xy[rest[k]], present[rest[k]], corners[k])
+    width, height = (corners[:, 2:] - corners[:, :2]).T.tolist()
+    diagonals = np.fromiter(map(math.hypot, width, height), float, len(rest))
+    sizes[rest] = np.maximum(t.bbox_diag_fraction * diagonals, t.min_head_size)
+    return sizes
 
 
 def _align(
@@ -264,8 +257,8 @@ def _table(
     n_gt = np.array([len(poses) for _, poses, _ in frames], dtype=np.intp)
     pred_lo = np.cumsum(n_pred) - n_pred
     gt_lo = np.cumsum(n_gt) - n_gt
-    px, py, confidence, pred_present = _keypoint_arrays(preds)
-    gx, gy, _, gt_present = _keypoint_arrays(gts)
+    pred_xy, confidence, pred_present = keypoint_arrays(preds)
+    gt_xy, _, gt_present = keypoint_arrays(gts)
 
     scored = np.flatnonzero((n_pred > 0) & (n_gt > 0))
     sizes = n_pred[scored] * n_gt[scored]
@@ -278,13 +271,13 @@ def _table(
     # radii only for ground truth in frames with a prediction
     needed = np.flatnonzero(np.repeat(n_pred > 0, n_gt))
     radius = np.zeros(len(gts))
-    radius[needed] = _radii(
-        [gts[i] for i in needed.tolist()], gx[needed], gy[needed], gt_present[needed], t
+    radius[needed] = t.factor * _reference_head_sizes(
+        [gts[i] for i in needed.tolist()], gt_xy[needed], gt_present[needed], t
     )
 
     r = np.broadcast_to(radius[pair_gt][:, None], (len(pair_gt), _N))
-    dx = px[pair_pred] - gx[pair_gt]
-    dy = py[pair_pred] - gy[pair_gt]
+    d = pred_xy[pair_pred] - gt_xy[pair_gt]
+    dx, dy = d[..., 0], d[..., 1]
     near = gt_present[pair_gt] & (np.hypot(dx, dy) <= r + r * _SLACK + 1e-300)
     distance = np.fromiter(
         map(math.hypot, dx[near].tolist(), dy[near].tolist()), float, int(near.sum())

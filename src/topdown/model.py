@@ -32,7 +32,10 @@ In memory a pose's keypoints are a :class:`Keypoints`: read-only arrays of
 positions, confidences and presence flags, indexed by joint slot, which read
 as :class:`Keypoint` values built on access.  The types check the values
 they hold as the loader checks a document, so whatever they accept saves to
-a document that loads back equal.
+a document that loads back equal.  The pose layout lives here too: a
+sequence's poses laid flat frame by frame (:meth:`Sequence.all_poses`),
+regrouped into its frames (:meth:`Sequence.with_poses`) and stacked
+(:func:`keypoint_arrays`).
 
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
@@ -69,7 +72,7 @@ import re
 from collections import Counter, abc
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 import orjson
@@ -481,16 +484,32 @@ class Sequence:
             for pose in frame.poses:
                 yield frame, pose
 
+    def all_poses(self) -> list[Pose]:
+        """Every pose of the sequence, frame by frame: the flat pose order of a document."""
+        return [pose for frame in self.frames for pose in frame.poses]
+
+    def with_poses(self, poses: Iterable[Pose]) -> "Sequence":
+        """The same frames, each holding the next ``len(frame.poses)`` of ``poses``."""
+        flat = iter(poses)
+        frames = tuple(replace(f, poses=tuple(islice(flat, len(f.poses)))) for f in self.frames)
+        return replace(self, frames=frames)
+
+
+def keypoint_arrays(poses: abc.Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, 15, 2)`` float ``xy``, ``(n, 15)`` float ``confidence`` and ``(n, 15)`` bool
+    ``present`` of ``poses``, with these shapes also at ``n = 0``."""
+    n = len(poses)
+    keypoints = [p.keypoints for p in poses]
+    return (
+        np.array([k.xy for k in keypoints], dtype=float).reshape(n, _N, 2),
+        np.array([k.confidence for k in keypoints], dtype=float).reshape(n, _N),
+        np.array([k.present for k in keypoints], dtype=bool).reshape(n, _N),
+    )
+
 
 def strip_track_ids(seq: Sequence) -> Sequence:
     """Copy of ``seq`` with every pose's track id cleared."""
-    return replace(
-        seq,
-        frames=tuple(
-            replace(f, poses=tuple(replace(p, track_id=None) for p in f.poses))
-            for f in seq.frames
-        ),
-    )
+    return seq.with_poses(replace(p, track_id=None) for p in seq.all_poses())
 
 
 def pair_by_name(
@@ -887,20 +906,20 @@ def sequence_to_dict(seq: Sequence) -> dict:
     Keypoint values come from each pose's arrays as Python floats and bools;
     every other value is the one the types hold.
     """
-    poses = [p for f in seq.frames for p in f.poses]
-    keypoints: list[dict] = []
-    if poses:
-        xs, ys = np.concatenate([p.xy for p in poses]).T.tolist()
-        keypoints = [
-            {"joint": joint, "x": x, "y": y, "confidence": c, "present": flag}
-            for joint, x, y, c, flag in zip(
-                JOINT_NAMES * len(poses),
-                xs,
-                ys,
-                np.concatenate([p.confidence for p in poses]).tolist(),
-                np.concatenate([p.present for p in poses]).tolist(),
-            )
-        ]
+    poses = seq.all_poses()
+    return _document(seq, poses, keypoint_arrays(poses))
+
+
+def _document(seq: Sequence, poses: list[Pose], arrays: tuple[np.ndarray, ...]) -> dict:
+    """:func:`sequence_to_dict` of ``seq``, given its poses and their :func:`keypoint_arrays`."""
+    xy, confidence, present = arrays
+    xs, ys = xy.reshape(-1, 2).T.tolist()
+    keypoints = [
+        {"joint": joint, "x": x, "y": y, "confidence": c, "present": flag}
+        for joint, x, y, c, flag in zip(
+            JOINT_NAMES * len(poses), xs, ys, confidence.ravel().tolist(), present.ravel().tolist()
+        )
+    ]
     rows = iter([
         {
             "det_score": p.det_score,
@@ -942,26 +961,23 @@ def _misspelled(values: np.ndarray) -> np.ndarray:
     return ((magnitude < 1e-4) | (magnitude >= 1e16)) & (magnitude != 0.0)
 
 
-def _put_holes(seq: Sequence, doc: dict) -> list[str]:
-    """Put a hole in ``doc`` (``sequence_to_dict(seq)``) for each float orjson spells otherwise.
+def _put_holes(poses: list[Pose], arrays: tuple[np.ndarray, ...], doc: dict) -> list[str]:
+    """Put a hole in ``doc`` (the document of ``poses``, whose :func:`keypoint_arrays` are
+    ``arrays``) for each float orjson spells otherwise.
 
     Returns the ``json`` spelling of each hole's float, indexed by the hole's
     number.  The columns are checked at once, and the rows of ``doc`` are
     only walked when some value needs a hole.
     """
-    poses = [p for f in seq.frames for p in f.poses]
-    if not poses:
-        return []
     boxes = {k: p.bbox for k, p in enumerate(poses) if p.bbox is not None}
     scalars = [p.det_score for p in poses]  # a det_score held as an int is 0 or 1: no hole
     for b in boxes.values():
         scalars += (b.x1, b.y1, b.x2, b.y2)
+    positions, confidences, _ = arrays
     # the columns end to end: x and y, confidence, det_score, box corners
-    mask = _misspelled(np.concatenate((
-        np.concatenate([p.xy for p in poses]).ravel(),
-        np.concatenate([p.confidence for p in poses]),
-        np.array(scalars, dtype=float),
-    )))
+    mask = _misspelled(
+        np.concatenate((positions.ravel(), confidences.ravel(), np.array(scalars, dtype=float)))
+    )
     if not mask.any():
         return []
     n = len(poses) * _N
@@ -994,9 +1010,11 @@ def save_predictions(seq: Sequence) -> str:
     ``json`` writes it is put in.  A document orjson refuses (an int beyond
     64 bits, a float subclass, a numpy scalar) is written by ``json``.
     """
-    doc = sequence_to_dict(seq)
+    poses = seq.all_poses()
+    arrays = keypoint_arrays(poses)
+    doc = _document(seq, poses, arrays)
     doc["name"] = ""
-    spelled = _put_holes(seq, doc)
+    spelled = _put_holes(poses, arrays, doc)
     try:
         text = orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode()
     except orjson.JSONEncodeError:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
 
 import numpy as np
 
@@ -211,7 +210,7 @@ def _detect_sequence(
     fused pose of the document in one more; warnings and errors come in the
     order of a frame-by-frame walk.
     """
-    poses = list(chain.from_iterable(f.poses for f in det.frames))
+    poses = det.all_poses()
     scores = [p.det_score for p in poses]
     boxes, boxed = _corner_rows(poses, config.bbox_enlarge)
     plan: list[tuple[Frame, int, list[int], list[int]]] = []  # frame, start, unboxed, kept
@@ -244,7 +243,7 @@ def _detect_sequence(
     if det_b is not None:
         # the frames planned hold as many second-model poses as first-model ones,
         # so one flat index selects a candidate on both sides
-        poses_b = list(chain.from_iterable(f.poses for f in det_b.frames))
+        poses_b = det_b.all_poses()
         boxes_b, boxed_b = _corner_rows(poses_b, config.bbox_enlarge)
         pairs = [s for _, _, _, kept in plan for s in kept if boxed_b[s]]
         fused = fused_keypoints([poses[s] for s in pairs], [poses_b[s] for s in pairs], routes)
@@ -313,11 +312,10 @@ def run_pipeline(
 
 def _frame_boxes(seq: Sequence, enlarge: float) -> list[list[tuple[float, BBox]]]:
     """Each frame's ``(detection score, box)`` of every pose that has or gets a box."""
-    poses = list(chain.from_iterable(f.poses for f in seq.frames))
+    poses = seq.all_poses()
     boxes, boxed = _corner_rows(poses, enlarge)
-    scored = iter([(p.det_score, with_corners(p, row).bbox) if ok else None
-                   for p, row, ok in zip(poses, boxes, boxed)])
-    return [[b for b in islice(scored, len(f.poses)) if b is not None] for f in seq.frames]
+    seq = seq.with_poses(with_corners(p, b) if ok else p for p, b, ok in zip(poses, boxes, boxed))
+    return [[(p.det_score, p.bbox) for p in f.poses if p.bbox is not None] for f in seq.frames]
 
 
 def _detection_prs(

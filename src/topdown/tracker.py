@@ -3,9 +3,9 @@
 Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
-Each frame is scored as one array operation: a sequence's joint positions,
-presence flags and box corners are stacked once (:func:`pose_arrays`, the
-boxes of box-less poses inferred in one pass), a track keeps the row of its
+Each frame is scored as one array operation: a sequence's poses are stacked
+once (:func:`~topdown.model.keypoint_arrays`, and :func:`box_corners`, which
+infers the boxes of box-less poses in one pass), a track keeps the row of its
 latest pose, and :func:`similarity_matrix` broadcasts the whole tracks x
 poses matrix in one call.  Keypoint pruning is one presence mask per pose.
 Unmatched ids survive a configurable retention window and are then discarded;
@@ -13,7 +13,7 @@ ids are never reused within a sequence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -28,6 +28,7 @@ from .model import (
     Pose,
     Sequence,
     joint_group,
+    keypoint_arrays,
     require_int,
     require_real,
 )
@@ -137,13 +138,7 @@ def prune_sequence_keypoints(seq: Sequence, threshold: float) -> Sequence:
     """
     if threshold <= 0.0:
         return seq
-    return replace(
-        seq,
-        frames=tuple(
-            replace(f, poses=tuple(prune_keypoints(p, threshold) for p in f.poses))
-            for f in seq.frames
-        ),
-    )
+    return seq.with_poses(prune_keypoints(p, threshold) for p in seq.all_poses())
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,9 +155,7 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     A group with no keypoints at all reports the vacuous 100.0; an input with
     no keypoints anywhere is an error.
     """
-    poses = [pose for seq in seqs for _, pose in seq.iter_poses()]
-    confidence = np.array([p.confidence for p in poses]).reshape(len(poses), len(JOINTS))
-    present = np.array([p.present for p in poses], dtype=bool).reshape(len(poses), len(JOINTS))
+    _, confidence, present = keypoint_arrays([pose for seq in seqs for pose in seq.all_poses()])
     # per-joint counts summed into groups
     before_joint = present.sum(axis=0).tolist()
     kept_joint = (present & (confidence >= threshold)).sum(axis=0).tolist()
@@ -183,14 +176,9 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
 
 def _stacked(poses: list[Pose]) -> tuple[PoseArrays, list[bool]]:
     """:class:`PoseArrays` of ``poses``, and which of them have or get a box."""
-    n = len(poses)
+    xy, _, present = keypoint_arrays(poses)
     box, ok = box_corners(poses)
-    arrays = PoseArrays(
-        np.array([p.xy for p in poses]).reshape(n, len(JOINTS), 2),
-        np.array([p.present for p in poses], dtype=bool).reshape(n, len(JOINTS)),
-        box,
-    )
-    return arrays, ok.tolist()
+    return PoseArrays(xy, present, box), ok.tolist()
 
 
 def _require_boxes(arrays: PoseArrays, ok: list[bool], rows: Iterable[int]) -> None:
@@ -304,10 +292,9 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     frames (by frame index) are discarded first.
     """
     kappa = _kappa_vector(config)
-    poses = [p for f in seq.frames for p in f.poses]
-    arrays, ok = _stacked(poses)
+    arrays, ok = _stacked(seq.all_poses())
     state = TrackerState()
-    frames_out = []
+    tracked: list[Pose] = []
     start = 0
     for frame in seq.frames:
         for pose in frame.poses:
@@ -333,13 +320,11 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
             for row, col in solve_assignment(1.0 - similarity, config.method):
                 if similarity[row, col] >= config.similarity_min:
                     assigned[col] = track_ids[row]
-        new_poses = []
         for idx, pose in enumerate(frame.poses):
             tid = assigned.get(idx)
             if tid is None:
                 tid = state.fresh_id()
             state.active[tid] = _Track(last_frame=frame.index, row=start + idx)
-            new_poses.append(Pose(pose.keypoints, pose.det_score, pose.bbox, tid))
-        frames_out.append(replace(frame, poses=tuple(new_poses)))
+            tracked.append(Pose(pose.keypoints, pose.det_score, pose.bbox, tid))
         start = stop
-    return replace(seq, frames=tuple(frames_out))
+    return seq.with_poses(tracked)

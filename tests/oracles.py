@@ -1,9 +1,10 @@
 """Scalar forms of the geometric rules, written out one pose at a time.
 
 The library keeps each rule once, as an array pass: box inference
-(``geometry.infer_corners``), fusion (``ensemble.fused_keypoints``) and the
-head size (``metrics._head_sizes``); its one-pose functions are one-row
-calls of those.  The loops here are the plain statements of the same rules,
+(``geometry.infer_corners``), fusion (``ensemble.fused_keypoints``), the
+head size (``metrics._head_sizes``) and the reference head size with its
+box fallback (``metrics._reference_head_sizes``); its one-pose functions are
+one-row calls of those.  The loops here are the plain statements of the same rules,
 kept as oracles that the array forms must equal bit for bit, errors included.
 """
 from __future__ import annotations
@@ -128,3 +129,22 @@ def head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
         raise EvaluationError("pose is missing a head keypoint")
     (tx, ty), (bx, by) = pose.xy[[_TOP, _BOTTOM]].tolist()
     return max(math.hypot(tx - bx, ty - by), t.min_head_size)
+
+
+def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float:
+    """Head size, else ``bbox_diag_fraction`` of the box diagonal, at least ``min_head_size``.
+
+    The box is the pose's own, else the one inferred from its keypoints.
+    """
+    try:
+        return head_size(pose, t)
+    except EvaluationError:
+        pass
+    try:
+        box = with_box(pose).bbox
+    except DegenerateGeometryError as exc:
+        raise EvaluationError(
+            "cannot derive a head size: no head keypoints and no inferable box"
+        ) from exc
+    diag = math.hypot(box.width, box.height)
+    return max(t.bbox_diag_fraction * diag, t.min_head_size)

@@ -181,6 +181,19 @@ def test_stack_validation():
         Heatmap(joint=Joint.NOSE, grid=np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_stride_origin_and_radius_are_refused(value):
+    rule = "positive" if value == float("-inf") else "finite"
+    with pytest.raises(ValueError, match=f"stride must be {rule}"):
+        Heatmap(joint=Joint.NOSE, grid=np.zeros((2, 2)), stride=value)
+    maps = _distant_stack().maps
+    with pytest.raises(ValueError, match="origin must be finite"):
+        HeatmapStack(maps=maps, origin=(0.0, value))
+    if not value > 0.0:  # +inf is a radius that suppresses every other joint's peak
+        with pytest.raises(ValueError, match="radius must be non-negative"):
+            decode_stack(HeatmapStack(maps=maps), radius=value)
+
+
 def test_stack_fixture_roundtrip():
     import json
 

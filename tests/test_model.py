@@ -23,6 +23,7 @@ from topdown.model import (
     SequenceError,
     group_joints,
     joint_group,
+    keypoint_arrays,
     load_sequence,
     pair_by_name,
     save_predictions,
@@ -327,3 +328,22 @@ def test_with_present_takes_only_a_boolean_mask_of_fifteen():
     for bad in (np.ones(15), np.ones(14, dtype=bool)):
         with pytest.raises(ValueError, match="presence mask"):
             kps.with_present(bad)
+
+
+@given(sequences())
+def test_pose_layout_helpers_flatten_stack_and_regroup(seq):
+    poses = seq.all_poses()
+    assert poses == [pose for _, pose in seq.iter_poses()]
+    assert seq.with_poses(poses) == seq
+    assert seq.with_poses(iter(poses)) == seq
+    renumbered = seq.with_poses(replace(p, track_id=k) for k, p in enumerate(poses))
+    assert [len(f.poses) for f in renumbered.frames] == [len(f.poses) for f in seq.frames]
+    assert [p.track_id for p in renumbered.all_poses()] == list(range(len(poses)))
+    xy, confidence, present = keypoint_arrays(poses)
+    n = len(poses)
+    assert (xy.shape, confidence.shape, present.shape) == ((n, 15, 2), (n, 15), (n, 15))
+    assert (xy.dtype, confidence.dtype, present.dtype) == (np.float64, np.float64, np.bool_)
+    for k, pose in enumerate(poses):
+        assert np.array_equal(xy[k], pose.xy)
+        assert np.array_equal(confidence[k], pose.confidence)
+        assert np.array_equal(present[k], pose.present)

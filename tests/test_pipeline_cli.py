@@ -20,7 +20,7 @@ from topdown import cli, metrics, pipeline, synth
 from topdown.ensemble import fuse_average, fuse_expert, route_codes
 from topdown.geometry import iou, nms_boxes, prune_candidates
 from topdown.metrics import evaluate_ap, evaluate_mot
-from topdown.model import Frame, Sequence, load_sequence, save_predictions
+from topdown.model import JOINT_NAMES, Frame, Sequence, load_sequence, save_predictions
 from topdown.pipeline import PipelineConfig, PipelineContractError, SweepRow
 from topdown.synth import noiseless_spec
 from topdown.tracker import TrackerConfig
@@ -532,6 +532,64 @@ def test_cli_decode_smoke(tmp_path):
     assert (14.0, 10.0) not in others or with_radius["fallbacks"]
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        "config-directory", "spec-directory", "maps-directory", "sequence-member-directory",
+        "run-out-file", "sweep-out-file", "synth-out-file", "eval-out-file",
+        "bbox-infer-out-file", "ensemble-out-file", "out-below-a-file", "decode-out-directory",
+    ],
+)
+def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
+    det, gt = _write_noiseless(tmp_path)
+    maps = tmp_path / "maps.json"
+    maps.write_text(json.dumps({"maps": {j: [[0.5]] for j in JOINT_NAMES}}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(noiseless_spec(n_frames=2).to_dict()))
+    a_dir = tmp_path / "a_dir.json"  # a directory with a sequence-file name
+    a_dir.mkdir()
+    members = tmp_path / "members"
+    members.mkdir()
+    (members / "0.json").write_text(det.read_text())
+    (members / "1.json").mkdir()
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept")
+    out = tmp_path / "out"
+    run = ["run", "--det", str(det), "--gt", str(gt), "--out"]
+    argv, code, message = {
+        "config-directory": (["run", "--config", str(a_dir), *run[1:], str(out)], 2,
+                             f"input error: {a_dir}: "),
+        "spec-directory": (["synth", "--spec", str(a_dir), "--out", str(out)], 2,
+                           f"input error: {a_dir}: "),
+        "maps-directory": (["decode", "--maps", str(a_dir), "--out", str(out)], 2,
+                           f"input error: {a_dir}: "),
+        "sequence-member-directory": (["run", "--det", str(members), "--gt", str(gt), "--out",
+                                       str(out)], 2, f"input error: {members / '1.json'}: "),
+        "run-out-file": ([*run, str(a_file)], 1, "usage error: --out: "),
+        "sweep-out-file": (["sweep", "--det", str(det), "--gt", str(gt), "--axis",
+                            "keypoint_threshold", "--values", "0.1,0.5", "--out", str(a_file)],
+                           1, "usage error: --out: "),
+        "synth-out-file": (["synth", "--spec", str(spec), "--out", str(a_file)], 1,
+                           "usage error: --out: "),
+        "eval-out-file": (["eval", "--preds", str(gt), "--gt", str(gt), "--mode", "ap", "--out",
+                           str(a_file)], 1, "usage error: --out: "),
+        "bbox-infer-out-file": (["bbox-infer", "--input", str(det), "--out", str(a_file)], 1,
+                                "usage error: --out: "),
+        "ensemble-out-file": (["ensemble", "--a", str(det), "--b", str(det), "--mode", "average",
+                               "--out", str(a_file)], 1, "usage error: --out: "),
+        "out-below-a-file": ([*run, str(a_file / "sub")], 1, "usage error: --out: "),
+        "decode-out-directory": (["decode", "--maps", str(maps), "--out", str(a_dir)], 1,
+                                 "usage error: --out: "),
+    }[case]
+    before = sorted(str(p) for p in tmp_path.rglob("*"))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert sorted(str(p) for p in tmp_path.rglob("*")) == before
+    assert a_file.read_text() == "kept"
+
+
 def test_cli_bbox_infer_fills_boxes(tmp_path):
     det, _ = _write_noiseless(tmp_path)
     doc = json.loads(det.read_text())
@@ -678,9 +736,12 @@ def test_cli_sweep_jobs_is_accepted_only_as_one(tmp_path):
         (["run", "--det", "{det}", "--gt", "{gt}", "--keypoint-threshold", "-1"],
          "--keypoint-threshold"),
         (["synth", "--spec", "{spec}", "--seed", "-1"], "--seed"),
+        # the flag is checked before the fixture is read
+        (["decode", "--maps", "{spec}", "--radius", "-1"], "--radius"),
+        (["decode", "--maps", "{spec}", "--radius", "nan"], "--radius"),
     ],
     ids=["enlarge-negative", "enlarge-nan", "candidate-threshold-above-one", "nms-iou-nan",
-         "keypoint-threshold-negative", "seed-negative"],
+         "keypoint-threshold-negative", "seed-negative", "radius-negative", "radius-nan"],
 )
 def test_cli_bad_flag_value_is_usage_error(tmp_path, capsys, argv, flag):
     det, gt = _write_noiseless(tmp_path)
@@ -722,10 +783,15 @@ def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, v
         ("decode", {"stride": 1.0, "origin": [0.0, 0.0]}),
         ("decode", {"maps": {}, "origin": 5}),
         ("decode", {"maps": {}, "stride": [1.0]}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": float("nan")}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": float("inf")}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "origin": [float("nan"), 0.0]}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "origin": [0.0, float("-inf")]}),
     ],
     ids=[
         "config-array", "config-section-array", "spec-array", "spec-number",
         "spec-section-array", "maps-missing", "maps-origin-number", "maps-stride-array",
+        "maps-stride-nan", "maps-stride-inf", "maps-origin-nan", "maps-origin-inf",
     ],
 )
 def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):
