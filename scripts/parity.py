@@ -19,6 +19,12 @@ each at sub-seeds ``first .. first+count-1``:
 Model B (for fusion) is the same spec with jitter 1.5 and every group's mean
 confidence 0.03 lower.  Per sub-seed the matrix is: ``synth`` of both
 models; ``run`` plain and with ``--det-b`` in expert and average mode;
+``run --config`` with ``--det-b`` and a config that sets every section
+(thresholds, expert mode with all three routes in ``expert_map``, a
+``tracker`` with per-joint ``kappa``, the greedy solver and the legacy
+``keypoint_drop_threshold`` key, ``pckh``, and model A's spec as its
+``synth`` section), and ``synth`` of that config's section, so the
+config and spec readers are covered;
 ``sweep`` on each axis over unsorted values with a repeat; ``eval --mode
 ap|mot`` on each tracked output; ``bbox-infer`` on model A's detections
 without boxes; ``ensemble --mode expert|average`` of models A and B.  So
@@ -68,6 +74,36 @@ def _spec_docs(synth, spec: str, seed: int) -> tuple[dict, dict]:
     return doc_a, doc_b
 
 
+def _config_doc(spec_doc: dict) -> dict:
+    """A pipeline config document that sets every section."""
+    joints = ["nose", "head_bottom", "head_top"] + [
+        f"{side}_{part}"
+        for part in ("shoulder", "elbow", "wrist", "hip", "knee", "ankle")
+        for side in ("left", "right")
+    ]
+    return {
+        "schema": 1,
+        "candidate_drop_threshold": 0.05,
+        "nms_iou_threshold": 0.6,
+        "ensemble_mode": "expert",
+        "expert_map": {name: ("a", "b", "avg")[k % 3] for k, name in enumerate(joints)},
+        "keypoint_drop_threshold": 0.3,
+        "bbox_enlarge": 0.25,
+        "detection_iou_threshold": 0.5,
+        "tracker": {
+            "w_iou": 0.6,
+            "w_pose": 1.4,
+            "similarity_min": 0.25,
+            "retention_window": 5,
+            "method": "greedy",
+            "kappa": [0.08 + 0.005 * k for k in range(len(joints))],
+            "keypoint_drop_threshold": 0.5,  # legacy key, dropped on load
+        },
+        "pckh": {"factor": 0.6, "min_head_size": 2.0, "bbox_diag_fraction": 0.25},
+        "synth": spec_doc,
+    }
+
+
 def _without_boxes(src: Path, dst: Path, marked: bool = False) -> str:
     """Copy sequence document ``src`` to ``dst`` with every pose's box removed.
 
@@ -110,7 +146,8 @@ class _Matrix:
 def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     base = Path(spec) / str(seed)
     base.mkdir(parents=True)
-    for model, doc in zip("ab", _spec_docs(synth, spec, seed)):
+    spec_docs = _spec_docs(synth, spec, seed)
+    for model, doc in zip("ab", spec_docs):
         (base / f"spec_{model}.json").write_text(json.dumps(doc, indent=2))
         m.call("synth", "--spec", str(base / f"spec_{model}.json"), "--out", str(base / model))
     det, gt = str(base / "a" / "det.json"), str(base / "a" / "gt.json")
@@ -126,6 +163,11 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     }
     for name, extra in runs.items():
         m.call("run", "--det", det, "--gt", gt, "--out", str(base / name), *extra)
+    config = base / "config.json"
+    config.write_text(json.dumps(_config_doc(spec_docs[0]), indent=2))
+    m.call("run", "--config", str(config), "--det", det, "--gt", gt, "--det-b", det_b,
+           "--out", str(base / "run_config"))
+    m.call("synth", "--spec", str(config), "--out", str(base / "synth_config"))
     for axis, values in (("keypoint_threshold", KEYPOINT_VALUES), ("bbox_threshold", BOX_VALUES)):
         m.call("sweep", "--det", det, "--gt", gt, "--out", str(base / f"sweep_{axis}"),
                "--axis", axis, "--values", values)

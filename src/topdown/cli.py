@@ -3,10 +3,13 @@
 Thin facade over the library: every subcommand is a direct wiring of the
 module-level functions, so CLI output always equals the equivalent library
 calls.  Outputs are written to a temporary file and renamed into place, so a
-failing command never leaves partial files behind.
+failing command never leaves partial files behind; every output name is
+checked before the first is written.
 
-Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 contract
-violation.  ``TOPDOWN_LOG`` sets the log level.
+Exit codes: 0 success, 1 usage error (an output that cannot be written
+included), 2 input/parse error, 3 contract violation.  A command whose
+standard output is closed early stops printing and exits 0.
+``TOPDOWN_LOG`` sets the log level.
 """
 from __future__ import annotations
 
@@ -18,8 +21,9 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Any
 
-from . import heatmaps, metrics, pipeline, synth
+from . import heatmaps, metrics, model, pipeline, synth
 from .ensemble import fuse_all, route_codes
 from .geometry import DegenerateGeometryError, box_corners, box_error, with_corners
 from .metrics import EvaluationError
@@ -71,6 +75,22 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _write_outputs(files: list[tuple[Path, str]]) -> None:
+    """Write each ``(path, text)`` with :func:`_write_atomic` (a usage error on failure).
+
+    A path that is a directory is refused before anything is written; any
+    other file-system error ends the command naming the path it hit.
+    """
+    for path, _ in files:
+        if path.is_dir():
+            raise _UsageError(f"--out: {path} is a directory")
+    for path, text in files:
+        try:
+            _write_atomic(path, text)
+        except OSError as exc:
+            raise _UsageError(f"--out: {path}: {exc.strerror or exc}") from exc
+
+
 def _check_out(out: str, directory: bool) -> None:
     """Refuse ``--out`` (a usage error) when something other than its kind of output is in place.
 
@@ -78,9 +98,12 @@ def _check_out(out: str, directory: bool) -> None:
     one; its nearest existing parent must be a directory.
     """
     path = Path(out)
-    if path.exists() and path.is_dir() != directory:
-        raise _UsageError(f"--out: {out} is {'not ' if directory else ''}a directory")
-    parent = next((p for p in path.parents if p.exists()), Path("."))
+    try:
+        if path.exists() and path.is_dir() != directory:
+            raise _UsageError(f"--out: {out} is {'not ' if directory else ''}a directory")
+        parent = next((p for p in path.parents if p.exists()), Path("."))
+    except OSError as exc:  # a name too long, say
+        raise _UsageError(f"--out: {out}: {exc.strerror or exc}") from exc
     if not parent.is_dir():
         raise _UsageError(f"--out: {parent} is not a directory")
 
@@ -97,6 +120,15 @@ def _read_text(path: str | Path) -> str:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _read_json(path: str) -> Any:
+    """The JSON document in file ``path``; deep nesting is invalid JSON too."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _InputError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _load_sequences(path: str) -> list[Sequence]:
     """Load one sequence file, or every ``*.json`` in a directory (sorted)."""
     p = Path(path)
@@ -111,7 +143,7 @@ def _load_sequences(path: str) -> list[Sequence]:
 def _load_config(args) -> PipelineConfig:
     doc: dict = {}
     if getattr(args, "config", None):
-        doc = json.loads(_read_text(args.config))
+        doc = _read_json(args.config)
     try:
         config = PipelineConfig.from_dict(doc)
     except ValueError as exc:
@@ -137,8 +169,10 @@ _NAME_MAX = 255
 _TEMP_SUFFIX_LEN = 13
 
 
-def _sequence_files(out_dir: Path, prefix: str, seqs: list[Sequence]) -> list[Path]:
-    """``<out_dir>/<prefix><name>.json`` for each sequence, in order.
+def _sequence_outputs(
+    out_dir: Path, prefix: str, seqs: list[Sequence]
+) -> list[tuple[Path, str]]:
+    """``<out_dir>/<prefix><name>.json`` and the document of each sequence, in order.
 
     Every name is checked before any file is written: one holding a path
     separator or NUL would put its file outside ``out_dir``, and one too long
@@ -155,24 +189,26 @@ def _sequence_files(out_dir: Path, prefix: str, seqs: list[Sequence]) -> list[Pa
             fits = False
         if not fits:
             raise _InputError(f"sequence {seq.name!r}: the name does not fit in a file name")
-    return [out_dir / f"{prefix}{seq.name}.json" for seq in seqs]
+    return [(out_dir / f"{prefix}{seq.name}.json", save_predictions(seq)) for seq in seqs]
 
 
 def _dump_reports(out_dir: Path, result: pipeline.PipelineResult) -> None:
-    for path, seq in zip(_sequence_files(out_dir, "tracked_", result.tracked), result.tracked):
-        _write_atomic(path, save_predictions(seq))
-    _write_atomic(out_dir / "ap_report.json", json.dumps(result.ap.to_dict(), indent=2))
-    _write_atomic(out_dir / "ap_report.csv", result.ap.to_csv())
-    _write_atomic(out_dir / "mot_report.json", json.dumps(result.mot.to_dict(), indent=2))
-    _write_atomic(out_dir / "mot_report.csv", result.mot.to_csv())
+    _write_outputs(
+        _sequence_outputs(out_dir, "tracked_", result.tracked)
+        + [
+            (out_dir / "ap_report.json", json.dumps(result.ap.to_dict(), indent=2)),
+            (out_dir / "ap_report.csv", result.ap.to_csv()),
+            (out_dir / "mot_report.json", json.dumps(result.mot.to_dict(), indent=2)),
+            (out_dir / "mot_report.csv", result.mot.to_csv()),
+        ]
+    )
 
 
 def _emit_sequences(seqs: list[Sequence], out: str | None, prefix: str, what: str) -> None:
     """Write each sequence to ``<out>/<prefix><name>.json``, or print them all without ``out``."""
     if out:
         out_dir = Path(out)
-        for path, seq in zip(_sequence_files(out_dir, prefix, seqs), seqs):
-            _write_atomic(path, save_predictions(seq))
+        _write_outputs(_sequence_outputs(out_dir, prefix, seqs))
         print(f"{what} written to {out_dir}")
     else:
         for seq in seqs:
@@ -209,18 +245,17 @@ def _cmd_sweep(args) -> int:
     csv_text = pipeline.sweep_csv(args.axis, rows)
     json_text = json.dumps([r.to_dict() for r in rows], indent=2)
     out_dir = Path(args.out)
-    _write_atomic(out_dir / "sweep.csv", csv_text)
-    _write_atomic(out_dir / "sweep.json", json_text)
+    _write_outputs([(out_dir / "sweep.csv", csv_text), (out_dir / "sweep.json", json_text)])
     print(csv_text, end="")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    doc = json.loads(_read_text(args.spec))
+    doc, path = _read_json(args.spec), ""
     if isinstance(doc, dict) and "synth" in doc:  # section of a pipeline config
-        doc = doc["synth"]
+        doc, path = doc["synth"], "synth"
     try:
-        spec = synth.SynthSpec.from_dict(doc)
+        spec = model.record_from_dict(synth.SynthSpec, doc, path)
     except ValueError as exc:
         raise _InputError(f"{args.spec}: {exc}") from exc
     if args.seed is not None:
@@ -230,9 +265,13 @@ def _cmd_synth(args) -> int:
             raise _UsageError(f"--seed: {exc}") from exc
     out = synth.generate(spec)
     out_dir = Path(args.out)
-    _write_atomic(out_dir / "gt.json", save_predictions(out.gt))
-    _write_atomic(out_dir / "det.json", save_predictions(out.det))
-    _write_atomic(out_dir / "provenance.json", out.provenance_to_json())
+    _write_outputs(
+        [
+            (out_dir / "gt.json", save_predictions(out.gt)),
+            (out_dir / "det.json", save_predictions(out.det)),
+            (out_dir / "provenance.json", out.provenance_to_json()),
+        ]
+    )
     print(f"synthetic sequences written to {out_dir}")
     return 0
 
@@ -248,8 +287,12 @@ def _cmd_eval(args) -> int:
     text = json.dumps(report.to_dict(), indent=2)
     if args.out:
         out_dir = Path(args.out)
-        _write_atomic(out_dir / f"{args.mode}_report.json", text)
-        _write_atomic(out_dir / f"{args.mode}_report.csv", report.to_csv())
+        _write_outputs(
+            [
+                (out_dir / f"{args.mode}_report.json", text),
+                (out_dir / f"{args.mode}_report.csv", report.to_csv()),
+            ]
+        )
         print(f"report written to {out_dir}")
     else:
         print(text)
@@ -285,7 +328,7 @@ def _cmd_decode(args) -> int:
     }
     text = json.dumps(doc, indent=2)
     if args.out:
-        _write_atomic(Path(args.out), text)
+        _write_outputs([(Path(args.out), text)])
     else:
         print(text)
     return 0
@@ -417,11 +460,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "out", None):  # checked before any input is read
             _check_out(args.out, directory=args.command != "decode")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: print nothing more, here or at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, SequenceError, json.JSONDecodeError, _InputError) as exc:
+    except (FileNotFoundError, SequenceError, _InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (

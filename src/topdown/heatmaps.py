@@ -230,7 +230,10 @@ def load_stack_json(text: str) -> HeatmapStack:
         {"stride": float, "origin": [x, y],
          "maps": {"<joint>": [[row of W floats] x H], ...}}  # all 15 joints
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # deep nesting too
+        raise ValueError(f"not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("maps"), dict):
         raise ValueError('expected a JSON object with a "maps" object')
     try:  # a wrongly typed stride, origin or grid fails float conversion with TypeError

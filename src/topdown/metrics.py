@@ -30,10 +30,10 @@ of matchings of one table in one array pass each: AP records, MOT counts and
 id switches of matching ``v`` sit in segments offset by ``v``, with
 per-joint tallies mapped to groups through one fixed joint -> group index
 table; one matching goes through the same code.  A predicted keypoint counts
-as present under the mask ``present & ~(confidence < threshold)``, which is
-exactly what :func:`topdown.tracker.prune_keypoints` keeps, so one table
-scores every value of a keypoint-threshold sweep without building pruned
-sequences.  AP and MOT stay two functions because AP needs no track ids.
+as present when :func:`topdown.tracker.kept_keypoints`, the rule pruning
+applies, keeps it, so one table scores every value of a keypoint-threshold
+sweep without building pruned sequences.  AP and MOT stay two functions
+because AP needs no track ids.
 
 The reports are the same bytes as the plain per-keypoint loops they
 replace, so the table keeps these rules:
@@ -73,8 +73,10 @@ from .model import (
     joint_group,
     keypoint_arrays,
     pair_by_name,
+    record_to_dict,
     require_real,
 )
+from .tracker import kept_keypoints
 
 GROUP_COLUMNS: tuple[str, ...] = tuple(g.value for g in GROUPS) + ("Total",)
 
@@ -227,7 +229,7 @@ class PairTable:
         """
         present = self.pred_present
         if threshold is not None:
-            present = present & ~(self.pred_confidence < threshold)
+            present = kept_keypoints(self.pred_confidence, present, threshold)
         hits = self.within & present[self.pair_pred]
         correct = hits.sum(axis=1)
         gt_count = self.gt_present.sum(axis=1)[self.pair_gt]
@@ -366,11 +368,7 @@ class ApReport:
     total: float
 
     def to_dict(self) -> dict:
-        return {
-            "per_joint": {j.value: v for j, v in self.per_joint.items()},
-            "per_group": {g.value: v for g, v in self.per_group.items()},
-            "total": self.total,
-        }
+        return record_to_dict(self)
 
     def to_csv(self) -> str:
         header = ",".join(GROUP_COLUMNS)
@@ -524,30 +522,10 @@ class MotReport:
     recall_total: float
 
     def to_dict(self) -> dict:
-        return {
-            "mota": {g.value: self.mota[g] for g in GROUPS},
-            "mota_total": self.mota_total,
-            "motp_total": self.motp_total,
-            "precision_total": self.precision_total,
-            "recall_total": self.recall_total,
-            "counts": {
-                g.value: {
-                    "gt": c.gt,
-                    "matches": c.matches,
-                    "fp": c.fp,
-                    "fn": c.fn,
-                    "idsw": c.idsw,
-                }
-                for g, c in self.counts.items()
-            },
-            "total_counts": {
-                "gt": self.total_counts.gt,
-                "matches": self.total_counts.matches,
-                "fp": self.total_counts.fp,
-                "fn": self.total_counts.fn,
-                "idsw": self.total_counts.idsw,
-            },
-        }
+        doc = record_to_dict(self)
+        doc["counts"] = doc.pop("counts")  # the counts come last
+        doc["total_counts"] = doc.pop("total_counts")
+        return doc
 
     def to_csv(self) -> str:
         header = ",".join(GROUP_COLUMNS + ("MOTP", "Prec", "Rec"))

@@ -60,19 +60,23 @@ that path formats errors: a :class:`SequenceError` names the path of the
 field at fault (``$.frames[0].poses[1].keypoints[4].x``).  The keypoint
 arrays of a whole document are built once, and each pose holds views of
 them.
+
+Configs, generator specs and reports are dataclass records, written as JSON
+by :func:`record_to_dict` and read back by :func:`record_from_dict`.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import numbers
 import operator
 import re
 from collections import Counter, abc
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 import orjson
@@ -1023,3 +1027,98 @@ def save_predictions(seq: Sequence) -> str:
         text = _HOLE_TEXT.sub(lambda m: spelled[int(m[0]) - _HOLE], text)
     # the text starts '{\n  "name": ""', so its first "" is the name
     return text.replace('""', json.dumps(seq.name), 1)
+
+
+# ---------------------------------------------------------------------------
+# records: configs, generator specs and reports
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _record_fields(cls: type) -> dict[str, tuple[Any, bool]]:
+    """Each field's type, and whether a document must give it (it has no default)."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
+
+
+def _plain(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, abc.Mapping):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    return record_to_dict(value) if is_dataclass(value) else value
+
+
+def record_to_dict(record: Any) -> dict:
+    """A dataclass record as JSON, its fields in declaration order.
+
+    Nested records become objects, enum keys and values their values, and tuples arrays.
+    """
+    return {name: _plain(getattr(record, name)) for name in _record_fields(type(record))}
+
+
+def _fault(path: str, message: str) -> ValueError:
+    return ValueError(f"{path}: {message}" if path else message)
+
+
+def _expect(value: Any, path: str, kind: type | tuple[type, ...] = dict) -> Any:
+    if not isinstance(value, kind):
+        what = "object" if kind is dict else "array"
+        raise _fault(path, f"expected a JSON {what}, got {type(value).__name__}")
+    return value
+
+
+def _read(kind: Any, value: Any, path: str) -> Any:
+    """``value`` read as type ``kind``; scalars are left to the record's own checks."""
+    if is_dataclass(kind):
+        return record_from_dict(kind, value, path)
+    if isinstance(kind, enum.EnumMeta):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            raise _fault(path, str(exc)) from exc
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (dict, abc.Mapping):
+        return {
+            _read(args[0], k, f"{path}.{k}"): _read(args[1], v, f"{path}.{k}")
+            for k, v in _expect(value, path).items()
+        }
+    if origin is tuple:
+        items = _expect(value, path, (list, tuple))
+        return tuple(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(items))
+    return value
+
+
+def record_from_dict(cls: type, doc: Any, path: str = "") -> Any:
+    """The record of dataclass ``cls`` that :func:`record_to_dict` writes as ``doc``.
+
+    Each object must hold every field without a default and no other key.
+    Scalars are left to the record's own checks, whose messages start with
+    the field's name.  A fault raises a ``ValueError`` whose message starts
+    with the path of the field below ``path`` (``confidence.Head.spread``).
+    """
+    kinds = _record_fields(cls)
+    for key in _expect(doc, path):
+        if key not in kinds:
+            raise _fault(f"{path}.{key}" if path else key, "unknown field")
+    kwargs = {}
+    for name, (kind, required) in kinds.items():
+        at = f"{path}.{name}" if path else name
+        if name in doc:
+            kwargs[name] = _read(kind, doc[name], at)
+        elif required:
+            raise _fault(at, "missing field")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}.{exc}") from exc

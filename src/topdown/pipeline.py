@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics
+from . import metrics, model
 from .ensemble import (
     Route,
     default_expert_map,
@@ -48,7 +48,7 @@ from .metrics import (
     ap_reports,
     mot_reports,
 )
-from .model import JOINTS, BBox, Frame, Joint, Pose, Sequence, pair_by_name, require_real
+from .model import BBox, Frame, Joint, Pose, Sequence, pair_by_name, require_real
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
 log = logging.getLogger(__name__)
@@ -89,33 +89,13 @@ class PipelineConfig:
         if self.bbox_enlarge < 0.0:
             raise ValueError(f"bbox_enlarge must be non-negative, got {self.bbox_enlarge!r}")
         if self.ensemble_mode not in ("none", "average", "expert"):
-            raise ValueError(f"unknown ensemble mode {self.ensemble_mode!r}")
+            raise ValueError(
+                f"ensemble_mode must be 'none', 'average' or 'expert', got {self.ensemble_mode!r}"
+            )
         validate_expert_map(self.expert_map)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "candidate_drop_threshold": self.candidate_drop_threshold,
-            "nms_iou_threshold": self.nms_iou_threshold,
-            "ensemble_mode": self.ensemble_mode,
-            "expert_map": {j.value: r.value for j, r in self.expert_map.items()},
-            "keypoint_drop_threshold": self.keypoint_drop_threshold,
-            "bbox_enlarge": self.bbox_enlarge,
-            "detection_iou_threshold": self.detection_iou_threshold,
-            "tracker": {
-                "w_iou": self.tracker.w_iou,
-                "w_pose": self.tracker.w_pose,
-                "similarity_min": self.tracker.similarity_min,
-                "retention_window": self.tracker.retention_window,
-                "method": self.tracker.method,
-                "kappa": self.tracker.kappa,
-            },
-            "pckh": {
-                "factor": self.pckh.factor,
-                "min_head_size": self.pckh.min_head_size,
-                "bbox_diag_fraction": self.pckh.bbox_diag_fraction,
-            },
-        }
+        return {"schema": 1, **model.record_to_dict(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
@@ -130,28 +110,12 @@ class PipelineConfig:
         doc = dict(doc)
         schema = doc.pop("schema", 1)
         if schema != 1:
-            raise ValueError(f"unsupported config schema {schema!r}")
+            raise ValueError(f"schema: unsupported config schema {schema!r}")
         doc.pop("synth", None)  # generator section, consumed by the synth command
-        for section in ("expert_map", "tracker", "pckh"):
-            if section in doc and not isinstance(doc[section], dict):
-                raise ValueError(
-                    f"{section} must be a JSON object, got {type(doc[section]).__name__}"
-                )
-        try:
-            if "expert_map" in doc:
-                by_name = {j.value: j for j in JOINTS}
-                doc["expert_map"] = {
-                    by_name[name]: Route(route) for name, route in doc["expert_map"].items()
-                }
-            if "tracker" in doc:
-                tracker = dict(doc["tracker"])
-                tracker.pop("keypoint_drop_threshold", None)
-                doc["tracker"] = TrackerConfig(**tracker)
-            if "pckh" in doc:
-                doc["pckh"] = PckhThreshold(**doc["pckh"])
-            return cls(**doc)
-        except (TypeError, KeyError, AttributeError) as exc:
-            raise ValueError(f"bad pipeline config: {exc}") from exc
+        tracker = doc.get("tracker")
+        if isinstance(tracker, dict):
+            doc["tracker"] = {k: v for k, v in tracker.items() if k != "keypoint_drop_threshold"}
+        return model.record_from_dict(cls, doc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -368,11 +332,7 @@ class SweepRow:
     recall: float | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"value": self.value}
-        for name in ("ap_total", "mota_total", "precision", "recall"):
-            if getattr(self, name) is not None:
-                out[name] = getattr(self, name)
-        return out
+        return {k: v for k, v in model.record_to_dict(self).items() if v is not None}
 
 
 def sweep(
@@ -388,8 +348,8 @@ def sweep(
     work starts.  A box-axis point prunes candidates and scores detection.
     A keypoint-axis sweep runs :func:`run_pipeline` once, with nothing
     pruned, matches its pair table once per value, counting a tracked
-    keypoint as present when it is present and not below the value (the mask
-    :func:`~topdown.tracker.prune_keypoints` applies), and scores all the
+    keypoint as present when :func:`~topdown.tracker.kept_keypoints` keeps
+    it at the value (the rule pruning applies), and scores all the
     matchings in one pass.  That gives the rows of a full run per value:
     pruning acts after tracking, and nothing in the table but prediction
     presence depends on it.

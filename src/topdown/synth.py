@@ -34,6 +34,8 @@ from .model import (
     Pose,
     Sequence,
     joint_group,
+    record_from_dict,
+    record_to_dict,
     require_int,
     require_real,
 )
@@ -115,11 +117,11 @@ class SynthSpec:
         for name in ("trajectory", "name"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for occlusion in self.occlusions:
+        for i, occlusion in enumerate(self.occlusions):
             if len(occlusion) != 3:
-                raise ValueError(f"an occlusion is (person, start, end), got {occlusion!r}")
-            for value in occlusion:
-                require_int(value, "occlusions")
+                raise ValueError(f"occlusions[{i}] must be (person, start, end), got {occlusion!r}")
+            for k, value in enumerate(occlusion):
+                require_int(value, f"occlusions[{i}][{k}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.n_persons < 0:
@@ -127,9 +129,9 @@ class SynthSpec:
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
         if self.width <= 0 or self.height <= 0:
-            raise ValueError("image must have positive area")
+            raise ValueError(f"width and height must be positive, got {self.width} x {self.height}")
         if self.trajectory not in ("linear", "sinusoidal"):
-            raise ValueError(f"unknown trajectory {self.trajectory!r}")
+            raise ValueError(f"trajectory must be linear or sinusoidal, got {self.trajectory!r}")
         if not 0.0 <= self.p_miss <= 1.0:
             raise ValueError("p_miss must be within [0, 1]")
         if self.fp_rate < 0.0:
@@ -140,54 +142,14 @@ class SynthSpec:
             raise ValueError("scale must be positive")
         missing = [g.value for g in GROUPS if g not in self.confidence]
         if missing:
-            raise ValueError(f"confidence model missing groups: {missing}")
+            raise ValueError(f"confidence must cover every group, missing {missing}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_persons": self.n_persons,
-            "n_frames": self.n_frames,
-            "width": self.width,
-            "height": self.height,
-            "trajectory": self.trajectory,
-            "speed": self.speed,
-            "scale": self.scale,
-            "confidence": {
-                g.value: {"mean": m.mean, "spread": m.spread}
-                for g, m in self.confidence.items()
-            },
-            "jitter": self.jitter,
-            "p_miss": self.p_miss,
-            "fp_rate": self.fp_rate,
-            "fp_confidence": {
-                "mean": self.fp_confidence.mean,
-                "spread": self.fp_confidence.spread,
-            },
-            "fp_clearance": self.fp_clearance,
-            "occlusions": [list(o) for o in self.occlusions],
-            "seed": self.seed,
-            "name": self.name,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SynthSpec":
-        if not isinstance(doc, Mapping):
-            raise ValueError(f"generator spec must be a JSON object, got {type(doc).__name__}")
-        kwargs = dict(doc)
-        try:
-            if "confidence" in kwargs:
-                groups = {g.value: g for g in GROUPS}
-                kwargs["confidence"] = {
-                    groups[name]: GroupConfidence(entry["mean"], entry["spread"])
-                    for name, entry in kwargs["confidence"].items()
-                }
-            if "fp_confidence" in kwargs:
-                entry = kwargs["fp_confidence"]
-                kwargs["fp_confidence"] = GroupConfidence(entry["mean"], entry["spread"])
-            if "occlusions" in kwargs:
-                kwargs["occlusions"] = tuple(tuple(o) for o in kwargs["occlusions"])
-            return cls(**kwargs)
-        except (TypeError, KeyError, AttributeError) as exc:
-            raise ValueError(f"bad generator spec: {exc}") from exc
+        return record_from_dict(cls, doc)
 
 
 def noiseless_spec(**overrides) -> SynthSpec:

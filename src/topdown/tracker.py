@@ -59,7 +59,7 @@ class TrackerConfig:
         for name in ("w_iou", "w_pose", "similarity_min"):
             require_real(getattr(self, name), name)
         if self.w_iou < 0.0 or self.w_pose < 0.0 or self.w_iou + self.w_pose <= 0.0:
-            raise ValueError("similarity weights must be non-negative with positive sum")
+            raise ValueError("w_iou and w_pose must be non-negative with a positive sum")
         if not 0.0 <= self.similarity_min <= 1.0:
             raise ValueError(f"similarity_min must be within [0, 1], got {self.similarity_min!r}")
         require_int(self.retention_window, "retention_window")
@@ -72,7 +72,7 @@ class TrackerConfig:
                 require_real(k, f"kappa[{j}]")
             object.__setattr__(self, "kappa", tuple(float(k) for k in self.kappa))
             if len(self.kappa) != len(JOINTS):
-                raise ValueError(f"per-joint kappa needs {len(JOINTS)} entries")
+                raise ValueError(f"kappa needs {len(JOINTS)} entries, got {len(self.kappa)}")
             if any(k <= 0.0 for k in self.kappa):
                 raise ValueError("kappa entries must be positive")
         else:
@@ -121,12 +121,20 @@ class TrackerState:
         return tid
 
 
+def kept_keypoints(confidence: np.ndarray, present: np.ndarray, threshold: float) -> np.ndarray:
+    """The keypoints pruning at ``threshold`` keeps: those present and not below it.
+
+    ``confidence`` and ``present`` are arrays of one shape, of one pose or many.
+    """
+    return present & ~(confidence < threshold)
+
+
 def prune_keypoints(pose: Pose, threshold: float) -> Pose:
     """Mark keypoints below the confidence threshold as absent; nothing else changes."""
-    below = pose.present & (pose.confidence < threshold)
-    if not below.any():
+    kept = kept_keypoints(pose.confidence, pose.present, threshold)
+    if (kept == pose.present).all():
         return pose
-    keypoints = pose.keypoints.with_present(pose.present & ~below)
+    keypoints = pose.keypoints.with_present(kept)
     return Pose(keypoints, pose.det_score, pose.bbox, pose.track_id)
 
 
@@ -158,7 +166,7 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     _, confidence, present = keypoint_arrays([pose for seq in seqs for pose in seq.all_poses()])
     # per-joint counts summed into groups
     before_joint = present.sum(axis=0).tolist()
-    kept_joint = (present & (confidence >= threshold)).sum(axis=0).tolist()
+    kept_joint = kept_keypoints(confidence, present, threshold).sum(axis=0).tolist()
     before = {g: 0 for g in GROUPS}
     kept = {g: 0 for g in GROUPS}
     for joint, n_before, n_kept in zip(JOINTS, before_joint, kept_joint):

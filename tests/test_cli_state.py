@@ -77,7 +77,7 @@ def test_parity_script_matrix_is_deterministic_and_exits_zero(tmp_path):
         assert proc.returncode == 0, proc.stderr
         log = (tmp_path / run / "calls.log").read_text()
         commands = log.count("$ topdown ")
-        assert commands == log.count("\nexit 0\n") == 2 * 2 * 16
+        assert commands == log.count("\nexit 0\n") == 2 * 2 * 18
         manifests.append((tmp_path / run / "MANIFEST.sha256").read_text())
     assert manifests[0] == manifests[1]
     assert "calls.log" in manifests[0]

@@ -1,6 +1,7 @@
 """Pipeline composition and the CLI facade (exit codes, determinism, parity)."""
 from __future__ import annotations
 
+import errno
 import json
 import os
 import stat
@@ -538,6 +539,7 @@ def test_cli_decode_smoke(tmp_path):
         "config-directory", "spec-directory", "maps-directory", "sequence-member-directory",
         "run-out-file", "sweep-out-file", "synth-out-file", "eval-out-file",
         "bbox-infer-out-file", "ensemble-out-file", "out-below-a-file", "decode-out-directory",
+        "out-name-too-long",
     ],
 )
 def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
@@ -580,6 +582,8 @@ def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
         "out-below-a-file": ([*run, str(a_file / "sub")], 1, "usage error: --out: "),
         "decode-out-directory": (["decode", "--maps", str(maps), "--out", str(a_dir)], 1,
                                  "usage error: --out: "),
+        "out-name-too-long": ([*run, str(tmp_path / ("o" * 300))], 1,
+                              f"usage error: --out: {tmp_path / ('o' * 300)}: "),
     }[case]
     before = sorted(str(p) for p in tmp_path.rglob("*"))
     assert cli.main(argv) == code
@@ -588,6 +592,89 @@ def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
     assert a_file.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["config", "spec", "maps"])
+def test_cli_deeply_nested_input_is_invalid_json(tmp_path, capsys, command):
+    det, gt = _write_noiseless(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "config": ["run", "--config", str(deep), "--det", str(det), "--gt", str(gt)],
+        "spec": ["synth", "--spec", str(deep)],
+        "maps": ["decode", "--maps", str(deep)],
+    }[command]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"input error: {deep}: not valid JSON (")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, blocker",
+    [
+        ("run", "ap_report.json"),
+        ("sweep", "sweep.json"),
+        ("synth", "provenance.json"),
+        ("eval", "mot_report.csv"),
+        ("bbox-infer", "synthetic.json"),
+        ("ensemble", "fused_synthetic.json"),
+    ],
+)
+def test_cli_output_name_that_is_a_directory_writes_nothing(tmp_path, capsys, command, blocker):
+    det, gt = _write_noiseless(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(noiseless_spec(n_frames=2).to_dict()))
+    argv = {
+        "run": ["run", "--det", str(det), "--gt", str(gt)],
+        "sweep": ["sweep", "--det", str(det), "--gt", str(gt), "--axis", "keypoint_threshold",
+                  "--values", "0.1,0.5"],
+        "synth": ["synth", "--spec", str(spec)],
+        "eval": ["eval", "--preds", str(gt), "--gt", str(gt), "--mode", "mot"],
+        "bbox-infer": ["bbox-infer", "--input", str(det)],
+        "ensemble": ["ensemble", "--a", str(det), "--b", str(det), "--mode", "average"],
+    }[command]
+    out = tmp_path / "out"
+    (out / blocker).mkdir(parents=True)
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"usage error: --out: {out / blocker} is a directory"]
+    assert [p.name for p in out.iterdir()] == [blocker]
+    assert not any((out / blocker).iterdir())
+
+
+def test_cli_write_error_is_one_line_naming_the_path(tmp_path, capsys, monkeypatch):
+    det, gt = _write_noiseless(tmp_path)
+    out = tmp_path / "out"
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    assert cli.main(["run", "--det", str(det), "--gt", str(gt), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"usage error: --out: {out / 'tracked_synthetic.json'}: {os.strerror(errno.ENOSPC)}"
+    ]
+    assert list(out.iterdir()) == []  # the temp file is removed
+
+
+def test_cli_closed_stdout_pipe_ends_quietly(tmp_path):
+    spec = synth.calibrated_benchmark_spec(n_persons=4, n_frames=100, seed=1)
+    det = tmp_path / "det.json"
+    det.write_text(save_predictions(synth.generate(spec).det))  # far more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "topdown", "bbox-infer", "--input", str(det)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_cli_bbox_infer_fills_boxes(tmp_path):
@@ -913,9 +1000,15 @@ def test_cli_bad_config_value_exits_2_at_load_naming_the_field(
         ({"candidate_drop_threshold": None}, "candidate_drop_threshold"),
         ({"tracker": {"kappa": "x"}}, "kappa"),
         ({"expert_map": [1]}, "expert_map"),
+        ({"expert_map": {"nose": "x"}}, "expert_map.nose"),
+        ({"expert_map": {"nosee": "a"}}, "expert_map.nosee"),
+        ({"tracker": {"kappa": [0.1] * 3 + [True] + [0.1] * 11}}, "tracker.kappa[3]"),
+        ({"tracker": {"note": 1}}, "tracker.note"),
+        ({"pckh": {"factor": 0.5, "radius": 2}}, "pckh.radius"),
     ],
     ids=["detection-iou-bool", "similarity-min-bool", "w-iou-string", "nms-iou-string",
-         "candidate-threshold-null", "kappa-string", "expert-map-array"],
+         "candidate-threshold-null", "kappa-string", "expert-map-array", "expert-map-route",
+         "expert-map-joint", "kappa-entry-bool", "tracker-unknown-key", "pckh-unknown-key"],
 )
 def test_cli_config_field_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, document, field):
     det, gt = _write_noiseless(tmp_path)
@@ -975,6 +1068,12 @@ def test_pose_whose_inferred_box_overflows_is_dropped_not_fatal(tmp_path, capsys
         ({"name": 5}, "name"),
         ({"occlusions": [[0, "a", 2]]}, "occlusions"),
         ({"fp_confidence": {"mean": "x", "spread": 0.1}}, "mean"),
+        ({"confidence": {"Head": {"mean": 0.8}}}, "confidence.Head.spread"),
+        ({"confidence": 3}, "confidence"),
+        ({"confidence": {"Head": 3}}, "confidence.Head"),
+        ({"occlusions": 5}, "occlusions"),
+        ({"occlusions": [5]}, "occlusions[0]"),
+        ({"fp_confidence": {"mean": 0.5, "spread": 0.1, "note": 1}}, "fp_confidence.note"),
     ],
 )
 def test_cli_synth_spec_type_error_exits_2_naming_the_field(tmp_path, capsys, overrides, field):
