@@ -6,9 +6,13 @@ calls.  Outputs are written to a temporary file and renamed into place, so a
 failing command never leaves partial files behind; every output name is
 checked before the first is written.
 
-Exit codes: 0 success, 1 usage error (an output that cannot be written
-included), 2 input/parse error, 3 contract violation.  A command whose
-standard output is closed early stops printing and exits 0.
+One reader, :func:`_read`, reads every input file, so a file that cannot
+be read or does not parse ends the command with one line
+``input error: <path>: <reason>``.  A command takes only the flags it reads.
+
+Exit codes: 0 success, 1 usage error (an unknown flag and an output that
+cannot be written included), 2 input/parse error, 3 contract violation.  A
+command whose standard output is closed early stops printing and exits 0.
 ``TOPDOWN_LOG`` sets the log level.
 """
 from __future__ import annotations
@@ -21,13 +25,13 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import heatmaps, metrics, model, pipeline, synth
 from .ensemble import fuse_all, route_codes
 from .geometry import DegenerateGeometryError, box_corners, box_error, with_corners
 from .metrics import EvaluationError
-from .model import Sequence, SequenceError, load_sequence, pair_by_name, save_predictions
+from .model import Sequence, load_sequence, pair_by_name, save_predictions
 from .pipeline import PipelineConfig, PipelineContractError
 from .tracker import TrackingError
 
@@ -108,53 +112,58 @@ def _check_out(out: str, directory: bool) -> None:
         raise _UsageError(f"--out: {parent} is not a directory")
 
 
-def _read_text(path: str | Path) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
+def _read(path: str | Path, parse: Callable[[str], Any], members: bool = False) -> Any:
+    """``parse`` of the text of file ``path``; any fault is an ``_InputError("<path>: ...")``.
+
+    With ``members`` the result is a list: the one document of a file, or
+    one per ``*.json`` file of a directory, sorted, each fault naming its member.
+    """
     try:
-        return p.read_text()
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    except OSError as exc:  # a directory, an unreadable file
-        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+        p = Path(path)
+        if members and p.is_dir():
+            files = sorted(p.glob("*.json"))
+            if not files:
+                raise ValueError("no *.json files in directory")
+            return [_read(f, parse) for f in files]
+        doc = parse(p.read_text())
+        return [doc] if members else doc
+    except (OSError, ValueError) as exc:  # a missing file, a directory, not UTF-8, ...
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise _InputError(f"{path}: {reason}") from exc
 
 
-def _read_json(path: str) -> Any:
-    """The JSON document in file ``path``; deep nesting is invalid JSON too."""
-    text = _read_text(path)
+def _json(text: str) -> Any:
+    """The JSON document ``text``; deep nesting is invalid JSON too."""
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise _InputError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"not valid JSON ({exc})") from exc
+
+
+def _spec(text: str) -> synth.SynthSpec:
+    """The generator spec of a spec document, or of a pipeline config's ``synth`` section."""
+    doc = _json(text)
+    if isinstance(doc, dict) and "synth" in doc:
+        return model.record_from_dict(synth.SynthSpec, doc["synth"], "synth")
+    return model.record_from_dict(synth.SynthSpec, doc)
 
 
 def _load_sequences(path: str) -> list[Sequence]:
     """Load one sequence file, or every ``*.json`` in a directory (sorted)."""
-    p = Path(path)
-    if p.is_dir():
-        files = sorted(p.glob("*.json"))
-        if not files:
-            raise FileNotFoundError(f"no *.json sequence files in directory: {path}")
-        return [load_sequence(_read_text(f)) for f in files]
-    return [load_sequence(_read_text(path))]
+    return _read(path, load_sequence, members=True)
 
 
 def _load_config(args) -> PipelineConfig:
-    doc: dict = {}
-    if getattr(args, "config", None):
-        doc = _read_json(args.config)
-    try:
-        config = PipelineConfig.from_dict(doc)
-    except ValueError as exc:
-        raise _InputError(f"{getattr(args, 'config', 'config')}: {exc}") from exc
+    config = PipelineConfig()
+    if args.config:
+        config = _read(args.config, lambda text: PipelineConfig.from_dict(_json(text)))
     for flag, name in (
         ("candidate_threshold", "candidate_drop_threshold"),
         ("keypoint_threshold", "keypoint_drop_threshold"),
         ("nms_iou", "nms_iou_threshold"),
         ("ensemble_mode", "ensemble_mode"),
     ):
-        value = getattr(args, flag, None)
+        value = getattr(args, flag, None)  # absent from a command that does not take the flag
         if value is not None:
             try:
                 config = replace(config, **{name: value})
@@ -251,13 +260,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    doc, path = _read_json(args.spec), ""
-    if isinstance(doc, dict) and "synth" in doc:  # section of a pipeline config
-        doc, path = doc["synth"], "synth"
-    try:
-        spec = model.record_from_dict(synth.SynthSpec, doc, path)
-    except ValueError as exc:
-        raise _InputError(f"{args.spec}: {exc}") from exc
+    spec = _read(args.spec, _spec)
     if args.seed is not None:
         try:
             spec = replace(spec, seed=args.seed)
@@ -300,31 +303,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    if args.radius is not None:
-        try:
-            heatmaps.require_radius(args.radius)
-        except ValueError as exc:
-            raise _UsageError(f"--radius: {exc}") from exc
     try:
-        stack = heatmaps.load_stack_json(_read_text(args.maps))
+        heatmaps.require_radius(args.radius)
     except ValueError as exc:
-        raise _InputError(f"{args.maps}: {exc}") from exc
-    if args.radius is not None:
-        decoded = heatmaps.decode_stack(stack, radius=args.radius, refine=not args.no_refine)
-        keypoints = decoded.keypoints
-        fallbacks = [j.value for j in decoded.fallbacks]
-    else:
-        keypoints = tuple(
-            heatmaps.decode_argmax(m, stack.origin, refine=not args.no_refine)
-            for m in stack.maps
-        )
-        fallbacks = []
+        raise _UsageError(f"--radius: {exc}") from exc
+    stack = _read(args.maps, heatmaps.load_stack_json)
+    decoded = heatmaps.decode_stack(stack, radius=args.radius, refine=not args.no_refine)
     doc = {
         "keypoints": [
             {"joint": kp.joint.value, "x": kp.x, "y": kp.y, "confidence": kp.confidence}
-            for kp in keypoints
+            for kp in decoded.keypoints
         ],
-        "fallbacks": fallbacks,
+        "fallbacks": [j.value for j in decoded.fallbacks],
     }
     text = json.dumps(doc, indent=2)
     if args.out:
@@ -389,14 +379,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="topdown", description="Pose-tracking pipeline and evaluation harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="pipeline config JSON (schema 1); flags override")
-        p.add_argument("--candidate-threshold", dest="candidate_threshold", type=float)
-        p.add_argument("--keypoint-threshold", dest="keypoint_threshold", type=float)
-        p.add_argument("--nms-iou", dest="nms_iou", type=float)
+    def add_config(p, reads: str, *flags: str):
+        p.add_argument("--config", help=f"pipeline config JSON (schema 1); {reads}")
+        for flag in flags:
+            p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=float)
 
     run = sub.add_parser("run", help="full pipeline: prune, NMS, fuse, track, score")
-    add_config(run)
+    add_config(
+        run, "flags override", "--candidate-threshold", "--keypoint-threshold", "--nms-iou"
+    )
     run.add_argument("--det", required=True, help="predictions file or directory")
     run.add_argument("--det-b", dest="det_b", help="second model predictions for fusion")
     run.add_argument("--ensemble-mode", dest="ensemble_mode", choices=("none", "average", "expert"))
@@ -405,7 +396,7 @@ def _build_parser() -> _Parser:
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser("sweep", help="threshold sensitivity sweep")
-    add_config(sweep)
+    add_config(sweep, "flags override", "--candidate-threshold", "--nms-iou")
     sweep.add_argument("--det", required=True)
     sweep.add_argument("--gt", required=True)
     sweep.add_argument("--out", required=True)
@@ -422,7 +413,7 @@ def _build_parser() -> _Parser:
     synth_cmd.set_defaults(func=_cmd_synth)
 
     eval_cmd = sub.add_parser("eval", help="score predictions against ground truth")
-    add_config(eval_cmd)
+    add_config(eval_cmd, "only pckh is read")
     eval_cmd.add_argument("--preds", required=True)
     eval_cmd.add_argument("--gt", required=True)
     eval_cmd.add_argument("--mode", required=True, choices=("ap", "mot"))
@@ -431,7 +422,9 @@ def _build_parser() -> _Parser:
 
     decode = sub.add_parser("decode", help="decode a heatmap fixture to keypoints")
     decode.add_argument("--maps", required=True, help="heatmap fixture JSON")
-    decode.add_argument("--radius", type=float, help="cross-map suppression radius (px)")
+    decode.add_argument(
+        "--radius", type=float, default=0.0, help="cross-map suppression radius (px); 0 for none"
+    )
     decode.add_argument("--no-refine", action="store_true", help="disable sub-cell refinement")
     decode.add_argument("--out")
     decode.set_defaults(func=_cmd_decode)
@@ -443,7 +436,7 @@ def _build_parser() -> _Parser:
     bbox.set_defaults(func=_cmd_bbox_infer)
 
     ens = sub.add_parser("ensemble", help="fuse two models' predictions")
-    add_config(ens)
+    add_config(ens, "only expert_map is read")
     ens.add_argument("--a", required=True, help="model A predictions")
     ens.add_argument("--b", required=True, help="model B predictions")
     ens.add_argument("--mode", required=True, choices=("average", "expert"))
@@ -470,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, SequenceError, _InputError) as exc:
+    except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (

@@ -92,7 +92,10 @@ class PipelineConfig:
             raise ValueError(
                 f"ensemble_mode must be 'none', 'average' or 'expert', got {self.ensemble_mode!r}"
             )
-        validate_expert_map(self.expert_map)
+        try:
+            validate_expert_map(self.expert_map)
+        except ValueError as exc:
+            raise ValueError(f"expert_map: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"schema": 1, **model.record_to_dict(self)}

@@ -155,19 +155,21 @@ def test_stack_decode_accepted_peaks_respect_radius():
                 assert (dx * dx + dy * dy) ** 0.5 >= radius
 
 
-def test_stack_decode_radius_zero_equals_per_map_argmax():
+@pytest.mark.parametrize("refine", [True, False])
+def test_stack_decode_radius_zero_equals_per_map_argmax(refine):
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for k in range(50):
         shape = (int(rng.integers(2, 10)), int(rng.integers(2, 10)))
         stride = float(rng.uniform(1, 6))
-        maps = tuple(
-            Heatmap(joint=j, grid=rng.uniform(0, 1, size=shape), stride=stride)
-            for j in JOINTS
-        )
+        if k % 2:  # few distinct scores, so peaks tie and plateaus form
+            grids = [rng.integers(0, 3, size=shape) / 2 for _ in JOINTS]
+        else:
+            grids = [rng.uniform(0, 1, size=shape) for _ in JOINTS]
+        maps = tuple(Heatmap(joint=j, grid=g, stride=stride) for j, g in zip(JOINTS, grids))
         stack = HeatmapStack(maps=maps, origin=(float(rng.uniform(-50, 50)), 0.0))
-        decoded = decode_stack(stack, radius=0.0)
+        decoded = decode_stack(stack, radius=0.0, refine=refine)
         assert decoded.keypoints == tuple(
-            decode_argmax(m, stack.origin) for m in stack.maps
+            decode_argmax(m, stack.origin, refine=refine) for m in stack.maps
         )
         assert decoded.fallbacks == ()
 

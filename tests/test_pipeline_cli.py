@@ -539,7 +539,9 @@ def test_cli_decode_smoke(tmp_path):
         "config-directory", "spec-directory", "maps-directory", "sequence-member-directory",
         "run-out-file", "sweep-out-file", "synth-out-file", "eval-out-file",
         "bbox-infer-out-file", "ensemble-out-file", "out-below-a-file", "decode-out-directory",
-        "out-name-too-long",
+        "out-name-too-long", "det-name-too-long", "gt-directory-name-too-long",
+        "config-name-too-long", "spec-name-too-long", "maps-name-too-long",
+        "sequence-member-invalid",
     ],
 )
 def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
@@ -554,10 +556,18 @@ def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
     members.mkdir()
     (members / "0.json").write_text(det.read_text())
     (members / "1.json").mkdir()
+    bad_members = tmp_path / "bad_members"
+    bad_members.mkdir()
+    (bad_members / "0.json").write_text(det.read_text())
+    doc = json.loads(det.read_text())
+    doc["frames"][0]["poses"][0]["det_score"] = "high"
+    (bad_members / "1.json").write_text(json.dumps(doc))
     a_file = tmp_path / "a_file"
     a_file.write_text("kept")
     out = tmp_path / "out"
     run = ["run", "--det", str(det), "--gt", str(gt), "--out"]
+    long = str(tmp_path / ("n" * 300))
+    too_long = f"input error: {long}: {os.strerror(errno.ENAMETOOLONG)}"
     argv, code, message = {
         "config-directory": (["run", "--config", str(a_dir), *run[1:], str(out)], 2,
                              f"input error: {a_dir}: "),
@@ -584,12 +594,23 @@ def test_cli_file_system_error_exits_without_traceback(tmp_path, capsys, case):
                                  "usage error: --out: "),
         "out-name-too-long": ([*run, str(tmp_path / ("o" * 300))], 1,
                               f"usage error: --out: {tmp_path / ('o' * 300)}: "),
+        "det-name-too-long": (["run", "--det", long, "--gt", str(gt), "--out", str(out)], 2,
+                              too_long),
+        "gt-directory-name-too-long": (["run", "--det", str(det), "--gt", long + os.sep, "--out",
+                                        str(out)], 2, too_long.replace(long, long + os.sep)),
+        "config-name-too-long": (["run", "--config", long, *run[1:], str(out)], 2, too_long),
+        "spec-name-too-long": (["synth", "--spec", long, "--out", str(out)], 2, too_long),
+        "maps-name-too-long": (["decode", "--maps", long, "--out", str(out)], 2, too_long),
+        "sequence-member-invalid": (["run", "--det", str(bad_members), "--gt", str(gt), "--out",
+                                     str(out)], 2,
+                                    f"input error: {bad_members / '1.json'}: $.frames[0].poses[0]"
+                                    ".det_score: "),
     }[case]
     before = sorted(str(p) for p in tmp_path.rglob("*"))
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(message)
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert sorted(str(p) for p in tmp_path.rglob("*")) == before
     assert a_file.read_text() == "kept"
 
@@ -844,6 +865,35 @@ def test_cli_bad_flag_value_is_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+_INPUTS_OF = {
+    "eval": ["--preds", "{absent}", "--gt", "{absent}", "--mode", "ap"],
+    "ensemble": ["--a", "{absent}", "--b", "{absent}", "--mode", "average"],
+    "sweep": ["--det", "{absent}", "--gt", "{absent}", "--axis", "keypoint_threshold",
+              "--values", "0.1,0.5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (command, flag)
+        for command in ("eval", "ensemble")
+        for flag in ("--candidate-threshold", "--keypoint-threshold", "--nms-iou")
+    ]
+    + [("sweep", "--keypoint-threshold")],
+)
+def test_cli_flag_the_command_would_not_read_is_refused_before_any_input(
+    tmp_path, capsys, command, flag
+):
+    absent = str(tmp_path / "absent.json")  # read first, it would exit 2
+    out = tmp_path / "out"
+    argv = [command, *(a.format(absent=absent) for a in _INPUTS_OF[command]), flag, "0.5"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"usage error: unrecognized arguments: {flag} 0.5"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis", pipeline.SWEEP_AXES)
 @pytest.mark.parametrize("values", ["0.5,1.5", "nan,0.5", "0.5,-0.1"])
 def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, values):
@@ -1005,10 +1055,12 @@ def test_cli_bad_config_value_exits_2_at_load_naming_the_field(
         ({"tracker": {"kappa": [0.1] * 3 + [True] + [0.1] * 11}}, "tracker.kappa[3]"),
         ({"tracker": {"note": 1}}, "tracker.note"),
         ({"pckh": {"factor": 0.5, "radius": 2}}, "pckh.radius"),
+        ({"expert_map": {"nose": "a"}}, "expert_map"),
     ],
     ids=["detection-iou-bool", "similarity-min-bool", "w-iou-string", "nms-iou-string",
          "candidate-threshold-null", "kappa-string", "expert-map-array", "expert-map-route",
-         "expert-map-joint", "kappa-entry-bool", "tracker-unknown-key", "pckh-unknown-key"],
+         "expert-map-joint", "kappa-entry-bool", "tracker-unknown-key", "pckh-unknown-key",
+         "expert-map-missing-joints"],
 )
 def test_cli_config_field_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, document, field):
     det, gt = _write_noiseless(tmp_path)

@@ -103,6 +103,7 @@ def test_writer_keeps_field_order_and_writes_enums_by_value():
         (PipelineConfig, {"expert_map": {"nose": "x"}},
          "expert_map.nose: 'x' is not a valid Route"),
         (PipelineConfig, {"expert_map": {"nosee": "a"}}, "expert_map.nosee: "),
+        (PipelineConfig, {"expert_map": {"nose": "a"}}, "expert_map: expert map missing joints"),
         (PipelineConfig, {"tracker": {"kappa": [0.1] * 3 + [True] + [0.1] * 11}},
          "tracker.kappa[3] must be a finite number, got True"),
         (PipelineConfig, {"tracker": {"kappa": [0.1] * 3}}, "tracker.kappa needs 15 entries"),
@@ -142,7 +143,7 @@ def test_reader_prefixes_the_path_it_is_given():
 
 
 # ---------------------------------------------------------------------------
-# fuzz: a valid config or spec document with one value replaced, removed or added
+# fuzz: a valid config, spec or heatmap document with one value replaced, removed or added
 
 _json_values = st.recursive(
     st.one_of(
@@ -163,6 +164,8 @@ _DELETE = object()
 _BASE = {
     "config": PipelineConfig(tracker=TrackerConfig(kappa=tuple([0.1] * len(JOINTS)))).to_dict(),
     "spec": noiseless_spec(n_persons=1, n_frames=2, occlusions=((0, 0, 1),)).to_dict(),
+    "maps": {"stride": 2.0, "origin": [1.0, 0.0],
+             "maps": {j.value: [[0.5, 0.1], [0.2, 0.9]] for j in JOINTS}},
 }
 
 
@@ -191,7 +194,9 @@ def sequences(tmp_path_factory):
 
 @settings(max_examples=120)
 @given(
-    data=st.data(), kind=st.sampled_from(["config", "spec"]), value=_json_values | st.just(_DELETE)
+    data=st.data(),
+    kind=st.sampled_from(["config", "spec", "maps"]),
+    value=_json_values | st.just(_DELETE),
 )
 def test_fuzz_config_and_spec_documents(sequences, data, kind, value):
     doc = json.loads(json.dumps(_BASE[kind]))
@@ -210,12 +215,14 @@ def test_fuzz_config_and_spec_documents(sequences, data, kind, value):
         if kind == "config":
             argv = ["run", "--config", str(root / "doc.json"), "--det", str(sequences / "det.json"),
                     "--gt", str(sequences / "gt.json")]
-        else:
+        elif kind == "spec":
             argv = ["synth", "--spec", str(root / "doc.json")]
+        else:
+            argv = ["decode", "--maps", str(root / "doc.json")]
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*argv, "--out", str(out)])
-        assert code in (0, 1, 2, 3), stderr.getvalue()
+        assert code in ((0, 2) if kind == "maps" else (0, 1, 2, 3)), stderr.getvalue()
         assert "Traceback" not in stderr.getvalue()
         if code != 0:
             assert not out.exists()

@@ -660,7 +660,7 @@ def test_deep_nesting_is_invalid_json_in_a_fresh_process(tmp_path, shape):
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("input error: $: not valid JSON")
+    assert proc.stderr.startswith(f"input error: {deep}: $: not valid JSON")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
