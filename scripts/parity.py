@@ -30,10 +30,9 @@ ap|mot`` on each tracked output; ``bbox-infer`` on model A's detections
 without boxes; ``ensemble --mode expert|average`` of models A and B.  So
 every command that writes a sequence document is covered, with box
 inference, fusion and the writer.  The box-less copy that ``bbox-infer``
-reads gives every pose an extra ``note`` key, which the loader ignores but
-which sends that document through the ``json`` decoder and the
-field-by-field checks; every other input takes the orjson path, so both
-loader paths are covered.  That copy also holds, on its first pose, a
+reads spells the ``x`` of every keypoint as an integer (rounded), which the
+loader reads as a float, so integer numbers in a document are covered.
+That copy also holds, on its first pose, a
 ``det_score`` of ``5e-05``, an ``x`` of ``3e-05`` and a confidence of
 ``1e-05`` on the first keypoint: values orjson would spell differently from
 ``json``, so its ``bbox-infer`` output is written with holes in three
@@ -107,16 +106,17 @@ def _config_doc(spec_doc: dict) -> dict:
 def _without_boxes(src: Path, dst: Path, marked: bool = False) -> str:
     """Copy sequence document ``src`` to ``dst`` with every pose's box removed.
 
-    A ``marked`` copy also gives every pose a ``note`` key, and its first
-    pose a ``det_score`` of ``5e-05`` and, on the first keypoint, an ``x`` of
-    ``3e-05`` and a confidence of ``1e-05``.
+    A ``marked`` copy also rounds the ``x`` of every keypoint to an integer,
+    and gives its first pose a ``det_score`` of ``5e-05`` and, on the first
+    keypoint, an ``x`` of ``3e-05`` and a confidence of ``1e-05``.
     """
     doc = json.loads(src.read_text())
     for frame in doc["frames"]:
         for pose in frame["poses"]:
             pose["bbox"] = None
             if marked:
-                pose["note"] = "box removed"
+                for keypoint in pose["keypoints"]:
+                    keypoint["x"] = round(keypoint["x"])
     if marked:
         first = next(pose for frame in doc["frames"] for pose in frame["poses"])
         first["det_score"] = 5e-05
@@ -153,7 +153,7 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
     det, gt = str(base / "a" / "det.json"), str(base / "a" / "gt.json")
     det_b = str(base / "b" / "det.json")
     boxless = _without_boxes(Path(det), base / "det_boxless.json")
-    noted = _without_boxes(Path(det), base / "det_boxless_noted.json", marked=True)
+    marked = _without_boxes(Path(det), base / "det_boxless_marked.json", marked=True)
     if spec == "sparse":
         det = boxless
     runs = {
@@ -176,7 +176,7 @@ def _run_seed(m: _Matrix, synth, spec: str, seed: int) -> None:
             for mode in ("ap", "mot"):
                 m.call("eval", "--preds", str(tracked), "--gt", gt, "--mode", mode,
                        "--out", str(base / f"eval_{name}"))
-    m.call("bbox-infer", "--input", noted, "--out", str(base / "bbox_infer"))
+    m.call("bbox-infer", "--input", marked, "--out", str(base / "bbox_infer"))
     for mode in ("expert", "average"):
         m.call("ensemble", "--a", det, "--b", det_b, "--mode", mode,
                "--out", str(base / f"ensemble_{mode}"))

@@ -8,11 +8,14 @@ checked before the first is written.
 
 One reader, :func:`_read`, reads every input file, so a file that cannot
 be read or does not parse ends the command with one line
-``input error: <path>: <reason>``.  A command takes only the flags it reads.
+``input error: <path>: <reason>``; a sequence whose name cannot name its
+output file is such a fault too.  A command takes only the flags it reads.
 
 Exit codes: 0 success, 1 usage error (an unknown flag and an output that
-cannot be written included), 2 input/parse error, 3 contract violation.  A
-command whose standard output is closed early stops printing and exits 0.
+cannot be written included), 2 input/parse error, 3 contract violation (a
+:class:`~topdown.model.ContractError` of the library; any other error is a
+bug, and ends in a traceback).  A command whose standard output is closed
+early stops printing and exits 0.
 ``TOPDOWN_LOG`` sets the log level.
 """
 from __future__ import annotations
@@ -30,10 +33,8 @@ from typing import Any, Callable
 from . import heatmaps, metrics, model, pipeline, synth
 from .ensemble import fuse_all, route_codes
 from .geometry import DegenerateGeometryError, box_corners, box_error, with_corners
-from .metrics import EvaluationError
-from .model import Sequence, load_sequence, pair_by_name, save_predictions
+from .model import ContractError, Sequence, load_sequence, pair_by_name, save_predictions
 from .pipeline import PipelineConfig, PipelineContractError
-from .tracker import TrackingError
 
 log = logging.getLogger("topdown")
 
@@ -148,9 +149,42 @@ def _spec(text: str) -> synth.SynthSpec:
     return model.record_from_dict(synth.SynthSpec, doc)
 
 
-def _load_sequences(path: str) -> list[Sequence]:
-    """Load one sequence file, or every ``*.json`` in a directory (sorted)."""
-    return _read(path, load_sequence, members=True)
+# Bytes in one file name on common file systems, and what the temp file of
+# _write_atomic adds to a name (".", 8 random hex digits, ".tmp").
+_NAME_MAX = 255
+_TEMP_SUFFIX_LEN = 13
+
+
+def _output_named(seq: Sequence, prefix: str) -> Sequence:
+    """``seq``, if ``<prefix><name>.json`` names a file inside ``--out``; else a ``ValueError``.
+
+    A name holding a path separator or NUL would put its file outside
+    ``--out``, and one too long or not encodable as a file name would fail
+    after earlier files were written.
+    """
+    if "/" in seq.name or "\\" in seq.name or "\0" in seq.name:
+        raise ValueError(
+            f"sequence {seq.name!r}: a name with '/', '\\' or NUL cannot name an output file"
+        )
+    try:
+        fits = len(os.fsencode(f"{prefix}{seq.name}.json")) + _TEMP_SUFFIX_LEN <= _NAME_MAX
+    except UnicodeEncodeError:
+        fits = False
+    if not fits:
+        raise ValueError(f"sequence {seq.name!r}: the name does not fit in a file name")
+    return seq
+
+
+def _load_sequences(path: str, out_prefix: str | None = None) -> list[Sequence]:
+    """Load one sequence file, or every ``*.json`` in a directory (sorted).
+
+    With ``out_prefix``, each sequence will be written to
+    ``<out_prefix><name>.json``, and a name that cannot name that file is a
+    fault of the document that holds it.
+    """
+    if out_prefix is None:
+        return _read(path, load_sequence, members=True)
+    return _read(path, lambda text: _output_named(load_sequence(text), out_prefix), members=True)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -172,32 +206,13 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
-# Bytes in one file name on common file systems, and what the temp file of
-# _write_atomic adds to a name (".", 8 random hex digits, ".tmp").
-_NAME_MAX = 255
-_TEMP_SUFFIX_LEN = 13
-
-
 def _sequence_outputs(
     out_dir: Path, prefix: str, seqs: list[Sequence]
 ) -> list[tuple[Path, str]]:
     """``<out_dir>/<prefix><name>.json`` and the document of each sequence, in order.
 
-    Every name is checked before any file is written: one holding a path
-    separator or NUL would put its file outside ``out_dir``, and one too long
-    or not encodable as a file name would fail after earlier files were written.
+    Each name was checked when its document was read (:func:`_output_named`).
     """
-    for seq in seqs:
-        if "/" in seq.name or "\\" in seq.name or "\0" in seq.name:
-            raise _InputError(
-                f"sequence {seq.name!r}: a name with '/', '\\' or NUL cannot name an output file"
-            )
-        try:
-            fits = len(os.fsencode(f"{prefix}{seq.name}.json")) + _TEMP_SUFFIX_LEN <= _NAME_MAX
-        except UnicodeEncodeError:
-            fits = False
-        if not fits:
-            raise _InputError(f"sequence {seq.name!r}: the name does not fit in a file name")
     return [(out_dir / f"{prefix}{seq.name}.json", save_predictions(seq)) for seq in seqs]
 
 
@@ -226,7 +241,7 @@ def _emit_sequences(seqs: list[Sequence], out: str | None, prefix: str, what: st
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    det_seqs = _load_sequences(args.det)
+    det_seqs = _load_sequences(args.det, "tracked_")
     gt_seqs = _load_sequences(args.gt)
     det_b = _load_sequences(args.det_b) if args.det_b else None
     result = pipeline.run_pipeline(det_seqs, gt_seqs, config, det_b)
@@ -329,7 +344,8 @@ def _cmd_bbox_infer(args) -> int:
         enlarge = PipelineConfig(bbox_enlarge=args.enlarge).bbox_enlarge
     except ValueError as exc:
         raise _UsageError(f"--enlarge: {exc}") from exc
-    out = [_boxed(seq, enlarge) for seq in _load_sequences(args.input)]
+    seqs = _load_sequences(args.input, "" if args.out else None)
+    out = [_boxed(seq, enlarge) for seq in seqs]
     _emit_sequences(out, args.out, "", "sequences")
     return 0
 
@@ -350,7 +366,7 @@ def _boxed(seq: Sequence, enlarge: float) -> Sequence:
 
 def _cmd_ensemble(args) -> int:
     config = _load_config(args)
-    seqs_a = sorted(_load_sequences(args.a), key=lambda s: s.name)
+    seqs_a = sorted(_load_sequences(args.a, "fused_" if args.out else None), key=lambda s: s.name)
     pairs = pair_by_name(
         seqs_a, _load_sequences(args.b), "model B predictions", PipelineContractError
     )
@@ -466,13 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        PipelineContractError,
-        EvaluationError,
-        TrackingError,
-        DegenerateGeometryError,
-        ValueError,
-    ) as exc:
+    except ContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

@@ -17,7 +17,17 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import JOINTS, BBox, EvalGroup, Joint, Keypoints, Pose, joint_group, keypoint_arrays
+from .model import (
+    JOINTS,
+    BBox,
+    ContractError,
+    EvalGroup,
+    Joint,
+    Keypoints,
+    Pose,
+    joint_group,
+    keypoint_arrays,
+)
 
 
 class Route(enum.Enum):
@@ -61,14 +71,20 @@ def validate_expert_map(route_map: ExpertMap) -> None:
 def mean_box(
     a: Sequence[float], a_score: float, b: Sequence[float], b_score: float
 ) -> BBox:
-    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners and a score each."""
-    return BBox(
-        0.5 * (a[0] + b[0]),
-        0.5 * (a[1] + b[1]),
-        0.5 * (a[2] + b[2]),
-        0.5 * (a[3] + b[3]),
-        score=0.5 * (a_score + b_score),
-    )
+    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners and a score each.
+
+    A mean beyond the float range raises a :class:`~topdown.model.ContractError`.
+    """
+    try:
+        return BBox(
+            0.5 * (a[0] + b[0]),
+            0.5 * (a[1] + b[1]),
+            0.5 * (a[2] + b[2]),
+            0.5 * (a[3] + b[3]),
+            score=0.5 * (a_score + b_score),
+        )
+    except ValueError as exc:
+        raise ContractError(str(exc)) from exc
 
 
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
@@ -111,7 +127,8 @@ def fused_keypoints(
     neither are present (placeholders are averaged too, so fusing a pose with
     itself is an exact identity) and copies the present one otherwise.  Rows
     are checked as they are yielded: a row holding a mean beyond the float
-    range raises the ``Keypoints`` constructor's error, naming the slot.
+    range raises a :class:`~topdown.model.ContractError` with the
+    ``Keypoints`` constructor's message, naming the slot.
     """
     (axy, ac, ap), (bxy, bc, bp) = keypoint_arrays(a), keypoint_arrays(b)
     avg = (routes == _CODE[Route.AVG]) & (ap == bp)
@@ -123,9 +140,13 @@ def fused_keypoints(
     finite = np.isfinite(xy).all(axis=(1, 2)).tolist()
     for row_xy, row_confidence, row_present, ok in zip(xy, confidence, present, finite):
         if ok:
-            yield Keypoints.from_checked(row_xy, row_confidence, row_present)
+            keypoints = Keypoints.from_checked(row_xy, row_confidence, row_present)
         else:
-            yield Keypoints(row_xy, row_confidence, row_present)
+            try:
+                keypoints = Keypoints(row_xy, row_confidence, row_present)
+            except ValueError as exc:
+                raise ContractError(str(exc)) from exc
+        yield keypoints
 
 
 def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Pose]:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BBox, Pose, keypoint_arrays
+from .model import BBox, ContractError, Pose, keypoint_arrays
 
 __all__ = [
     "BBox",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-class DegenerateGeometryError(ValueError):
+class DegenerateGeometryError(ContractError):
     """Raised when a box cannot be inferred from the available keypoints."""
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JOINTS, Joint, Keypoint
+from .model import JOINTS, ContractError, Joint, Keypoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +109,15 @@ def _cell_to_keypoint(
     refine: bool,
 ) -> Keypoint:
     dx, dy = _quarter_shift(hm.grid, row, col) if refine else (0.0, 0.0)
-    return Keypoint(
-        joint=hm.joint,
-        x=origin[0] + hm.stride * (col + 0.5 + dx),
-        y=origin[1] + hm.stride * (row + 0.5 + dy),
-        confidence=float(hm.grid[row, col]),
-    )
+    try:
+        return Keypoint(
+            joint=hm.joint,
+            x=origin[0] + hm.stride * (col + 0.5 + dx),
+            y=origin[1] + hm.stride * (row + 0.5 + dy),
+            confidence=float(hm.grid[row, col]),
+        )
+    except ValueError as exc:  # a stride or origin that puts the cell beyond the float range
+        raise ContractError(str(exc)) from exc
 
 
 def decode_argmax(

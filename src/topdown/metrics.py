@@ -66,6 +66,7 @@ from .geometry import box_corners, box_error
 from .model import (
     GROUPS,
     JOINTS,
+    ContractError,
     EvalGroup,
     Joint,
     Pose,
@@ -96,7 +97,7 @@ _BOTTOM = Joint.HEAD_BOTTOM.index
 _SLACK = 1e-9
 
 
-class EvaluationError(ValueError):
+class EvaluationError(ContractError):
     """Inputs violate an evaluation precondition."""
 
 

@@ -50,16 +50,17 @@ int beyond 64 bits, a float subclass, a numpy scalar) is written by
 ``json.dumps(sequence_to_dict(seq), indent=2)`` itself.
 The decode rule of :func:`load_sequence`: text holding fewer than 20,000
 ``[`` and ``{`` (about 1,000 poses; orjson has no nesting limit and would
-overflow the C stack) is decoded with orjson, and the result is accepted
-when the whole document has the common shape: exactly the schema's keys
-and plain value types, checked on whole columns, and values the types accept.
-Any other text (over the bound, refused by orjson, such as ``NaN``,
-``Infinity``, ``1e400`` or a lone surrogate, or of another shape) is
-decoded with ``json`` and checked field by field in schema order.  Only
-that path formats errors: a :class:`SequenceError` names the path of the
-field at fault (``$.frames[0].poses[1].keypoints[4].x``).  The keypoint
-arrays of a whole document are built once, and each pose holds views of
-them.
+overflow the C stack) is decoded with orjson.  Any other text, and any
+whose orjson decoding is not accepted, is decoded with ``json``: orjson
+refuses ``NaN``, ``Infinity``, ``1e400`` and a lone surrogate, and reads an
+integer of 2**64 or more as a float.  One bulk check builds the sequence
+of a decoded document: every object holds exactly the schema's keys, every
+value has its plain type, checked on whole columns, and the types accept
+the values.  A document it refuses is walked field by field in document
+order, which builds nothing and raises a :class:`SequenceError` naming the
+path of the first field at fault (``$.frames[0].poses[1].keypoints[4].x``,
+``$.frames[0].poses[0].note: unknown field``).  The keypoint arrays of a
+whole document are built once, and each pose holds views of them.
 
 Configs, generator specs and reports are dataclass records, written as JSON
 by :func:`record_to_dict` and read back by :func:`record_from_dict`.
@@ -156,6 +157,12 @@ def group_joints(group: EvalGroup) -> tuple[Joint, ...]:
 
 class SequenceError(ValueError):
     """A sequence document violates the schema; the message names the path."""
+
+
+class ContractError(ValueError):
+    """Inputs break a rule of the library: misaligned sequences, a pose no box fits, a
+    value computed from them beyond the float range.  The library's error classes derive
+    from it."""
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -547,58 +554,11 @@ def pair_by_name(
 # ---------------------------------------------------------------------------
 # document parsing
 
-
-def _as_mapping(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SequenceError(f"{path}: expected object, got {type(value).__name__}")
-    return value
-
-
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SequenceError(f"{path}: expected array, got {type(value).__name__}")
-    return value
-
-
-def _get(doc: dict, key: str, path: str) -> Any:
-    if key not in doc:
-        raise SequenceError(f"{path}.{key}: missing field")
-    return doc[key]
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SequenceError(f"{path}: expected integer, got {value!r}")
-    return value
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SequenceError(f"{path}: expected number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise SequenceError(f"{path}: must be finite, got {value!r}")
-    return out
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise SequenceError(f"{path}: expected boolean, got {value!r}")
-    return value
-
-
-_MISSING = object()
-_SLOT_BY_NAME = {j.value: i for i, j in enumerate(JOINTS)}
-
-
-def _keypoint_number(value: Any, key: str, path: str, k: int) -> float:
-    """Field ``key`` of keypoint ``k`` when it is not a finite float: check and convert."""
-    if value is _MISSING:
-        raise SequenceError(f"{path}[{k}].{key}: missing field")
-    return _as_float(value, f"{path}[{k}].{key}")
+_DOCUMENT_KEYS = ("name", "frames")
+_FRAME_KEYS = ("index", "width", "height", "poses")
+_POSE_KEYS = ("det_score", "track_id", "bbox", "keypoints")
+_KEYPOINT_KEYS = ("joint", "x", "y", "confidence", "present")
+_NONE = type(None)
 
 
 def _document_keypoints(
@@ -606,10 +566,9 @@ def _document_keypoints(
 ) -> list[Keypoints] | None:
     """One :class:`Keypoints` per pose, each a view of three arrays built once.
 
-    The columns hold the values of every pose of a document, 15 slots per
-    pose in slot order.  ``None`` when a position is not finite or a
-    confidence is outside [0, 1]; the field-by-field checks raise for those
-    before they get here.
+    The columns hold the float values and flags of every pose of a document,
+    15 slots per pose in slot order.  ``None`` when a position is not finite
+    or a confidence is outside [0, 1].
     """
     n = len(flags) // _N
     xy = np.stack((np.array(xs, dtype=float), np.array(ys, dtype=float)), -1)
@@ -622,43 +581,55 @@ def _document_keypoints(
     return list(map(_keypoints, xy, confidence, present))
 
 
-_FRAME_FIELDS = operator.itemgetter("index", "width", "height", "poses")
-_POSE_FIELDS = operator.itemgetter("det_score", "track_id", "bbox", "keypoints")
-_KEYPOINT_FIELDS = operator.itemgetter("joint", "x", "y", "confidence", "present")
-_NONE = type(None)
-
-
-def _columns(fields: operator.itemgetter, width: int, objects: list) -> tuple | None:
-    """The ``fields`` of ``objects`` as columns, if each is a dict of exactly those keys."""
+def _columns(keys: tuple[str, ...], objects: list) -> tuple | None:
+    """The ``keys`` of ``objects`` as columns, if each is a dict of exactly those keys."""
     if not objects:
-        return ((),) * width
-    if set(map(type, objects)) != {dict} or set(map(len, objects)) != {width}:
+        return ((),) * len(keys)
+    if set(map(type, objects)) != {dict} or set(map(len, objects)) != {len(keys)}:
         return None
     try:
-        return tuple(zip(*map(fields, objects)))
+        return tuple(zip(*map(operator.itemgetter(*keys), objects)))
     except KeyError:
         return None
 
 
-def _plain_document(doc: Any) -> Sequence | None:
-    """The :class:`Sequence` of a decoded document of the common shape, else ``None``.
+def _float_column(column: abc.Sequence) -> abc.Sequence | None:
+    """``column`` as floats, if it holds only floats and ints, else ``None``.
 
-    The common shape: every object holds exactly the schema's keys, and every
-    value has its plain type: a ``str`` name, ``int`` frame fields, ``float``
-    scores, corners and coordinates, an ``int`` or null track id, a null or
-    4-item box, ``bool`` flags, and joints in slot order.  The keypoint range
-    rules are checked on whole columns as the keypoint arrays are built once;
-    the frame, score, track id and corner rules are those of the types, which
-    check them as they are built.  Anything else gives ``None``, and the
-    caller runs the field-by-field checks, which alone format error messages.
-    Exact key sets also bound the depth of an accepted document.
+    An int is read as the float it rounds to, as :func:`_as_float` reads it;
+    one beyond the float range gives ``None``.
+    """
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return column
+    if not kinds <= {float, int}:
+        return None
+    try:
+        return list(map(float, column))
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _plain_document(doc: Any) -> Sequence | None:
+    """The :class:`Sequence` of a decoded document, else ``None``.
+
+    This is the only code that builds a sequence from a document.  Every
+    object must hold exactly the schema's keys, and every value must have
+    its plain type: a ``str`` name, ``int`` frame fields, ``float`` or ``int``
+    scores, corners and coordinates (an ``int`` is read as a float), an
+    ``int`` or null track id, a null or 4-item box, ``bool`` flags, and
+    joints in slot order.  The keypoint range rules are checked on whole
+    columns as the keypoint arrays are built once; the frame, score, track id
+    and corner rules are those of the types, which check them as they are
+    built.  Anything else gives ``None``, and :func:`_check_document` says
+    why.  Exact key sets also bound the depth of an accepted document.
     """
     if doc.__class__ is not dict or len(doc) != 2 or "name" not in doc or "frames" not in doc:
         return None
     name, frames = doc["name"], doc["frames"]
     if name.__class__ is not str or frames.__class__ is not list:
         return None
-    columns = _columns(_FRAME_FIELDS, 4, frames)
+    columns = _columns(_FRAME_KEYS, frames)
     if columns is None:
         return None
     indices, widths, heights, pose_lists = columns
@@ -668,32 +639,37 @@ def _plain_document(doc: Any) -> Sequence | None:
     ):
         return None
     poses = list(chain.from_iterable(pose_lists))
-    columns = _columns(_POSE_FIELDS, 4, poses)
+    columns = _columns(_POSE_KEYS, poses)
     if columns is None:
         return None
     det_scores, track_ids, boxes, keypoint_lists = columns
+    given = [box for box in boxes if box is not None]
     if not (
-        set(map(type, det_scores)) <= {float}
-        and set(map(type, track_ids)) <= {int, _NONE}
+        set(map(type, track_ids)) <= {int, _NONE}
         and set(map(type, boxes)) <= {list, _NONE}
+        and set(map(len, given)) <= {4}
         and set(map(type, keypoint_lists)) <= {list}
         and set(map(len, keypoint_lists)) <= {_N}
     ):
         return None
-    corners = [box for box in boxes if box is not None]
-    if not (
-        set(map(len, corners)) <= {4} and set(map(type, chain.from_iterable(corners))) <= {float}
-    ):
+    corners = list(chain.from_iterable(given))
+    floats = _float_column(corners)
+    det_scores = _float_column(det_scores)
+    if floats is None or det_scores is None:
         return None
-    columns = _columns(_KEYPOINT_FIELDS, 5, list(chain.from_iterable(keypoint_lists)))
+    if floats is not corners:  # an int corner: every corner is read as a float
+        quads = zip(*[iter(floats)] * 4)
+        boxes = [None if box is None else next(quads) for box in boxes]
+    columns = _columns(_KEYPOINT_KEYS, list(chain.from_iterable(keypoint_lists)))
     if columns is None:
         return None
     joints, xs, ys, confidences, flags = columns
+    xs, ys, confidences = _float_column(xs), _float_column(ys), _float_column(confidences)
     if not (
         joints == JOINT_NAMES * len(poses)
-        and set(map(type, xs)) <= {float}
-        and set(map(type, ys)) <= {float}
-        and set(map(type, confidences)) <= {float}
+        and xs is not None
+        and ys is not None
+        and confidences is not None
         and set(map(type, flags)) <= {bool}
     ):
         return None
@@ -717,58 +693,86 @@ def _plain_document(doc: Any) -> Sequence | None:
         return None
 
 
-def _parse_keypoints(items: Any, path: str) -> tuple[list, ...]:
-    """Check a pose's keypoint entries field by field; their values in slot order."""
+# The walk: the checks of the schema, field by field in document order.  It
+# builds nothing, and raises a SequenceError naming the path of the first
+# field at fault.  It refuses exactly the documents _plain_document refuses.
+
+
+def _as_object(value: Any, path: str, keys: tuple[str, ...]) -> dict:
+    """``value`` when it is an object; a key outside ``keys`` is refused before any field."""
+    if type(value) is not dict:
+        raise SequenceError(f"{path}: expected object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise SequenceError(f"{path}.{key}: unknown field")
+    return value
+
+
+def _as_list(value: Any, path: str) -> list:
+    if type(value) is not list:
+        raise SequenceError(f"{path}: expected array, got {type(value).__name__}")
+    return value
+
+
+def _get(doc: dict, key: str, path: str) -> Any:
+    if key not in doc:
+        raise SequenceError(f"{path}.{key}: missing field")
+    return doc[key]
+
+
+def _as_int(value: Any, path: str) -> int:
+    if type(value) is not int:
+        raise SequenceError(f"{path}: expected integer, got {value!r}")
+    return value
+
+
+def _as_float(value: Any, path: str) -> float:
+    if type(value) not in (int, float):
+        raise SequenceError(f"{path}: expected number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SequenceError(f"{path}: must be finite, got {value!r}")
+    return out
+
+
+_SLOT_BY_NAME = {j.value: i for i, j in enumerate(JOINTS)}
+
+
+def _check_keypoints(items: Any, path: str) -> None:
+    """Check a pose's keypoint entries field by field."""
     entries = _as_list(items, path)
     if len(entries) != _N:
         raise SequenceError(f"{path}: expected {_N} keypoints, got {len(entries)}")
-    xs: list = [0.0] * _N
-    ys: list = [0.0] * _N
-    confidences: list = [None] * _N  # None until the slot is filled
-    flags: list = [False] * _N
-    for k, obj in enumerate(entries):
-        if not isinstance(obj, dict):
-            raise SequenceError(f"{path}[{k}]: expected object, got {type(obj).__name__}")
-        name = obj.get("joint", _MISSING)
+    for k, entry in enumerate(entries):
+        at = f"{path}[{k}]"
+        obj = _as_object(entry, at, _KEYPOINT_KEYS)
+        name = _get(obj, "joint", at)
         try:
             index = _SLOT_BY_NAME.get(name)
         except TypeError:  # an array or object names no joint
             index = None
         if index is None:
-            if name is _MISSING:
-                raise SequenceError(f"{path}[{k}].joint: missing field")
-            raise SequenceError(f"{path}[{k}].joint: unknown joint {name!r}")
-        if confidences[index] is not None:
-            raise SequenceError(f"{path}[{k}].joint: duplicate joint {name!r}")
-        # a float in range (confidence) or finite (x, y) formats no path
-        confidence = obj.get("confidence", _MISSING)
-        if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:
-            confidence = _keypoint_number(confidence, "confidence", path, k)
-            if not 0.0 <= confidence <= 1.0:
-                raise SequenceError(
-                    f"{path}[{k}].confidence: must be within [0, 1], got {confidence!r}"
-                )
-        x = obj.get("x", _MISSING)
-        if x.__class__ is not float or x - x != 0.0:
-            x = _keypoint_number(x, "x", path, k)
-        y = obj.get("y", _MISSING)
-        if y.__class__ is not float or y - y != 0.0:
-            y = _keypoint_number(y, "y", path, k)
-        present = obj.get("present", _MISSING)
-        if present is not True and present is not False:
-            if present is _MISSING:
-                raise SequenceError(f"{path}[{k}].present: missing field")
-            _as_bool(present, f"{path}[{k}].present")
-        confidences[index] = confidence
-        xs[index] = x
-        ys[index] = y
-        flags[index] = present
-    return xs, ys, confidences, flags
+            raise SequenceError(f"{at}.joint: unknown joint {name!r}")
+        if index < k:  # the entries before this one hold their own slots' joints
+            raise SequenceError(f"{at}.joint: duplicate joint {name!r}")
+        if index > k:
+            raise SequenceError(f"{at}.joint: expected {JOINT_NAMES[k]!r}, got {name!r}")
+        confidence = _as_float(_get(obj, "confidence", at), f"{at}.confidence")
+        if not 0.0 <= confidence <= 1.0:
+            raise SequenceError(f"{at}.confidence: must be within [0, 1], got {confidence!r}")
+        _as_float(_get(obj, "x", at), f"{at}.x")
+        _as_float(_get(obj, "y", at), f"{at}.y")
+        present = _get(obj, "present", at)
+        if type(present) is not bool:
+            raise SequenceError(f"{at}.present: expected boolean, got {present!r}")
 
 
-def _parse_pose(raw: Any, path: str) -> tuple:
-    """Check a pose entry field by field: ``(det_score, bbox, track_id, keypoint values)``."""
-    obj = _as_mapping(raw, path)
+def _check_pose(raw: Any, path: str) -> None:
+    """Check a pose entry field by field."""
+    obj = _as_object(raw, path, _POSE_KEYS)
     det_score = _as_float(_get(obj, "det_score", path), f"{path}.det_score")
     if not 0.0 <= det_score <= 1.0:
         raise SequenceError(f"{path}.det_score: must be within [0, 1], got {det_score!r}")
@@ -777,47 +781,41 @@ def _parse_pose(raw: Any, path: str) -> tuple:
         track_id = _as_int(track_id, f"{path}.track_id")
         if track_id < 0:
             raise SequenceError(f"{path}.track_id: must be non-negative, got {track_id}")
-    raw_bbox = _get(obj, "bbox", path)
-    bbox = None
-    if raw_bbox is not None:
-        coords = _as_list(raw_bbox, f"{path}.bbox")
+    bbox = _get(obj, "bbox", path)
+    if bbox is not None:
+        coords = _as_list(bbox, f"{path}.bbox")
         if len(coords) != 4:
             raise SequenceError(f"{path}.bbox: expected 4 coordinates, got {len(coords)}")
-        x1, y1, x2, y2 = (
-            _as_float(v, f"{path}.bbox[{i}]") for i, v in enumerate(coords)
-        )
+        x1, y1, x2, y2 = (_as_float(v, f"{path}.bbox[{i}]") for i, v in enumerate(coords))
         if x2 < x1 or y2 < y1:
             raise SequenceError(f"{path}.bbox: corners out of order")
-        bbox = BBox(x1, y1, x2, y2, score=det_score)
-    values = _parse_keypoints(_get(obj, "keypoints", path), f"{path}.keypoints")
-    return det_score, bbox, track_id, values
+    _check_keypoints(_get(obj, "keypoints", path), f"{path}.keypoints")
 
 
-def _parse_document(doc: Any, path: str) -> Sequence:
-    """Check a decoded document field by field, in document order, and build its sequence.
+def _check_document(doc: Any, path: str) -> None:
+    """Check a decoded document field by field, in document order.
 
     The first rule broken raises :class:`SequenceError` naming the path of
-    the field; the keypoint arrays of all poses are then built at once.
+    the field; a document that breaks none returns.
     """
-    obj = _as_mapping(doc, path)
+    obj = _as_object(doc, path, _DOCUMENT_KEYS)
     name = _get(obj, "name", path)
-    if not isinstance(name, str):
+    if type(name) is not str:
         raise SequenceError(f"{path}.name: expected string, got {name!r}")
-    frames: list[tuple[int, int, int, list]] = []
     previous_index = -1
     size: tuple[int, int] | None = None
     for i, raw_frame in enumerate(_as_list(_get(obj, "frames", path), f"{path}.frames")):
         frame_path = f"{path}.frames[{i}]"
-        frame_obj = _as_mapping(raw_frame, frame_path)
-        index = _as_int(_get(frame_obj, "index", frame_path), f"{frame_path}.index")
+        frame = _as_object(raw_frame, frame_path, _FRAME_KEYS)
+        index = _as_int(_get(frame, "index", frame_path), f"{frame_path}.index")
         if index <= previous_index:
             raise SequenceError(
                 f"{frame_path}.index: must be strictly greater than previous "
                 f"({index} after {previous_index})"
             )
         previous_index = index
-        width = _as_int(_get(frame_obj, "width", frame_path), f"{frame_path}.width")
-        height = _as_int(_get(frame_obj, "height", frame_path), f"{frame_path}.height")
+        width = _as_int(_get(frame, "width", frame_path), f"{frame_path}.width")
+        height = _as_int(_get(frame, "height", frame_path), f"{frame_path}.height")
         if width <= 0 or height <= 0:
             raise SequenceError(f"{frame_path}: image size must be positive")
         if size is None:
@@ -826,41 +824,23 @@ def _parse_document(doc: Any, path: str) -> Sequence:
             raise SequenceError(
                 f"{frame_path}: image size {width}x{height} differs from {size[0]}x{size[1]}"
             )
-        raw_poses = _as_list(_get(frame_obj, "poses", frame_path), f"{frame_path}.poses")
-        poses = [
-            _parse_pose(raw_pose, f"{frame_path}.poses[{j}]")
-            for j, raw_pose in enumerate(raw_poses)
-        ]
-        frames.append((index, width, height, poses))
-    columns: tuple[list, ...] = ([], [], [], [])
-    for _, _, _, poses in frames:
-        for pose in poses:
-            for column, values in zip(columns, pose[3]):
-                column += values
-    keypoints = iter(_document_keypoints(*columns))
-    return Sequence(
-        name=name,
-        frames=tuple(
-            Frame(
-                index,
-                width,
-                height,
-                tuple(Pose(next(keypoints), det, bbox, tid) for det, bbox, tid, _ in poses),
-            )
-            for index, width, height, poses in frames
-        ),
-    )
+        poses = _as_list(_get(frame, "poses", frame_path), f"{frame_path}.poses")
+        for j, raw_pose in enumerate(poses):
+            _check_pose(raw_pose, f"{frame_path}.poses[{j}]")
 
 
 def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
-    """Validate a decoded document and build a :class:`Sequence`.
+    """Validate a decoded document and build its :class:`Sequence`.
 
-    A document of the common shape is checked in bulk (:func:`_plain_document`);
-    any other is checked field by field, and the first fault raises
-    :class:`SequenceError` naming its path.
+    :func:`_plain_document` builds it; when it refuses the document,
+    :func:`_check_document` raises :class:`SequenceError` naming the path
+    of the first field at fault.
     """
     seq = _plain_document(doc)
-    return _parse_document(doc, path) if seq is None else seq
+    if seq is None:
+        _check_document(doc, path)
+        raise SequenceError(f"{path}: not a sequence document")  # the walk explains every refusal
+    return seq
 
 
 # orjson has no nesting limit, and deep enough nesting overflows the C stack.
@@ -880,28 +860,25 @@ def _bracket_count(text: str) -> int:
 def load_sequence(text: str) -> Sequence:
     """Parse and validate a sequence document; raise :class:`SequenceError` otherwise.
 
-    Text under the bracket bound is decoded with orjson; when that fails
-    (NaN, Infinity, ``1e400``, a lone surrogate, invalid JSON) or the result
-    is not of the common shape, the text is decoded again with ``json``,
-    which alone reports errors.  A document the bulk check has refused goes
-    straight to the field-by-field checks.
+    Text under the bracket bound is decoded with orjson and checked in bulk.
+    When that fails (NaN, Infinity, ``1e400``, a lone surrogate, an integer
+    of 2**64 or more, which orjson reads as a float, invalid JSON, or a
+    document the bulk check refuses), the text is decoded again with
+    ``json`` and goes through :func:`sequence_from_dict`, so every message
+    quotes ``json``'s values.
     """
-    checked = False  # whether the bulk check already refused this document
     if _bracket_count(text) < _ORJSON_MAX_BRACKETS:
         try:
-            doc = orjson.loads(text)
+            seq = _plain_document(orjson.loads(text))
         except orjson.JSONDecodeError:
-            pass
-        else:
-            seq = _plain_document(doc)
-            if seq is not None:
-                return seq
-            checked = True
+            seq = None
+        if seq is not None:
+            return seq
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
         raise SequenceError(f"$: not valid JSON ({exc})") from exc
-    return _parse_document(doc, "$") if checked else sequence_from_dict(doc)
+    return sequence_from_dict(doc)
 
 
 def sequence_to_dict(seq: Sequence) -> dict:

@@ -48,7 +48,7 @@ from .metrics import (
     ap_reports,
     mot_reports,
 )
-from .model import BBox, Frame, Joint, Pose, Sequence, pair_by_name, require_real
+from .model import BBox, ContractError, Frame, Joint, Pose, Sequence, pair_by_name, require_real
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
 log = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ log = logging.getLogger(__name__)
 SWEEP_AXES = ("bbox_threshold", "keypoint_threshold")
 
 
-class PipelineContractError(ValueError):
+class PipelineContractError(ContractError):
     """Pipeline inputs violate a cross-file contract (alignment, pairing)."""
 
 
@@ -358,12 +358,12 @@ def sweep(
     presence depends on it.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ContractError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if len(values) < 2:
-        raise ValueError(f"need at least 2 sweep values, got {len(values)}")
+        raise ContractError(f"need at least 2 sweep values, got {len(values)}")
     for value in values:
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-            raise ValueError(f"sweep values must be finite and within [0, 1], got {value!r}")
+            raise ContractError(f"sweep values must be finite and within [0, 1], got {value!r}")
     rows = []
     if axis == "bbox_threshold":
         for value, pr in zip(values, _detection_prs(det_seqs, gt_seqs, values, config)):

@@ -27,6 +27,7 @@ from .model import (
     GROUPS,
     JOINTS,
     BBox,
+    ContractError,
     EvalGroup,
     Frame,
     Joint,
@@ -287,7 +288,10 @@ def _build(drawn: list[_Drawn]) -> None:
     for (poses, xy, confidences, det_score, track_id), row, boxed in zip(
         drawn, corners.tolist(), ok.tolist()
     ):
-        keypoints = Keypoints(xy, confidences, _ALL_PRESENT)
+        try:
+            keypoints = Keypoints(xy, confidences, _ALL_PRESENT)
+        except ValueError as exc:  # a scale or jitter that carries a pose beyond the float range
+            raise ContractError(str(exc)) from exc
         if not boxed:
             raise box_error(xy, _ALL_PRESENT, row)
         poses.append(Pose(keypoints, det_score, BBox(*row, score=det_score), track_id))

@@ -24,6 +24,7 @@ from .geometry import box_corners, box_error, iou_matrix
 from .model import (
     GROUPS,
     JOINTS,
+    ContractError,
     EvalGroup,
     Pose,
     Sequence,
@@ -36,7 +37,7 @@ from .model import (
 _METHODS = ("greedy", "hungarian")
 
 
-class TrackingError(ValueError):
+class TrackingError(ContractError):
     """A tracking precondition was violated."""
 
 
@@ -268,7 +269,7 @@ def solve_assignment(cost, method: str = "hungarian") -> list[tuple[int, int]]:
     if matrix.ndim != 2:
         raise ValueError(f"cost must be 2-D, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("cost matrix contains non-finite entries")
+        raise TrackingError("cost matrix contains non-finite entries")
     if method == "hungarian":
         rows, cols = linear_sum_assignment(matrix)
         return sorted(zip(rows.tolist(), cols.tolist()))

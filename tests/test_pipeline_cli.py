@@ -434,6 +434,95 @@ def test_cli_contract_violation_exits_3(tmp_path):
     assert code == 3
 
 
+def _poses_of(doc):
+    return [pose for frame in doc["frames"] for pose in frame["poses"]]
+
+
+def _huge_nose_x(doc):
+    for pose in _poses_of(doc):
+        pose["keypoints"][0]["x"] = 1.7e308
+
+
+def _huge_box_corner(doc):
+    for pose in _poses_of(doc):
+        pose["bbox"][2] = 1.7e308
+
+
+def _huge_boxes_and_steps(doc):
+    # a box area and a keypoint step beyond the float range: their ratio is NaN
+    for k, frame in enumerate(doc["frames"]):
+        for pose in frame["poses"]:
+            pose["bbox"] = [-1e200, -1e200, 1e200, 1e200]
+            for keypoint in pose["keypoints"]:
+                keypoint["x"] = (-1) ** k * 1e300
+
+
+def _peaks_off_the_float_range(tmp_path: Path) -> Path:
+    grid = [[0.0, 1.0], [0.0, 0.0]]  # the peak's cell centre is 1.5 strides from the origin
+    doc = {"stride": 1.7e308, "origin": [0.0, 0.0], "maps": {j: grid for j in JOINT_NAMES}}
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("ensemble", _huge_nose_x, "nose.x must be finite, got inf"),
+        ("ensemble", _huge_box_corner, "BBox.x2 must be finite, got inf"),
+        ("run-fused", _huge_nose_x, "nose.x must be finite, got inf"),
+        ("run-fused", _huge_box_corner, "BBox.x2 must be finite, got inf"),
+        ("run", _huge_boxes_and_steps, "cost matrix contains non-finite entries"),
+        ("synth", None, "must be finite, got"),
+        ("decode", None, "nose.x must be finite, got inf"),
+    ],
+    ids=[
+        "ensemble-keypoint-mean", "ensemble-box-mean", "run-keypoint-mean", "run-box-mean",
+        "run-tracking-cost", "synth-jitter", "decode-stride",
+    ],
+)
+def test_cli_value_computed_beyond_the_float_range_exits_3(
+    tmp_path, capsys, command, edit, message
+):
+    out = tmp_path / "o"
+    if command == "synth":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(noiseless_spec(jitter=1.7e308).to_dict()))
+        argv = ["synth", "--spec", str(spec), "--out", str(out)]
+    elif command == "decode":
+        argv = ["decode", "--maps", str(_peaks_off_the_float_range(tmp_path)), "--out", str(out)]
+    else:
+        det, gt = _write_noiseless(tmp_path)
+        doc = json.loads(det.read_text())
+        edit(doc)
+        det.write_text(json.dumps(doc))
+        argv = {
+            "ensemble": ["ensemble", "--a", str(det), "--b", str(det), "--mode", "average"],
+            "run-fused": ["run", "--det", str(det), "--det-b", str(det), "--ensemble-mode",
+                          "average", "--gt", str(gt)],
+            "run": ["run", "--det", str(det), "--gt", str(gt)],
+        }[command] + ["--out", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("contract violation: ") and message in err
+    assert not out.exists()
+
+
+def test_cli_plain_value_error_inside_the_library_is_not_a_contract_violation(
+    tmp_path, monkeypatch
+):
+    det, gt = _write_noiseless(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("a fault of the library itself")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", broken)
+    with pytest.raises(ValueError, match="a fault of the library itself"):
+        cli.main(["run", "--det", str(det), "--gt", str(gt), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o").exists()
+
+
 def _strip_track_ids(doc):
     for frame in doc["frames"]:
         for pose in frame["poses"]:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import template_pose
 from topdown import cli, model, synth
 from topdown.model import (
@@ -393,6 +394,16 @@ def _drop(*keys):
         (_set(confidence=2.0, x="a"), f"{_KP}.confidence: must be within [0, 1], got 2.0"),
         (_set(x="a", y="b"), f"{_KP}.x: expected number, got 'a'"),
         (_set(y="b", present=0), f"{_KP}.y: expected number, got 'b'"),
+        (_set(note=1), f"{_KP}.note: unknown field"),
+        (_set(joint="left_elbow"), f"{_KP}.joint: expected 'right_shoulder', got 'left_elbow'"),
+        (_set(joint="right_ankle"), f"{_KP}.joint: expected 'right_shoulder', got 'right_ankle'"),
+        # an unknown key is checked before every other field of its object
+        (_set(joint=5, note=1), f"{_KP}.note: unknown field"),
+        (_set(joint="nose", note=None), f"{_KP}.note: unknown field"),
+        (
+            _set(joint="left_elbow", x="a"),
+            f"{_KP}.joint: expected 'right_shoulder', got 'left_elbow'",
+        ),
     ],
     ids=[
         "missing-joint", "missing-x", "missing-y", "missing-confidence", "missing-present",
@@ -402,6 +413,8 @@ def _drop(*keys):
         "x-overflow", "y-overflow", "confidence-overflow",
         "joint-before-x", "duplicate-before-confidence", "confidence-before-x",
         "x-before-y", "y-before-present",
+        "unknown-field", "joint-out-of-order", "joint-last-slot",
+        "unknown-before-joint", "unknown-before-duplicate", "out-of-order-before-x",
     ],
 )
 def test_keypoint_fault_messages(corrupt, message):
@@ -444,6 +457,30 @@ def test_pose_number_overflow_is_a_sequence_error(field, value, message):
 
 
 @pytest.mark.parametrize(
+    "path, message",
+    [
+        ((), "$.note: unknown field"),
+        (("frames", 0), "$.frames[0].note: unknown field"),
+        (("frames", 0, "poses", 0), "$.frames[0].poses[0].note: unknown field"),
+        (
+            ("frames", 0, "poses", 0, "keypoints", 14),
+            "$.frames[0].poses[0].keypoints[14].note: unknown field",
+        ),
+    ],
+    ids=["document", "frame", "pose", "keypoint"],
+)
+def test_unknown_field_message(path, message):
+    doc = _one_pose_doc()
+    node = doc
+    for key in path:
+        node = node[key]
+    node["note"] = "an extra key"
+    with pytest.raises(SequenceError) as excinfo:
+        load_sequence(json.dumps(doc))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     "text", ["[" * 100_000, '{"name": ' + "1" * 5000 + "}"], ids=["deep-nesting", "long-integer"]
 )
 def test_unparseable_json_is_a_sequence_error(text):
@@ -456,12 +493,12 @@ def test_unparseable_json_is_a_sequence_error(text):
 
 
 def _reference_load(text: str) -> Sequence:
-    """The checked path alone: ``json`` decodes, and every field is checked in turn."""
+    """The reference alone: ``json`` decodes, and every field is checked and built in turn."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SequenceError(f"$: not valid JSON ({exc})") from exc
-    return model._parse_document(doc, "$")
+    return oracles.sequence_from_document(doc)
 
 
 def _outcome(load, text: str):
@@ -515,10 +552,7 @@ def _plain(seq: Sequence) -> bool:
         seq.name.encode()
     except UnicodeEncodeError:  # written as a lone surrogate escape, which orjson refuses
         return False
-    return all(
-        p.det_score.__class__ is not int and (p.track_id is None or p.track_id < 2**64)
-        for _, p in seq.iter_poses()
-    )
+    return all(p.track_id is None or p.track_id < 2**64 for _, p in seq.iter_poses())
 
 
 @settings(max_examples=200)
@@ -534,16 +568,23 @@ def test_loader_equals_the_checked_path_on_json(seq, edit):
             assert _outcome(load_sequence, text) == expected
 
 
-def test_a_document_the_bulk_check_refuses_is_checked_in_bulk_once():
+def test_integer_numbers_load_in_bulk_without_json():
     doc = sequence_to_dict(synth.generate(noiseless_spec(n_persons=2, n_frames=3, seed=4)).det)
     for frame in doc["frames"]:
         for pose in frame["poses"]:
-            pose["note"] = "an extra key"
+            pose["det_score"] = 1
+            pose["bbox"] = [round(v) for v in pose["bbox"]]
+            for keypoint in pose["keypoints"]:
+                keypoint["x"], keypoint["y"] = round(keypoint["x"]), round(keypoint["y"])
+    # corners in order as floats, though not as written: 2**53 + 1 reads as 2**53
+    doc["frames"][0]["poses"][0]["bbox"][:3] = [2**53 + 1, 0, float(2**53)]
     text = json.dumps(doc, indent=2)
-    with mock.patch.object(model, "_plain_document", wraps=model._plain_document) as bulk:
+    with mock.patch.object(json, "loads", side_effect=AssertionError("json.loads called")):
         loaded = load_sequence(text)
-    assert bulk.call_count == 1
-    assert loaded == _reference_load(text)
+    expected = _reference_load(text)
+    assert loaded == expected
+    assert save_predictions(loaded) == save_predictions(expected)
+    assert '"det_score": 1.0,' in save_predictions(loaded)
 
 
 _FIRST_POSE = ("frames", 0, "poses", 0)
@@ -614,16 +655,34 @@ def test_a_decoded_document_with_values_json_cannot_spell_gets_the_checked_messa
     doc = _one_pose_doc()
     _replace(doc, path, value)
     with pytest.raises(SequenceError) as expected:
-        model._parse_document(doc, "$")
+        oracles.sequence_from_document(doc)
     with pytest.raises(SequenceError) as excinfo:
         sequence_from_dict(doc)
     assert str(excinfo.value) == str(expected.value)
 
 
-def test_an_extra_key_holding_995_nested_arrays_is_not_valid_json():
-    text = _EDITS["extra-key-995-nested-arrays"](json.dumps(_named_pair("deep")[0], indent=2))
-    with pytest.raises(SequenceError, match=r"^\$: not valid JSON"):
+@pytest.mark.parametrize("depth", [900, 980, 995])
+def test_an_extra_key_holding_nested_arrays_is_refused_at_any_stack_depth(depth):
+    """Whether ``json`` decodes the key depends on the caller's stack; either way it is refused."""
+    nested = "[" * depth + "]" * depth
+    text = json.dumps(_named_pair("deep")[0], indent=2).replace("{", '{"deep": ' + nested + ", ", 1)
+    refused = r"^\$(\.deep: unknown field|: not valid JSON)"
+    with pytest.raises(SequenceError, match=refused):
         load_sequence(text)
+    load = (
+        "import sys\n"
+        "from topdown.model import SequenceError, load_sequence\n"
+        "try:\n"
+        "    load_sequence(sys.stdin.read())\n"
+        "except SequenceError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", load], input=text, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(refused, proc.stdout), proc.stdout
 
 
 @pytest.mark.parametrize("shape", ["arrays", "objects"])
@@ -724,7 +783,7 @@ _json_values = st.recursive(
         st.sampled_from([_HUGE, -_HUGE, 2**63, -1, 0, 1]),
         st.floats(),
         st.text(max_size=8),
-        st.sampled_from(["nose", "a/b", "..", "x" * 300, "\x00"]),
+        st.sampled_from(["nose", "right_ankle", "a/b", "..", "x" * 300, "\x00"]),
     ),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -742,7 +801,9 @@ _DOCS = _fuzz_docs()
 
 
 def _paths(node, prefix=()):
-    """Every key and index position in a decoded document."""
+    """Every key and index position in a decoded document, and a new key in every object."""
+    if isinstance(node, dict):
+        yield prefix + ("note",)
     items = node.items() if isinstance(node, dict) else enumerate(node)
     for key, child in items:
         yield prefix + (key,)
@@ -796,6 +857,34 @@ def test_fuzz_sequence_loader_and_run(path, value, target):
             assert not out_dir.exists()
 
 
+@settings(max_examples=150)
+@given(
+    side=st.sampled_from(sorted(_DOCS)),
+    path=st.sampled_from(_FUZZ_PATHS),
+    value=_json_values | st.just(_DELETE),
+    edit=st.sampled_from(sorted(_EDITS)) | st.none(),
+)
+def test_the_bulk_check_builds_exactly_the_documents_the_walk_passes(side, path, value, edit):
+    doc = json.loads(json.dumps(_DOCS[side]))
+    with contextlib.suppress(KeyError, IndexError, TypeError):
+        _replace(doc, path, value)
+    text = json.dumps(doc, indent=2)
+    if edit is not None:
+        text = _EDITS[edit](text)
+    try:
+        decoded = json.loads(text)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        try:
+            model._check_document(decoded, "$")
+            passes = True
+        except SequenceError:
+            passes = False
+        assert (model._plain_document(decoded) is not None) == passes
+    assert _outcome(load_sequence, text) == _outcome(_reference_load, text)
+
+
 # ---------------------------------------------------------------------------
 # a sequence name must name a file inside --out
 
@@ -837,7 +926,8 @@ def test_cli_rejects_a_sequence_name_outside_out(tmp_path, capsys, command, name
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert f"sequence {name!r}" in err
+    # the fault names the file that holds the sequence
+    assert err.startswith(f"input error: {det / '1.json'}: sequence {name!r}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["det", "gt"]
 
 
