@@ -37,7 +37,6 @@ from .ensemble import Route, default_expert_map, fuse_average, fuse_expert
 from .tracker import (
     RetentionTable,
     TrackerConfig,
-    TrackerState,
     TrackingError,
     pose_similarity,
     prune_keypoints,

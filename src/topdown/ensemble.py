@@ -68,38 +68,21 @@ def validate_expert_map(route_map: ExpertMap) -> None:
             )
 
 
-def mean_box(
-    a: Sequence[float], a_score: float, b: Sequence[float], b_score: float
-) -> BBox:
-    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners and a score each.
+def mean_box(a: Sequence[float], b: Sequence[float]) -> BBox:
+    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners.
 
     A mean beyond the float range raises a :class:`~topdown.model.ContractError`.
     """
     try:
-        return BBox(
-            0.5 * (a[0] + b[0]),
-            0.5 * (a[1] + b[1]),
-            0.5 * (a[2] + b[2]),
-            0.5 * (a[3] + b[3]),
-            score=0.5 * (a_score + b_score),
-        )
+        return BBox(*(0.5 * (p + q) for p, q in zip(a, b)))
     except ValueError as exc:
         raise ContractError(str(exc)) from exc
 
 
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
     if a is not None and b is not None:
-        return mean_box((a.x1, a.y1, a.x2, a.y2), a.score, (b.x1, b.y1, b.x2, b.y2), b.score)
+        return mean_box((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
     return a if a is not None else b
-
-
-def _fused_pose(a: Pose, b: Pose, keypoints: Keypoints) -> Pose:
-    return Pose(
-        keypoints=keypoints,
-        det_score=0.5 * (a.det_score + b.det_score),
-        bbox=_mean_bbox(a.bbox, b.bbox),
-        track_id=None,
-    )
 
 
 # route codes: one per joint slot, resolved once per run
@@ -156,7 +139,10 @@ def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[P
     detection score and no track id.  Boxes are taken as given: the mean of
     two boxes, else the one present.
     """
-    return [_fused_pose(pa, pb, k) for pa, pb, k in zip(a, b, fused_keypoints(a, b, routes))]
+    return [
+        Pose(k, 0.5 * (pa.det_score + pb.det_score), _mean_bbox(pa.bbox, pb.bbox))
+        for pa, pb, k in zip(a, b, fused_keypoints(a, b, routes))
+    ]
 
 
 def fuse_average(a: Pose, b: Pose) -> Pose:

@@ -55,15 +55,15 @@ def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
 
     :func:`infer_corners` on one row: the raw box spans the minimum and
     maximum keypoint coordinates; width and height are then scaled by
-    ``1 + enlarge`` (20% per axis by default, not per side).  The box score is
-    the pose detection score.  Boxes are not clipped to image bounds.  Raises
+    ``1 + enlarge`` (20% per axis by default, not per side).  Boxes are not
+    clipped to image bounds.  Raises
     :class:`DegenerateGeometryError` (see :func:`box_error`) for fewer than
     two present keypoints, a zero-area span, or a corner beyond the float range.
     """
     corners, ok = infer_corners(pose.xy[None], pose.present[None], enlarge)
     if not ok[0]:
         raise box_error(pose.xy, pose.present, corners[0])
-    return BBox(*corners[0].tolist(), score=pose.det_score)
+    return BBox(*corners[0].tolist())
 
 
 def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
@@ -80,7 +80,7 @@ def with_corners(pose: Pose, corners: Sequence[float]) -> Pose:
     """``pose`` itself when it has a box, else a copy boxed by ``corners``, as :func:`with_box` boxes it."""
     if pose.bbox is not None:
         return pose
-    return Pose(pose.keypoints, pose.det_score, BBox(*corners, score=pose.det_score), pose.track_id)
+    return Pose(pose.keypoints, pose.det_score, BBox(*corners), pose.track_id)
 
 
 def infer_corners(
@@ -140,7 +140,10 @@ def box_corners(poses: Sequence[Pose], enlarge: float = 0.20) -> tuple[np.ndarra
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0.0 when the union has no area."""
+    """Intersection over union; 0.0 when the union has no area.
+
+    Overlapping boxes whose union area is beyond the float range raise ``ContractError``.
+    """
     return _corner_iou((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
 
 
@@ -154,22 +157,34 @@ def _corner_iou(a: Sequence[float], b: Sequence[float]) -> float:
         return 0.0
     inter = ix * iy
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    if not math.isfinite(union):
+        raise _overlap_error(a, b)
     return inter / union if union > 0.0 else 0.0
+
+
+def _overlap_error(a: Sequence[float], b: Sequence[float]) -> ContractError:
+    return ContractError(f"the union of boxes {tuple(a)} and {tuple(b)} is beyond the float range")
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise :func:`iou` of two ``(n, 4)`` / ``(m, 4)`` corner arrays, shape ``(n, m)``.
 
     Rows are ``[x1, y1, x2, y2]``; each cell follows the scalar rule, with
-    the same arithmetic, so it equals ``iou`` on the corresponding boxes.
+    the same arithmetic, so it equals ``iou`` on the corresponding boxes and
+    raises where it raises.
     """
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = ix * iy
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    valid = (ix > 0.0) & (iy > 0.0) & (union > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+        iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+        inter = ix * iy
+        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        union = area_a[:, None] + area_b[None, :] - inter
+    valid = (ix > 0.0) & (iy > 0.0)
+    if not np.isfinite(union[valid]).all():
+        i, j = np.argwhere(valid & ~np.isfinite(union))[0].tolist()
+        raise _overlap_error(a[i].tolist(), b[j].tolist())
+    valid &= union > 0.0
     return np.where(valid, inter / np.where(valid, union, 1.0), 0.0)
 
 
@@ -208,16 +223,17 @@ def nms_boxes(poses: list[Pose], iou_threshold: float) -> list[Pose]:
 
 
 def detection_pr(
-    dets: list[BBox], gts: list[BBox], iou_threshold: float = 0.4
+    dets: list[BBox], scores: Sequence[float], gts: list[BBox], iou_threshold: float = 0.4
 ) -> PRResult:
     """Greedy score-ordered detection matching against ground-truth boxes.
 
-    Detections are visited by descending score (ties by input index); each
-    claims the still-unmatched ground truth with the highest IoU provided that
-    IoU reaches the threshold, and is a false positive otherwise.  Unclaimed
+    ``scores[i]`` is the detection score of ``dets[i]``.  Detections are
+    visited by descending score (ties by input index); each claims the
+    still-unmatched ground truth with the highest IoU provided that IoU
+    reaches the threshold, and is a false positive otherwise.  Unclaimed
     ground truths are misses.
     """
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
     claimed = [False] * len(gts)
     tp = 0
     for i in order:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JOINTS, ContractError, Joint, Keypoint
+from .model import JOINTS, ContractError, Joint, Keypoint, is_real, record_from_dict, require_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,9 +40,11 @@ class Heatmap:
             raise ValueError("grid contains non-finite scores")
         if grid.min() < 0.0 or grid.max() > 1.0:
             raise ValueError("grid scores must lie in [0, 1]")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Real):
+            raise ValueError(f"stride must be a number, got {self.stride!r}")
         if self.stride <= 0.0:
             raise ValueError(f"stride must be positive, got {self.stride!r}")
-        if not math.isfinite(self.stride):
+        if not is_real(self.stride):
             raise ValueError(f"stride must be finite, got {self.stride!r}")
         grid = grid.copy()
         grid.setflags(write=False)
@@ -65,8 +68,8 @@ class HeatmapStack:
         strides = {hm.stride for hm in self.maps}
         if len(shapes) > 1 or len(strides) > 1:
             raise ValueError("maps must share shape and stride")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValueError(f"origin must be finite, got {self.origin!r}")
+        if len(self.origin) != 2 or not all(map(is_real, self.origin)):
+            raise ValueError(f"origin must be finite numbers (x, y), got {self.origin!r}")
 
     def map_for(self, joint: Joint) -> Heatmap:
         return self.maps[joint.index]
@@ -219,10 +222,20 @@ def select_hardest_joints(losses: list[float], k: int = 7) -> tuple[int, ...]:
     if not 1 <= k <= len(losses):
         raise ValueError(f"k must be within [1, {len(losses)}], got {k}")
     for i, loss in enumerate(losses):
-        if not math.isfinite(loss) or loss < 0.0:
-            raise ValueError(f"loss[{i}] must be finite and non-negative, got {loss!r}")
+        require_real(loss, f"loss[{i}]")
+        if loss < 0.0:
+            raise ValueError(f"loss[{i}] must be non-negative, got {loss!r}")
     ranked = sorted(range(len(losses)), key=lambda i: (-losses[i], i))
     return tuple(sorted(ranked[:k]))
+
+
+@dataclass(frozen=True)
+class _Fixture:
+    """The heatmap fixture document, read by :func:`~topdown.model.record_from_dict`."""
+
+    maps: dict[Joint, list]
+    stride: float = 1.0
+    origin: tuple[float, ...] = (0.0, 0.0)
 
 
 def load_stack_json(text: str) -> HeatmapStack:
@@ -232,24 +245,23 @@ def load_stack_json(text: str) -> HeatmapStack:
 
         {"stride": float, "origin": [x, y],
          "maps": {"<joint>": [[row of W floats] x H], ...}}  # all 15 joints
+
+    ``stride`` and ``origin`` may be left out.  An unknown key or joint is
+    refused, and each fault starts with the path of its field.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # deep nesting too
         raise ValueError(f"not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("maps"), dict):
-        raise ValueError('expected a JSON object with a "maps" object')
-    try:  # a wrongly typed stride, origin or grid fails float conversion with TypeError
-        stride = float(doc.get("stride", 1.0))
-        origin = tuple(float(v) for v in doc.get("origin", (0.0, 0.0)))
-        if len(origin) != 2:
-            raise ValueError("origin must have 2 entries")
-        raw_maps = doc["maps"]
-        maps = []
-        for joint in JOINTS:
-            if joint.value not in raw_maps:
-                raise ValueError(f"maps missing joint {joint.value!r}")
-            maps.append(Heatmap(joint=joint, grid=np.asarray(raw_maps[joint.value]), stride=stride))
-    except TypeError as exc:
-        raise ValueError(f"malformed heatmap fixture: {exc}") from exc
-    return HeatmapStack(maps=tuple(maps), origin=origin)  # type: ignore[arg-type]
+    fixture = record_from_dict(_Fixture, doc)
+    missing = [j.value for j in JOINTS if j not in fixture.maps]
+    if missing:
+        raise ValueError(f"maps: missing joints {missing}")
+    maps = []
+    for joint in JOINTS:
+        try:  # a grid of the wrong shape or type, or an int beyond the float range
+            grid = np.asarray(fixture.maps[joint], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"maps.{joint.value}: {exc}") from exc
+        maps.append(Heatmap(joint=joint, grid=grid, stride=fixture.stride))
+    return HeatmapStack(maps=tuple(maps), origin=fixture.origin)

@@ -274,14 +274,14 @@ def _table(
     # radii only for ground truth in frames with a prediction
     needed = np.flatnonzero(np.repeat(n_pred > 0, n_gt))
     radius = np.zeros(len(gts))
-    radius[needed] = t.factor * _reference_head_sizes(
-        [gts[i] for i in needed.tolist()], gt_xy[needed], gt_present[needed], t
-    )
-
-    r = np.broadcast_to(radius[pair_gt][:, None], (len(pair_gt), _N))
-    d = pred_xy[pair_pred] - gt_xy[pair_gt]
-    dx, dy = d[..., 0], d[..., 1]
-    near = gt_present[pair_gt] & (np.hypot(dx, dy) <= r + r * _SLACK + 1e-300)
+    with np.errstate(over="ignore"):  # a radius or offset beyond the float range is inf
+        radius[needed] = t.factor * _reference_head_sizes(
+            [gts[i] for i in needed.tolist()], gt_xy[needed], gt_present[needed], t
+        )
+        r = np.broadcast_to(radius[pair_gt][:, None], (len(pair_gt), _N))
+        d = pred_xy[pair_pred] - gt_xy[pair_gt]
+        dx, dy = d[..., 0], d[..., 1]
+        near = gt_present[pair_gt] & (np.hypot(dx, dy) <= r + r * _SLACK + 1e-300)
     distance = np.fromiter(
         map(math.hypot, dx[near].tolist(), dy[near].tolist()), float, int(near.sum())
     )

@@ -23,10 +23,9 @@ The document schema handled by :func:`load_sequence` / :func:`save_predictions`:
       ]
     }
 
-Boxes are stored as bare corner coordinates; a box score is not part of the
-document and is reconstituted from the owning pose's ``det_score`` on load.
-Unannotated or pruned keypoints are carried with ``present: false`` so the
-15 joint slots keep stable indices.
+A box is its four corners: a candidate's only score is its pose's
+``det_score``.  Unannotated or pruned keypoints are carried with
+``present: false`` so the 15 joint slots keep stable indices.
 
 In memory a pose's keypoints are a :class:`Keypoints`: read-only arrays of
 positions, confidences and presence flags, indexed by joint slot, which read
@@ -165,21 +164,28 @@ class ContractError(ValueError):
     from it."""
 
 
-def _require_finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
+def _is_finite(value: float) -> bool:
+    """``math.isfinite``, reading an integer beyond the float range as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _require_finite(value: float, what: str) -> None:
+    if not _is_finite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return value
+
+
+def is_real(value: Any) -> bool:
+    """Whether ``value`` is a finite real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and _is_finite(value)
 
 
 def require_real(value: Any, what: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is a finite real number other than a bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"{what} must be a finite number, got {value!r}")
+    """Raise ``ValueError`` unless ``value`` :func:`is_real`."""
+    if not is_real(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def require_int(value: Any, what: str) -> None:
@@ -196,13 +202,12 @@ def _require_number(value: Any, what: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class BBox:
-    """Axis-aligned box in pixel coordinates with a detection score."""
+    """Axis-aligned box in pixel coordinates; a candidate's score is its pose's ``det_score``."""
 
     x1: float
     y1: float
     x2: float
     y2: float
-    score: float = 0.0
 
     def __post_init__(self) -> None:
         plain = (
@@ -210,22 +215,20 @@ class BBox:
             and self.y1.__class__ is float
             and self.x2.__class__ is float
             and self.y2.__class__ is float
-            and self.score.__class__ is float
             and math.isfinite(self.x1)
             and math.isfinite(self.y1)
             and math.isfinite(self.x2)
             and math.isfinite(self.y2)
-            and math.isfinite(self.score)
         )
         if not plain:
-            for name in ("x1", "y1", "x2", "y2", "score"):
+            for name in ("x1", "y1", "x2", "y2"):
                 _require_number(getattr(self, name), f"BBox.{name}")
                 _require_finite(getattr(self, name), f"BBox.{name}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ValueError(f"BBox corners out of order: {self}")
         if not plain:
             # held as floats, as a document loads them: an int beyond 2**53 would not load back
-            for name in ("x1", "y1", "x2", "y2", "score"):
+            for name in ("x1", "y1", "x2", "y2"):
                 object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
@@ -260,14 +263,17 @@ class Keypoint:
     present: bool = True
 
     def __post_init__(self) -> None:
-        if (
-            math.isfinite(self.x)
-            and math.isfinite(self.y)
-            and math.isfinite(self.confidence)
-            and 0.0 <= self.confidence <= 1.0
-            and (self.present is True or self.present is False)
-        ):
-            return
+        try:
+            if (
+                math.isfinite(self.x)
+                and math.isfinite(self.y)
+                and math.isfinite(self.confidence)
+                and 0.0 <= self.confidence <= 1.0
+                and (self.present is True or self.present is False)
+            ):
+                return
+        except OverflowError:  # an integer beyond the float range, named below
+            pass
         name = self.joint.value
         _require_finite(self.x, f"{name}.x")
         _require_finite(self.y, f"{name}.y")
@@ -679,7 +685,7 @@ def _plain_document(doc: Any) -> Sequence | None:
     # the types check the frame, score, track id and corner rules as they are built
     try:
         built = iter([
-            Pose(kps, det, None if box is None else BBox(*box, score=det), track_id)
+            Pose(kps, det, None if box is None else BBox(*box), track_id)
             for kps, det, box, track_id in zip(keypoints, det_scores, boxes, track_ids)
         ])
         return Sequence(
@@ -729,13 +735,9 @@ def _as_int(value: Any, path: str) -> int:
 def _as_float(value: Any, path: str) -> float:
     if type(value) not in (int, float):
         raise SequenceError(f"{path}: expected number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
+    if not _is_finite(value):
         raise SequenceError(f"{path}: must be finite, got {value!r}")
-    return out
+    return float(value)
 
 
 _SLOT_BY_NAME = {j.value: i for i, j in enumerate(JOINTS)}

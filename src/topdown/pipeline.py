@@ -158,11 +158,6 @@ def _corner_rows(poses: list[Pose], enlarge: float) -> tuple[list, list[bool]]:
     return corners.tolist(), ok.tolist()
 
 
-def _box_score(pose: Pose) -> float:
-    """The score of the pose's box: its own, or the detection score an inferred box gets."""
-    return pose.det_score if pose.bbox is None else pose.bbox.score
-
-
 def _detect_sequence(
     det: Sequence, det_b: Sequence | None, config: PipelineConfig, routes: np.ndarray | None
 ) -> Sequence:
@@ -181,12 +176,12 @@ def _detect_sequence(
     scores = [p.det_score for p in poses]
     boxes, boxed = _corner_rows(poses, config.bbox_enlarge)
     plan: list[tuple[Frame, int, list[int], list[int]]] = []  # frame, start, unboxed, kept
-    mismatch = None
+    fault = None  # raised once the frames before it, and its own warnings, are done
     start = 0
     for fi, frame in enumerate(det.frames):
         n = len(frame.poses)
         if det_b is not None and len(det_b.frames[fi].poses) != n:
-            mismatch = PipelineContractError(
+            fault = PipelineContractError(
                 f"frame {frame.index}: second model has {len(det_b.frames[fi].poses)} poses, "
                 f"expected {n}"
             )
@@ -200,11 +195,16 @@ def _detect_sequence(
                 unboxed.append(i - start)
             else:
                 candidates.append(i)
-        kept = nms_indices(
-            [boxes[i] for i in candidates],
-            [scores[i] for i in candidates],
-            config.nms_iou_threshold,
-        )
+        try:
+            kept = nms_indices(
+                [boxes[i] for i in candidates],
+                [scores[i] for i in candidates],
+                config.nms_iou_threshold,
+            )
+        except ContractError as exc:  # an overlap beyond the float range
+            plan.append((frame, start, unboxed, []))
+            fault = exc
+            break
         plan.append((frame, start, unboxed, [candidates[k] for k in kept]))
         start += n
     if det_b is not None:
@@ -221,14 +221,8 @@ def _detect_sequence(
         out = []
         for s in kept:
             if det_b is not None and boxed_b[s]:
-                pose_a, pose_b = poses[s], poses_b[s]
-                out.append(
-                    Pose(
-                        next(fused),
-                        0.5 * (pose_a.det_score + pose_b.det_score),
-                        mean_box(boxes[s], _box_score(pose_a), boxes_b[s], _box_score(pose_b)),
-                    )
-                )
+                det_score = 0.5 * (poses[s].det_score + poses_b[s].det_score)
+                out.append(Pose(next(fused), det_score, mean_box(boxes[s], boxes_b[s])))
                 continue
             if det_b is not None:
                 log.warning(
@@ -238,8 +232,8 @@ def _detect_sequence(
                 )
             out.append(with_corners(poses[s], boxes[s]))
         frames.append(Frame(frame.index, frame.width, frame.height, tuple(out)))
-    if mismatch is not None:
-        raise mismatch
+    if fault is not None:
+        raise fault
     return replace(det, frames=tuple(frames))
 
 
@@ -300,6 +294,7 @@ def _detection_prs(
         prs = [
             detection_pr(
                 [box for score, box in det_boxes if score >= threshold],
+                [score for score, _ in det_boxes if score >= threshold],
                 [box for _, box in gt_boxes],
                 config.detection_iou_threshold,
             )

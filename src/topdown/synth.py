@@ -113,7 +113,9 @@ class SynthSpec:
     def __post_init__(self) -> None:
         for name in ("n_persons", "n_frames", "width", "height", "seed"):
             require_int(getattr(self, name), name)
-        for name in ("speed", "scale", "jitter", "p_miss", "fp_rate", "fp_clearance"):
+        # the generator does float arithmetic with the sizes and counts too
+        for name in ("n_persons", "n_frames", "width", "height", "speed", "scale", "jitter",
+                     "p_miss", "fp_rate", "fp_clearance"):
             require_real(getattr(self, name), name)
         for name in ("trajectory", "name"):
             if not isinstance(getattr(self, name), str):
@@ -294,7 +296,7 @@ def _build(drawn: list[_Drawn]) -> None:
             raise ContractError(str(exc)) from exc
         if not boxed:
             raise box_error(xy, _ALL_PRESENT, row)
-        poses.append(Pose(keypoints, det_score, BBox(*row, score=det_score), track_id))
+        poses.append(Pose(keypoints, det_score, BBox(*row), track_id))
 
 
 def _occluded(spec: SynthSpec, person: int, frame: int) -> bool:
@@ -338,7 +340,11 @@ def generate(spec: SynthSpec) -> SynthOutput:
             confidences = np.clip(rng.normal(conf_means, conf_spreads), 0.0, 1.0)
             drawn.append((det_poses, placed + offsets, confidences, float(np.mean(confidences)), None))
             sources.append(person)
-        for _ in range(int(rng.poisson(spec.fp_rate))):
+        try:
+            n_false = int(rng.poisson(spec.fp_rate))
+        except ValueError as exc:  # a rate too large for numpy to draw from
+            raise ContractError(f"fp_rate {spec.fp_rate!r}: {exc}") from exc
+        for _ in range(n_false):
             clearance = spec.fp_clearance * spec.scale
             center = None
             for _attempt in range(200):

@@ -13,7 +13,7 @@ ids are never reused within a sequence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -92,34 +92,6 @@ class PoseArrays(NamedTuple):
     def take(self, rows) -> "PoseArrays":
         """The poses at ``rows`` (an index list or a slice)."""
         return PoseArrays(self.xy[rows], self.present[rows], self.box[rows])
-
-
-@dataclass(slots=True)
-class _Track:
-    last_frame: int
-    row: int  # the row of the track's latest pose in the sequence's PoseArrays
-
-
-@dataclass(slots=True)
-class TrackerState:
-    """Live id table: monotone id counter plus last frame and pose row per active id."""
-
-    next_id: int = 0
-    active: dict[int, _Track] = field(default_factory=dict)
-
-    def expire(self, frame_index: int, retention_window: int) -> None:
-        dead = [
-            tid
-            for tid, track in self.active.items()
-            if frame_index - track.last_frame > retention_window
-        ]
-        for tid in dead:
-            del self.active[tid]
-
-    def fresh_id(self) -> int:
-        tid = self.next_id
-        self.next_id += 1
-        return tid
 
 
 def kept_keypoints(confidence: np.ndarray, present: np.ndarray, threshold: float) -> np.ndarray:
@@ -227,17 +199,18 @@ def similarity_matrix(
     over joints present in both poses, with s the square root of the track
     box's area and ``kappa`` the per-joint width (15,); where that
     denominator is 0 a joint scores 1 at distance 0 and 0 otherwise, and a
-    pair with no common joint scores 0 on the kernel.
+    pair with no common joint scores 0 on the kernel.  A square beyond the
+    float range gives a kernel of 0, its limit.
     """
     overlap = iou_matrix(tracks.box, poses.box)
     box = tracks.box
-    size = np.sqrt((box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1]))
-    scale = size[:, None] * kappa
-    denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
-    d = tracks.xy[:, None] - poses.xy[None, :]
-    d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
     common = tracks.present[:, None, :] & poses.present[None, :, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        size = np.sqrt((box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1]))
+        scale = size[:, None] * kappa
+        denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
+        d = tracks.xy[:, None] - poses.xy[None, :]
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
         kernel = np.where(denom > 0.0, np.exp(-d2 / denom), d2 == 0.0)
     kernel = np.where(common, kernel, 0.0)
     # a running sum runs joint by joint, in joint order: np.sum's pairwise
@@ -302,7 +275,9 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     """
     kappa = _kappa_vector(config)
     arrays, ok = _stacked(seq.all_poses())
-    state = TrackerState()
+    # id -> (last frame index, row of its latest pose); insertion order breaks assignment ties
+    active: dict[int, tuple[int, int]] = {}
+    next_id = 0
     tracked: list[Pose] = []
     start = 0
     for frame in seq.frames:
@@ -312,11 +287,15 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
                     f"frame {frame.index}: pose already carries track_id {pose.track_id}"
                 )
         stop = start + len(frame.poses)
-        state.expire(frame.index, config.retention_window)
-        track_ids = list(state.active)
+        active = {
+            tid: track
+            for tid, track in active.items()
+            if frame.index - track[0] <= config.retention_window
+        }
+        track_ids = list(active)
         assigned: dict[int, int] = {}
         if track_ids and frame.poses:
-            rows = [state.active[tid].row for tid in track_ids]
+            rows = [row for _, row in active.values()]
             # a pose's box is needed, and its error raised, only once it is scored
             _require_boxes(arrays, ok, chain(rows, range(start, stop)))
             similarity = similarity_matrix(
@@ -332,8 +311,9 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
         for idx, pose in enumerate(frame.poses):
             tid = assigned.get(idx)
             if tid is None:
-                tid = state.fresh_id()
-            state.active[tid] = _Track(last_frame=frame.index, row=start + idx)
+                tid = next_id
+                next_id += 1
+            active[tid] = (frame.index, start + idx)
             tracked.append(Pose(pose.keypoints, pose.det_score, pose.bbox, tid))
         start = stop
     return seq.with_poses(tracked)

@@ -61,7 +61,7 @@ def bbox_from_keypoints(pose: Pose, enlarge: float = 0.20) -> BBox:
     corners = (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
     if not all(map(math.isfinite, corners)):
         raise DegenerateGeometryError(f"the inferred box overflows the float range: {corners}")
-    return BBox(*corners, score=pose.det_score)
+    return BBox(*corners)
 
 
 def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
@@ -119,7 +119,6 @@ def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
             0.5 * (a.y1 + b.y1),
             0.5 * (a.x2 + b.x2),
             0.5 * (a.y2 + b.y2),
-            score=0.5 * (a.score + b.score),
         )
     except ValueError as exc:  # a mean beyond the float range
         raise ContractError(str(exc)) from exc
@@ -251,7 +250,7 @@ def _pose(raw: Any, path: str) -> Pose:
         x1, y1, x2, y2 = [_number(v, f"{path}.bbox[{i}]") for i, v in enumerate(coords)]
         if x2 < x1 or y2 < y1:
             raise SequenceError(f"{path}.bbox: corners out of order")
-        bbox = BBox(x1, y1, x2, y2, score=det_score)
+        bbox = BBox(x1, y1, x2, y2)
     entries = _array(_field(obj, "keypoints", path), f"{path}.keypoints")
     if len(entries) != len(JOINTS):
         raise SequenceError(

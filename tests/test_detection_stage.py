@@ -110,7 +110,7 @@ def _poses(draw, values) -> Pose:
     score = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1]))
     bbox = None
     if draw(st.booleans()):
-        bbox = BBox(*draw(st.sampled_from(_BOXES)), score=draw(st.sampled_from([score, 0.75])))
+        bbox = BBox(*draw(st.sampled_from(_BOXES)))
     track_id = draw(st.none() | st.integers(0, 5))
     return Pose(keypoints, score, bbox, track_id)
 

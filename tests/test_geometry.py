@@ -25,7 +25,6 @@ def test_bbox_from_keypoints_example():
     pose = points_pose({Joint.NOSE: (10, 10), Joint.LEFT_ANKLE: (30, 50)})
     box = bbox_from_keypoints(pose)
     assert (box.x1, box.y1, box.x2, box.y2) == (8.0, 6.0, 32.0, 54.0)
-    assert box.score == pose.det_score
 
 
 def test_bbox_enlarge_zero_is_raw_box():
@@ -232,16 +231,16 @@ def test_nms_idempotent_and_valid_1000_cases():
 
 
 def test_detection_pr_perfect():
-    boxes = [BBox(0, 0, 10, 10, 0.9), BBox(50, 50, 70, 80, 0.8)]
-    result = detection_pr(boxes, boxes)
+    boxes = [BBox(0, 0, 10, 10), BBox(50, 50, 70, 80)]
+    result = detection_pr(boxes, [0.9, 0.8], boxes)
     assert (result.precision, result.recall) == (1.0, 1.0)
     assert (result.tp, result.fp, result.fn) == (2, 0, 0)
 
 
 def test_detection_pr_one_tp_one_fp():
     gt = [BBox(0, 0, 10, 10)]
-    dets = [BBox(0, 0, 10, 5, 0.9), BBox(100, 100, 110, 110, 0.8)]
-    result = detection_pr(dets, gt)  # first det IoU = 0.5
+    dets = [BBox(0, 0, 10, 5), BBox(100, 100, 110, 110)]
+    result = detection_pr(dets, [0.9, 0.8], gt)  # first det IoU = 0.5
     assert result.precision == 0.5
     assert result.recall == 1.0
 
@@ -251,7 +250,7 @@ def test_detection_pr_count_identities():
     for _ in range(200):
         dets = [_random_box(rng) for _ in range(rng.randint(0, 6))]
         gts = [_random_box(rng) for _ in range(rng.randint(0, 6))]
-        r = detection_pr(dets, gts)
+        r = detection_pr(dets, [0.0] * len(dets), gts)
         assert r.tp + r.fp == len(dets)
         assert r.tp + r.fn == len(gts)
 
@@ -290,13 +289,15 @@ def test_detection_pr_matches_bruteforce_on_separated_scenes():
             if rng.random() < 0.7:
                 dx, dy = rng.uniform(-10, 10), rng.uniform(-10, 10)
                 dets.append(
-                    BBox(gt.x1 + dx, gt.y1 + dy, gt.x2 + dx, gt.y2 + dy, rng.random())
+                    (BBox(gt.x1 + dx, gt.y1 + dy, gt.x2 + dx, gt.y2 + dy), rng.random())
                 )
         for _ in range(rng.randint(0, 3)):
             x = rng.uniform(1500, 2500)
-            dets.append(BBox(x, 0, x + 80, 100, rng.random()))
+            dets.append((BBox(x, 0, x + 80, 100), rng.random()))
         rng.shuffle(dets)
-        result = detection_pr(dets, gts, 0.4)
+        scores = [score for _, score in dets]
+        dets = [box for box, _ in dets]
+        result = detection_pr(dets, scores, gts, 0.4)
         assert result.tp == _max_matching_tp(dets, gts, 0.4)
 
 
@@ -305,5 +306,5 @@ def test_detection_pr_never_beats_bruteforce():
     for _ in range(300):
         dets = [_random_box(rng) for _ in range(rng.randint(0, 5))]
         gts = [_random_box(rng) for _ in range(rng.randint(0, 5))]
-        result = detection_pr(dets, gts, 0.4)
+        result = detection_pr(dets, [0.0] * len(dets), gts, 0.4)
         assert result.tp <= _max_matching_tp(dets, gts, 0.4)

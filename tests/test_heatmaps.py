@@ -196,6 +196,16 @@ def test_non_finite_stride_origin_and_radius_are_refused(value):
             decode_stack(HeatmapStack(maps=maps), radius=value)
 
 
+@pytest.mark.parametrize("value", ["x", True, 10**400])
+def test_stride_origin_and_losses_are_finite_numbers(value):
+    with pytest.raises(ValueError, match="stride must be"):
+        Heatmap(joint=Joint.NOSE, grid=np.zeros((2, 2)), stride=value)
+    with pytest.raises(ValueError, match="origin must be finite"):
+        HeatmapStack(maps=_distant_stack().maps, origin=(value, 0.0))
+    with pytest.raises(ValueError, match=r"loss\[3\] must be a finite number"):
+        select_hardest_joints([1.0] * 3 + [value] + [1.0] * 11)
+
+
 def test_stack_fixture_roundtrip():
     import json
 

@@ -73,13 +73,11 @@ def poses(draw) -> Pose:
     if draw(st.booleans()):
         x1 = draw(st.floats(-100, 500, allow_nan=False))
         y1 = draw(st.floats(-100, 500, allow_nan=False))
-        # box scores are not serialized; they reload as det_score
         bbox = BBox(
             x1,
             y1,
             x1 + draw(st.floats(0, 300, allow_nan=False)),
             y1 + draw(st.floats(0, 300, allow_nan=False)),
-            score=det_score,
         )
     track_id = draw(st.one_of(st.none(), st.integers(0, 99)))
     return Pose(keypoints=tuple(keypoints), det_score=det_score, bbox=bbox, track_id=track_id)

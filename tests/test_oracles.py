@@ -38,7 +38,7 @@ def _poses(draw, values=None) -> Pose:
     confidence = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=15, max_size=15))
     bbox = None
     if draw(st.booleans()):
-        bbox = BBox(0.0, 0.0, draw(st.sampled_from([1.0, 4.0])), 2.0, score=0.75)
+        bbox = BBox(0.0, 0.0, draw(st.sampled_from([1.0, 4.0])), 2.0)
     score = draw(st.sampled_from([0.0, 0.3, 1.0]))
     return Pose(Keypoints(xy.reshape(15, 2), confidence, present), score, bbox)
 

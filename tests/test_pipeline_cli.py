@@ -472,7 +472,7 @@ def _peaks_off_the_float_range(tmp_path: Path) -> Path:
         ("ensemble", _huge_box_corner, "BBox.x2 must be finite, got inf"),
         ("run-fused", _huge_nose_x, "nose.x must be finite, got inf"),
         ("run-fused", _huge_box_corner, "BBox.x2 must be finite, got inf"),
-        ("run", _huge_boxes_and_steps, "cost matrix contains non-finite entries"),
+        ("run", _huge_boxes_and_steps, "is beyond the float range"),
         ("synth", None, "must be finite, got"),
         ("decode", None, "nose.x must be finite, got inf"),
     ],
@@ -1013,11 +1013,18 @@ def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, v
         ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": float("inf")}),
         ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "origin": [float("nan"), 0.0]}),
         ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "origin": [0.0, float("-inf")]}),
+        ("synth", {"width": 10**400}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": 10**400}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "strid": 4.0}),
+        ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": "2"}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "noze": [[0.5]]}}),
     ],
     ids=[
         "config-array", "config-section-array", "spec-array", "spec-number",
         "spec-section-array", "maps-missing", "maps-origin-number", "maps-stride-array",
         "maps-stride-nan", "maps-stride-inf", "maps-origin-nan", "maps-origin-inf",
+        "spec-width-beyond-float", "maps-stride-beyond-float", "maps-unknown-key",
+        "maps-stride-string", "maps-unknown-joint",
     ],
 )
 def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):

@@ -10,7 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -297,23 +297,10 @@ def test_types_reject_values_a_document_cannot_hold(make, message):
     assert message in str(excinfo.value)
 
 
-def _box_scored(pose: Pose) -> Pose:
-    if pose.bbox is None:
-        return pose
-    return replace(pose, bbox=replace(pose.bbox, score=pose.det_score))
-
-
 @given(_written_sequences())
 def test_every_sequence_the_types_accept_loads_back_equal(seq):
-    """A saved sequence loads back equal; a box score is not in the document.
-
-    The loader gives a box the score of its pose, so the comparison does too.
-    """
-    expected = replace(
-        seq,
-        frames=tuple(replace(f, poses=tuple(map(_box_scored, f.poses))) for f in seq.frames),
-    )
-    assert load_sequence(save_predictions(seq)) == expected
+    """A saved sequence loads back equal to the sequence as built."""
+    assert load_sequence(save_predictions(seq)) == seq
 
 
 def test_loading_builds_no_keypoint_objects(monkeypatch):
@@ -739,13 +726,15 @@ def test_deep_nesting_is_invalid_json_in_a_fresh_process(tmp_path, shape):
         (Keypoint, (Joint.NOSE, math.nan, 0.0, 1.5), "nose.x must be finite, got nan"),
         (BBox, (math.nan, 0, 1, 1), "BBox.x1 must be finite, got nan"),
         (BBox, (0, 0, 1, -math.inf), "BBox.y2 must be finite, got -inf"),
-        (BBox, (0.0, 0.0, 1.0, 1.0, math.inf), "BBox.score must be finite, got inf"),
         (
             BBox,
             (5.0, 0.0, 0.0, 1.0),
-            "BBox corners out of order: BBox(x1=5.0, y1=0.0, x2=0.0, y2=1.0, score=0.0)",
+            "BBox corners out of order: BBox(x1=5.0, y1=0.0, x2=0.0, y2=1.0)",
         ),
-        (BBox, (0, 2, 1, 1), "BBox corners out of order: BBox(x1=0, y1=2, x2=1, y2=1, score=0.0)"),
+        (BBox, (0, 2, 1, 1), "BBox corners out of order: BBox(x1=0, y1=2, x2=1, y2=1)"),
+        (Keypoint, (Joint.NOSE, 10**400, 0.0, 0.5), f"nose.x must be finite, got {10**400}"),
+        (BBox, (0, 0, 10**400, 1), f"BBox.x2 must be finite, got {10**400}"),
+        (Pose, (_pose_of().keypoints, 10**400), f"Pose.det_score must be finite, got {10**400}"),
     ],
 )
 def test_type_value_error_messages(cls, args, message):
@@ -761,6 +750,12 @@ def test_type_value_error_messages(cls, args, message):
 def test_type_non_number_raises_type_error(make):
     with pytest.raises(TypeError, match="must be real number, not str"):
         make()
+
+
+def test_a_box_is_its_four_corners():
+    with pytest.raises(TypeError):
+        BBox(0, 0, 1, 1, 0.5)
+    assert [f.name for f in fields(BBox)] == ["x1", "y1", "x2", "y2"]
 
 
 def test_prune_keypoints_builds_absent_copies():
