@@ -133,17 +133,9 @@ def _read(path: str | Path, parse: Callable[[str], Any], members: bool = False) 
         raise _InputError(f"{path}: {reason}") from exc
 
 
-def _json(text: str) -> Any:
-    """The JSON document ``text``; deep nesting is invalid JSON too."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"not valid JSON ({exc})") from exc
-
-
 def _spec(text: str) -> synth.SynthSpec:
     """The generator spec of a spec document, or of a pipeline config's ``synth`` section."""
-    doc = _json(text)
+    doc = model.parse_json(text)
     if isinstance(doc, dict) and "synth" in doc:
         return model.record_from_dict(synth.SynthSpec, doc["synth"], "synth")
     return model.record_from_dict(synth.SynthSpec, doc)
@@ -190,7 +182,7 @@ def _load_sequences(path: str, out_prefix: str | None = None) -> list[Sequence]:
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig()
     if args.config:
-        config = _read(args.config, lambda text: PipelineConfig.from_dict(_json(text)))
+        config = _read(args.config, lambda text: PipelineConfig.from_dict(model.parse_json(text)))
     for flag, name in (
         ("candidate_threshold", "candidate_drop_threshold"),
         ("keypoint_threshold", "keypoint_drop_threshold"),
@@ -371,20 +363,13 @@ def _cmd_ensemble(args) -> int:
         seqs_a, _load_sequences(args.b), "model B predictions", PipelineContractError
     )
     routes = route_codes(args.mode, config.expert_map)
-    fused_seqs = []
     for a, b in pairs:
-        # the frames before the first pose-count mismatch are fused, then it raises,
-        # so errors come in the order of a frame-by-frame walk
-        counts = [(len(fa.poses), len(fb.poses)) for fa, fb in zip(a.frames, b.frames)]
-        aligned = next((k for k, (na, nb) in enumerate(counts) if na != nb), len(counts))
-        n = sum(na for na, _ in counts[:aligned])
-        fused = fuse_all(a.all_poses()[:n], b.all_poses()[:n], routes)
-        if aligned < len(counts):
-            raise PipelineContractError(
-                f"frame {a.frames[aligned].index}: pose counts differ "
-                f"({counts[aligned][0]} vs {counts[aligned][1]})"
-            )
-        fused_seqs.append(a.with_poses(fused))
+        for fa, fb in zip(a.frames, b.frames):
+            if len(fa.poses) != len(fb.poses):
+                raise PipelineContractError(
+                    f"frame {fa.index}: pose counts differ ({len(fa.poses)} vs {len(fb.poses)})"
+                )
+    fused_seqs = [a.with_poses(fuse_all(a.all_poses(), b.all_poses(), routes)) for a, b in pairs]
     _emit_sequences(fused_seqs, args.out, "fused_", "fused sequences")
     return 0
 

@@ -9,18 +9,21 @@ The rule is written once, as an array pass over many pairs: a mode resolves
 to a (15,) route code (:func:`route_codes`), and :func:`fused_keypoints` /
 :func:`fuse_all` fuse every pair of a document under it.  A run resolves the
 code once; :func:`fuse_average` and :func:`fuse_expert` fuse one pair.
+
+Fusion cannot fail: the mean of two positions or box corners is
+:func:`midpoint`, which is finite for every pair of finite values, and
+confidences and detection scores lie in [0, 1].
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .model import (
     JOINTS,
     BBox,
-    ContractError,
     EvalGroup,
     Joint,
     Keypoints,
@@ -68,20 +71,24 @@ def validate_expert_map(route_map: ExpertMap) -> None:
             )
 
 
-def mean_box(a: Sequence[float], b: Sequence[float]) -> BBox:
-    """The mean of two boxes given as ``[x1, y1, x2, y2]`` corners.
+def midpoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The elementwise mean of ``p`` and ``q``, finite wherever both are.
 
-    A mean beyond the float range raises a :class:`~topdown.model.ContractError`.
+    It is ``0.5 * (p + q)``, or ``0.5 * p + 0.5 * q`` where that sum is beyond
+    the float range.  Halving such a value is exact, so the second form
+    rounds the true mean once, as the first does wherever it is finite.  A
+    non-finite input (the corners of a pose with no box) gives a non-finite
+    mean.
     """
-    try:
-        return BBox(*(0.5 * (p + q) for p, q in zip(a, b)))
-    except ValueError as exc:
-        raise ContractError(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = 0.5 * (p + q)
+        return np.where(np.isfinite(mean), mean, 0.5 * p + 0.5 * q)
 
 
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
     if a is not None and b is not None:
-        return mean_box((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
+        corners = midpoint(np.array([a.x1, a.y1, a.x2, a.y2]), np.array([b.x1, b.y1, b.x2, b.y2]))
+        return BBox(*corners.tolist())
     return a if a is not None else b
 
 
@@ -99,45 +106,31 @@ def route_codes(mode: str, route_map: ExpertMap) -> np.ndarray:
     raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def fused_keypoints(
-    a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray
-) -> Iterator[Keypoints]:
+def fused_keypoints(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Keypoints]:
     """The fused keypoints of each pair ``(a[i], b[i])``, computed in one array pass.
 
     ``routes`` is a :func:`route_codes` array.  A slot routed to one model
     takes that model's joint when it is present or the other model's is
     absent, else the other's.  An AVG slot takes the mean when both or
     neither are present (placeholders are averaged too, so fusing a pose with
-    itself is an exact identity) and copies the present one otherwise.  Rows
-    are checked as they are yielded: a row holding a mean beyond the float
-    range raises a :class:`~topdown.model.ContractError` with the
-    ``Keypoints`` constructor's message, naming the slot.
+    itself is an exact identity) and copies the present one otherwise.
+    Positions are averaged by :func:`midpoint`, so every fused row is valid.
     """
     (axy, ac, ap), (bxy, bc, bp) = keypoint_arrays(a), keypoint_arrays(b)
     avg = (routes == _CODE[Route.AVG]) & (ap == bp)
     take_a = np.where(routes == _CODE[Route.A], ap | ~bp, ap & ~bp)
-    with np.errstate(over="ignore"):
-        xy = np.where(avg[..., None], 0.5 * (axy + bxy), np.where(take_a[..., None], axy, bxy))
-        confidence = np.where(avg, 0.5 * (ac + bc), np.where(take_a, ac, bc))
+    xy = np.where(avg[..., None], midpoint(axy, bxy), np.where(take_a[..., None], axy, bxy))
+    confidence = np.where(avg, 0.5 * (ac + bc), np.where(take_a, ac, bc))
     present = np.where(take_a, ap, bp)
-    finite = np.isfinite(xy).all(axis=(1, 2)).tolist()
-    for row_xy, row_confidence, row_present, ok in zip(xy, confidence, present, finite):
-        if ok:
-            keypoints = Keypoints.from_checked(row_xy, row_confidence, row_present)
-        else:
-            try:
-                keypoints = Keypoints(row_xy, row_confidence, row_present)
-            except ValueError as exc:
-                raise ContractError(str(exc)) from exc
-        yield keypoints
+    return list(map(Keypoints.from_checked, xy, confidence, present))
 
 
 def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Pose]:
     """Every pair ``(a[i], b[i])`` fused under ``routes``, in one array pass.
 
     A fused pose holds :func:`fused_keypoints`'s keypoints, the mean
-    detection score and no track id.  Boxes are taken as given: the mean of
-    two boxes, else the one present.
+    detection score and no track id.  Boxes are taken as given: the
+    :func:`midpoint` of two boxes' corners, else the one present.
     """
     return [
         Pose(k, 0.5 * (pa.det_score + pb.det_score), _mean_bbox(pa.bbox, pb.bbox))

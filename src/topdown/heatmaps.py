@@ -14,14 +14,22 @@ argmax decoding.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JOINTS, ContractError, Joint, Keypoint, is_real, record_from_dict, require_real
+from .model import (
+    JOINTS,
+    ContractError,
+    Joint,
+    Keypoint,
+    is_real,
+    parse_json,
+    record_from_dict,
+    require_real,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,19 +257,20 @@ def load_stack_json(text: str) -> HeatmapStack:
     ``stride`` and ``origin`` may be left out.  An unknown key or joint is
     refused, and each fault starts with the path of its field.
     """
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # deep nesting too
-        raise ValueError(f"not valid JSON ({exc})") from exc
-    fixture = record_from_dict(_Fixture, doc)
+    fixture = record_from_dict(_Fixture, parse_json(text))
     missing = [j.value for j in JOINTS if j not in fixture.maps]
     if missing:
         raise ValueError(f"maps: missing joints {missing}")
     maps = []
     for joint in JOINTS:
+        cells = fixture.maps[joint]
         try:  # a grid of the wrong shape or type, or an int beyond the float range
-            grid = np.asarray(fixture.maps[joint], dtype=float)
+            grid = np.asarray(cells, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"maps.{joint.value}: {exc}") from exc
+        # numpy reads "0.5" as 0.5, true as 1.0 and null as NaN
+        odd = [c for c in np.asarray(cells, dtype=object).flat if type(c) not in (int, float)]
+        if odd:
+            raise ValueError(f"maps.{joint.value}: a grid cell must be a number, got {odd[0]!r}")
         maps.append(Heatmap(joint=joint, grid=grid, stride=fixture.stride))
     return HeatmapStack(maps=tuple(maps), origin=fixture.origin)

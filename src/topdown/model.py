@@ -845,6 +845,18 @@ def sequence_from_dict(doc: Any, path: str = "$") -> Sequence:
     return seq
 
 
+def parse_json(text: str) -> Any:
+    """The JSON document ``text``, decoded by ``json``.
+
+    Text that is not JSON, nests too deeply or holds an integer too long to
+    read raises ``ValueError("not valid JSON (<json's reason>)")``.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON ({exc})") from exc
+
+
 # orjson has no nesting limit, and deep enough nesting overflows the C stack.
 # Text with fewer "[" and "{" than this cannot nest deeper; about 1,000 poses fit.
 _ORJSON_MAX_BRACKETS = 20_000
@@ -877,9 +889,9 @@ def load_sequence(text: str) -> Sequence:
         if seq is not None:
             return seq
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also over-long integers, deep nesting
-        raise SequenceError(f"$: not valid JSON ({exc})") from exc
+        doc = parse_json(text)
+    except ValueError as exc:
+        raise SequenceError(f"$: {exc}") from exc
     return sequence_from_dict(doc)
 
 

@@ -5,10 +5,12 @@ suppress overlapping boxes, optionally fuse a second model's predictions for
 the surviving candidates, assign track ids, prune low-confidence keypoints,
 then score single-frame AP and tracking metrics against ground truth.
 Detection and fusion work on one document at a time: the boxes of all
-box-less poses are inferred in one array pass, each frame is pruned and
-suppressed on corner rows, and all kept poses are fused in one more array
-pass under a route code resolved once per run; ``Pose`` objects are built
-only for the survivors.
+box-less poses are inferred in one array pass, and every pair of poses
+before the first pose-count mismatch is fused in one more, under a route
+code resolved once per run.  Fusion cannot fail, so one walk over the
+frames then prunes and suppresses each frame on corner rows and raises
+what it meets in frame order; ``Pose`` objects are built only for the
+survivors.
 
 :func:`run_pipeline` builds one :class:`~topdown.metrics.PairTable` of the
 tracked output against ground truth, so errors in deriving a correctness
@@ -35,7 +37,7 @@ from .ensemble import (
     Route,
     default_expert_map,
     fused_keypoints,
-    mean_box,
+    midpoint,
     route_codes,
     validate_expert_map,
 )
@@ -152,12 +154,6 @@ class PipelineResult:
         return self._reports
 
 
-def _corner_rows(poses: list[Pose], enlarge: float) -> tuple[list, list[bool]]:
-    """:func:`~topdown.geometry.box_corners` of ``poses`` as lists."""
-    corners, ok = box_corners(poses, enlarge)
-    return corners.tolist(), ok.tolist()
-
-
 def _detect_sequence(
     det: Sequence, det_b: Sequence | None, config: PipelineConfig, routes: np.ndarray | None
 ) -> Sequence:
@@ -168,61 +164,56 @@ def _detect_sequence(
     visit order.  With a second model, each kept pose is fused with the pose
     at its input index (``routes`` from :func:`~topdown.ensemble.route_codes`),
     or passes through with a warning when that pose has no inferable box.
-    Boxes are inferred for the whole document in one array pass, and every
-    fused pose of the document in one more; warnings and errors come in the
-    order of a frame-by-frame walk.
+    Boxes are inferred for the whole document in one array pass, and the
+    pairs of the frames before the first pose-count mismatch are fused in
+    one more; fusion cannot fail, so one walk over the frames then raises,
+    warns and builds the kept poses in frame order.
     """
     poses = det.all_poses()
     scores = [p.det_score for p in poses]
-    boxes, boxed = _corner_rows(poses, config.bbox_enlarge)
-    plan: list[tuple[Frame, int, list[int], list[int]]] = []  # frame, start, unboxed, kept
-    fault = None  # raised once the frames before it, and its own warnings, are done
+    corners, boxed = box_corners(poses, config.bbox_enlarge)
+    boxes, boxed = corners.tolist(), boxed.tolist()
+    aligned = len(det.frames)  # the frames before the first pose-count mismatch
+    if det_b is not None:
+        counts_b = [len(f.poses) for f in det_b.frames]
+        aligned = next(
+            (k for k, f in enumerate(det.frames) if len(f.poses) != counts_b[k]), aligned
+        )
+        # these frames hold as many poses on both sides, so one flat index selects a pair
+        n = sum(len(f.poses) for f in det.frames[:aligned])
+        poses_b = det_b.all_poses()[:n]
+        corners_b, boxed_b = box_corners(poses_b, config.bbox_enlarge)
+        fused = fused_keypoints(poses[:n], poses_b, routes)
+        fused_boxes = midpoint(corners[:n], corners_b).tolist()
+        boxed_b = boxed_b.tolist()
+    frames = []
     start = 0
     for fi, frame in enumerate(det.frames):
-        n = len(frame.poses)
-        if det_b is not None and len(det_b.frames[fi].poses) != n:
-            fault = PipelineContractError(
-                f"frame {frame.index}: second model has {len(det_b.frames[fi].poses)} poses, "
-                f"expected {n}"
+        if fi == aligned:
+            raise PipelineContractError(
+                f"frame {frame.index}: second model has {counts_b[fi]} poses, "
+                f"expected {len(frame.poses)}"
             )
-            break
         candidates = []
-        unboxed = []
-        for i in range(start, start + n):
+        for i in range(start, start + len(frame.poses)):
             if scores[i] < config.candidate_drop_threshold:
                 continue
-            if not boxed[i]:
-                unboxed.append(i - start)
-            else:
+            if boxed[i]:
                 candidates.append(i)
-        try:
-            kept = nms_indices(
-                [boxes[i] for i in candidates],
-                [scores[i] for i in candidates],
-                config.nms_iou_threshold,
-            )
-        except ContractError as exc:  # an overlap beyond the float range
-            plan.append((frame, start, unboxed, []))
-            fault = exc
-            break
-        plan.append((frame, start, unboxed, [candidates[k] for k in kept]))
-        start += n
-    if det_b is not None:
-        # the frames planned hold as many second-model poses as first-model ones,
-        # so one flat index selects a candidate on both sides
-        poses_b = det_b.all_poses()
-        boxes_b, boxed_b = _corner_rows(poses_b, config.bbox_enlarge)
-        pairs = [s for _, _, _, kept in plan for s in kept if boxed_b[s]]
-        fused = fused_keypoints([poses[s] for s in pairs], [poses_b[s] for s in pairs], routes)
-    frames = []
-    for frame, start, unboxed, kept in plan:
-        for i in unboxed:
-            log.warning("frame %d: dropping pose %d with no inferable box", frame.index, i)
+            else:
+                log.warning(
+                    "frame %d: dropping pose %d with no inferable box", frame.index, i - start
+                )
+        kept = nms_indices(
+            [boxes[i] for i in candidates],
+            [scores[i] for i in candidates],
+            config.nms_iou_threshold,
+        )
         out = []
-        for s in kept:
+        for s in (candidates[k] for k in kept):
             if det_b is not None and boxed_b[s]:
-                det_score = 0.5 * (poses[s].det_score + poses_b[s].det_score)
-                out.append(Pose(next(fused), det_score, mean_box(boxes[s], boxes_b[s])))
+                det_score = 0.5 * (scores[s] + poses_b[s].det_score)
+                out.append(Pose(fused[s], det_score, BBox(*fused_boxes[s])))
                 continue
             if det_b is not None:
                 log.warning(
@@ -232,8 +223,7 @@ def _detect_sequence(
                 )
             out.append(with_corners(poses[s], boxes[s]))
         frames.append(Frame(frame.index, frame.width, frame.height, tuple(out)))
-    if fault is not None:
-        raise fault
+        start += len(frame.poses)
     return replace(det, frames=tuple(frames))
 
 
@@ -274,8 +264,9 @@ def run_pipeline(
 def _frame_boxes(seq: Sequence, enlarge: float) -> list[list[tuple[float, BBox]]]:
     """Each frame's ``(detection score, box)`` of every pose that has or gets a box."""
     poses = seq.all_poses()
-    boxes, boxed = _corner_rows(poses, enlarge)
-    seq = seq.with_poses(with_corners(p, b) if ok else p for p, b, ok in zip(poses, boxes, boxed))
+    corners, boxed = box_corners(poses, enlarge)
+    boxes = zip(poses, corners.tolist(), boxed.tolist())
+    seq = seq.with_poses(with_corners(p, b) if ok else p for p, b, ok in boxes)
     return [[(p.det_score, p.bbox) for p in f.poses if p.bbox is not None] for f in seq.frames]
 
 

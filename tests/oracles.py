@@ -26,7 +26,6 @@ from topdown.metrics import EvaluationError, PckhThreshold
 from topdown.model import (
     JOINTS,
     BBox,
-    ContractError,
     Frame,
     Joint,
     Keypoint,
@@ -71,6 +70,12 @@ def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
     return Pose(pose.keypoints, pose.det_score, bbox_from_keypoints(pose, enlarge), pose.track_id)
 
 
+def _mean(p: float, q: float) -> float:
+    """``0.5 * (p + q)``, or ``0.5 * p + 0.5 * q`` where that sum is beyond the float range."""
+    mean = 0.5 * (p + q)
+    return mean if math.isfinite(mean) else 0.5 * p + 0.5 * q
+
+
 def fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keypoints:
     """Fuse slot by slot, ``routes`` giving each slot's :class:`Route`.
 
@@ -92,7 +97,7 @@ def fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keypo
         b.present.tolist(),
     ):
         if route is Route.AVG and pa is pb:
-            xy += (0.5 * (ax + bx), 0.5 * (ay + by))
+            xy += (_mean(ax, bx), _mean(ay, by))
             confidence.append(0.5 * (ca + cb))
             present.append(pa)
         elif (pa or not pb) if route is Route.A else (pa and not pb):
@@ -103,25 +108,13 @@ def fuse_keypoints(a: Keypoints, b: Keypoints, routes: Iterable[Route]) -> Keypo
             xy += (bx, by)
             confidence.append(cb)
             present.append(pb)
-    # the constructor checks every value, naming the slot of a mean beyond the float range
-    try:
-        return Keypoints(np.array(xy).reshape(len(JOINTS), 2), confidence, present)
-    except ValueError as exc:
-        raise ContractError(str(exc)) from exc
+    return Keypoints(np.array(xy).reshape(len(JOINTS), 2), confidence, present)
 
 
 def _mean_bbox(a: BBox | None, b: BBox | None) -> BBox | None:
     if a is None or b is None:
         return a if a is not None else b
-    try:
-        return BBox(
-            0.5 * (a.x1 + b.x1),
-            0.5 * (a.y1 + b.y1),
-            0.5 * (a.x2 + b.x2),
-            0.5 * (a.y2 + b.y2),
-        )
-    except ValueError as exc:  # a mean beyond the float range
-        raise ContractError(str(exc)) from exc
+    return BBox(_mean(a.x1, b.x1), _mean(a.y1, b.y1), _mean(a.x2, b.x2), _mean(a.y2, b.y2))
 
 
 def _fused(a: Pose, b: Pose, routes: Iterable[Route]) -> Pose:

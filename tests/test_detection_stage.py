@@ -90,7 +90,7 @@ def _reference_detect(det: Sequence, det_b: Sequence | None, config: PipelineCon
 
 # few distinct values, so spans are often zero, boxes often identical and scores tied,
 # mixed with any floats; one input in four draws from huge values, which overflow an
-# enlarged box or a fused mean
+# enlarged box or the union area of two boxes, and whose fused mean must still be exact
 _VALUES = [0.0, -0.0, 1.0, 2.0, 4.0, 5.5, -3.0, 1e-300]
 _HUGE = [0.0, 1.0, 1e300, -1e300, 1.7e308, -1.7e308]
 _BOXES = [(0.0, 0.0, 4.0, 1.0), (0.0, 0.0, 2.0, 1.0), (1.0, 0.0, 3.0, 1.0), (0.0, 0.0, 1.0, 1.0)]

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from conftest import points_pose, template_pose
 from topdown.ensemble import (
     Route,
@@ -15,7 +17,17 @@ from topdown.ensemble import (
     route_codes,
     validate_expert_map,
 )
-from topdown.model import GROUPS, JOINTS, EvalGroup, Joint, Keypoint, Pose, joint_group
+from topdown.model import (
+    GROUPS,
+    JOINTS,
+    BBox,
+    EvalGroup,
+    Joint,
+    Keypoint,
+    Keypoints,
+    Pose,
+    joint_group,
+)
 
 
 def test_fuse_average_idempotent():
@@ -52,6 +64,44 @@ def candidate_pair(draw):
     flags_a = [draw(st.booleans()) for _ in JOINTS]
     flags_b = [draw(st.booleans()) for _ in JOINTS]
     return one(flags_a), one(flags_b)
+
+
+# ordinary values, values whose sum is beyond the float range, and subnormals
+_COORDINATES = st.floats(-1000, 1000) | st.sampled_from(
+    [1e300, -1e300, 1.7e308, -1.7e308, 5e-324, -5e-324, 3e-323, 2.2e-308]
+)
+
+
+@st.composite
+def _poses_up_to_the_float_range(draw) -> Pose:
+    xy = draw(st.lists(_COORDINATES, min_size=30, max_size=30))
+    confidence = draw(st.lists(st.floats(0, 1), min_size=15, max_size=15))
+    present = draw(st.lists(st.booleans(), min_size=15, max_size=15))
+    bbox = None
+    if draw(st.booleans()):
+        x1, x2 = sorted(draw(st.lists(_COORDINATES, min_size=2, max_size=2)))
+        y1, y2 = sorted(draw(st.lists(_COORDINATES, min_size=2, max_size=2)))
+        bbox = BBox(x1, y1, x2, y2)
+    keypoints = Keypoints(np.reshape(xy, (15, 2)), confidence, present)
+    return Pose(keypoints, draw(st.floats(0, 1)), bbox)
+
+
+def _bits(pose: Pose) -> tuple:
+    """Everything a pose holds, with floats spelled by ``repr`` so ``-0.0`` differs from ``0.0``."""
+    arrays = (pose.xy, pose.confidence, pose.present)
+    return (*(a.tobytes() for a in arrays), repr(pose.bbox), repr(pose.det_score), pose.track_id)
+
+
+@given(
+    _poses_up_to_the_float_range(),
+    _poses_up_to_the_float_range(),
+    st.fixed_dictionaries({j: st.sampled_from(list(Route)) for j in JOINTS}),
+)
+def test_fusion_up_to_the_float_range_is_exact(p, q, route_map):
+    assert _bits(fuse_average(p, p)) == _bits(p)
+    assert _bits(fuse_expert(p, p, route_map)) == _bits(p)
+    assert _bits(fuse_average(p, q)) == _bits(oracles.fuse_average(p, q))
+    assert _bits(fuse_expert(p, q, route_map)) == _bits(oracles.fuse_expert(p, q, route_map))
 
 
 @given(candidate_pair())

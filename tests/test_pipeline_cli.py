@@ -468,18 +468,13 @@ def _peaks_off_the_float_range(tmp_path: Path) -> Path:
 @pytest.mark.parametrize(
     "command, edit, message",
     [
-        ("ensemble", _huge_nose_x, "nose.x must be finite, got inf"),
-        ("ensemble", _huge_box_corner, "BBox.x2 must be finite, got inf"),
-        ("run-fused", _huge_nose_x, "nose.x must be finite, got inf"),
-        ("run-fused", _huge_box_corner, "BBox.x2 must be finite, got inf"),
+        # fusion cannot fail, so the run stops at NMS: two boxes overlap beyond the float range
+        ("run-fused", _huge_box_corner, "is beyond the float range"),
         ("run", _huge_boxes_and_steps, "is beyond the float range"),
         ("synth", None, "must be finite, got"),
         ("decode", None, "nose.x must be finite, got inf"),
     ],
-    ids=[
-        "ensemble-keypoint-mean", "ensemble-box-mean", "run-keypoint-mean", "run-box-mean",
-        "run-tracking-cost", "synth-jitter", "decode-stride",
-    ],
+    ids=["run-box-mean", "run-tracking-cost", "synth-jitter", "decode-stride"],
 )
 def test_cli_value_computed_beyond_the_float_range_exits_3(
     tmp_path, capsys, command, edit, message
@@ -497,7 +492,6 @@ def test_cli_value_computed_beyond_the_float_range_exits_3(
         edit(doc)
         det.write_text(json.dumps(doc))
         argv = {
-            "ensemble": ["ensemble", "--a", str(det), "--b", str(det), "--mode", "average"],
             "run-fused": ["run", "--det", str(det), "--det-b", str(det), "--ensemble-mode",
                           "average", "--gt", str(gt)],
             "run": ["run", "--det", str(det), "--gt", str(gt)],
@@ -507,6 +501,22 @@ def test_cli_value_computed_beyond_the_float_range_exits_3(
     assert err.splitlines() == [err.strip()]
     assert err.startswith("contract violation: ") and message in err
     assert not out.exists()
+
+
+def test_cli_fusion_near_the_float_range_is_the_exact_midpoint(tmp_path, capsys):
+    det, gt = _write_noiseless(tmp_path)
+    doc = json.loads(det.read_text())
+    _huge_nose_x(doc)  # 0.5 * (x + x) is beyond the float range
+    det.write_text(json.dumps(doc))
+    out = tmp_path / "fused"
+    argv = ["ensemble", "--a", str(det), "--b", str(det), "--mode", "average", "--out", str(out)]
+    assert cli.main(argv) == 0
+    [fused] = out.iterdir()
+    assert load_sequence(fused.read_text()) == load_sequence(det.read_text())
+    argv = ["run", "--det", str(det), "--det-b", str(det), "--ensemble-mode", "average",
+            "--gt", str(gt), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_plain_value_error_inside_the_library_is_not_a_contract_violation(
@@ -1018,13 +1028,17 @@ def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, v
         ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "strid": 4.0}),
         ("decode", {"maps": {j: [[0.5]] for j in JOINT_NAMES}, "stride": "2"}),
         ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "noze": [[0.5]]}}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [["0.5"]]}}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [[True]]}}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [[None]]}}),
     ],
     ids=[
         "config-array", "config-section-array", "spec-array", "spec-number",
         "spec-section-array", "maps-missing", "maps-origin-number", "maps-stride-array",
         "maps-stride-nan", "maps-stride-inf", "maps-origin-nan", "maps-origin-inf",
         "spec-width-beyond-float", "maps-stride-beyond-float", "maps-unknown-key",
-        "maps-stride-string", "maps-unknown-joint",
+        "maps-stride-string", "maps-unknown-joint", "maps-cell-string", "maps-cell-boolean",
+        "maps-cell-null",
     ],
 )
 def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):
