@@ -173,19 +173,29 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the same arithmetic, so it equals ``iou`` on the corresponding boxes and
     raises where it raises.
     """
+    return _iou_of(a, b, _box_areas(a), _box_areas(b))
+
+
+def _box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Areas ``(x2 - x1) * (y2 - y1)`` of ``(n, 4)`` corner rows; inf beyond the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-        iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+        return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def _iou_of(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
+    """:func:`iou_matrix` of ``a`` and ``b``, given their :func:`_box_areas`."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # the x and y extents of every intersection at once
+        high = np.minimum(a[:, None, 2:], b[None, :, 2:])
+        extent = high - np.maximum(a[:, None, :2], b[None, :, :2])
+        ix, iy = extent[..., 0], extent[..., 1]
         inter = ix * iy
-        area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-        area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
         union = area_a[:, None] + area_b[None, :] - inter
-    valid = (ix > 0.0) & (iy > 0.0)
-    if not np.isfinite(union[valid]).all():
-        i, j = np.argwhere(valid & ~np.isfinite(union))[0].tolist()
-        raise _overlap_error(a[i].tolist(), b[j].tolist())
-    valid &= union > 0.0
-    return np.where(valid, inter / np.where(valid, union, 1.0), 0.0)
+        valid = (ix > 0.0) & (iy > 0.0)
+        if not np.isfinite(union[valid]).all():
+            i, j = np.argwhere(valid & ~np.isfinite(union))[0].tolist()
+            raise _overlap_error(a[i].tolist(), b[j].tolist())
+        return np.where(valid & (union > 0.0), inter / union, 0.0)
 
 
 def prune_candidates(poses: list[Pose], threshold: float) -> list[Pose]:

@@ -32,6 +32,16 @@ from .model import (
 )
 
 
+def _require_scores(grid: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``grid`` is a non-empty 2-D float grid of scores in [0, 1]."""
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError(f"grid must be a non-empty 2-D array, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid contains non-finite scores")
+    if grid.min() < 0.0 or grid.max() > 1.0:
+        raise ValueError("grid scores must lie in [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class Heatmap:
     """Per-joint score grid with a pixel stride."""
@@ -42,12 +52,7 @@ class Heatmap:
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 2 or grid.size == 0:
-            raise ValueError(f"grid must be a non-empty 2-D array, got shape {grid.shape}")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("grid contains non-finite scores")
-        if grid.min() < 0.0 or grid.max() > 1.0:
-            raise ValueError("grid scores must lie in [0, 1]")
+        _require_scores(grid)
         if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Real):
             raise ValueError(f"stride must be a number, got {self.stride!r}")
         if self.stride <= 0.0:
@@ -255,7 +260,8 @@ def load_stack_json(text: str) -> HeatmapStack:
          "maps": {"<joint>": [[row of W floats] x H], ...}}  # all 15 joints
 
     ``stride`` and ``origin`` may be left out.  An unknown key or joint is
-    refused, and each fault starts with the path of its field.
+    refused, and each fault starts with the path of its field; a grid whose
+    shape differs from ``nose``'s is named by its joint, the first in slot order.
     """
     fixture = record_from_dict(_Fixture, parse_json(text))
     missing = [j.value for j in JOINTS if j not in fixture.maps]
@@ -272,5 +278,12 @@ def load_stack_json(text: str) -> HeatmapStack:
         odd = [c for c in np.asarray(cells, dtype=object).flat if type(c) not in (int, float)]
         if odd:
             raise ValueError(f"maps.{joint.value}: a grid cell must be a number, got {odd[0]!r}")
+        try:
+            _require_scores(grid)
+        except ValueError as exc:
+            raise ValueError(f"maps.{joint.value}: {exc}") from exc
         maps.append(Heatmap(joint=joint, grid=grid, stride=fixture.stride))
+    for hm in maps:
+        if hm.grid.shape != maps[0].grid.shape:
+            raise ValueError(f"maps.{hm.joint.value}: maps must share shape and stride")
     return HeatmapStack(maps=tuple(maps), origin=fixture.origin)

@@ -508,8 +508,10 @@ class Sequence:
     def with_poses(self, poses: Iterable[Pose]) -> "Sequence":
         """The same frames, each holding the next ``len(frame.poses)`` of ``poses``."""
         flat = iter(poses)
-        frames = tuple(replace(f, poses=tuple(islice(flat, len(f.poses)))) for f in self.frames)
-        return replace(self, frames=frames)
+        return Sequence(self.name, tuple(
+            Frame(f.index, f.width, f.height, tuple(islice(flat, len(f.poses))))
+            for f in self.frames
+        ))
 
 
 def keypoint_arrays(poses: abc.Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -565,6 +567,7 @@ _FRAME_KEYS = ("index", "width", "height", "poses")
 _POSE_KEYS = ("det_score", "track_id", "bbox", "keypoints")
 _KEYPOINT_KEYS = ("joint", "x", "y", "confidence", "present")
 _NONE = type(None)
+_JOINT_COLUMN = list(JOINT_NAMES)  # one pose's joint column, as _columns reads it
 
 
 def _document_keypoints(
@@ -587,14 +590,15 @@ def _document_keypoints(
     return list(map(_keypoints, xy, confidence, present))
 
 
-def _columns(keys: tuple[str, ...], objects: list) -> tuple | None:
-    """The ``keys`` of ``objects`` as columns, if each is a dict of exactly those keys."""
-    if not objects:
-        return ((),) * len(keys)
-    if set(map(type, objects)) != {dict} or set(map(len, objects)) != {len(keys)}:
+def _columns(keys: tuple[str, ...], objects: list) -> list[list] | None:
+    """The ``keys`` of ``objects`` as columns, if each is a dict of exactly those keys.
+
+    Each key is read as its own column, so no object is built per item.
+    """
+    if objects and (set(map(type, objects)) != {dict} or set(map(len, objects)) != {len(keys)}):
         return None
     try:
-        return tuple(zip(*map(operator.itemgetter(*keys), objects)))
+        return [list(map(operator.itemgetter(key), objects)) for key in keys]
     except KeyError:
         return None
 
@@ -672,7 +676,7 @@ def _plain_document(doc: Any) -> Sequence | None:
     joints, xs, ys, confidences, flags = columns
     xs, ys, confidences = _float_column(xs), _float_column(ys), _float_column(confidences)
     if not (
-        joints == JOINT_NAMES * len(poses)
+        joints == _JOINT_COLUMN * len(poses)
         and xs is not None
         and ys is not None
         and confidences is not None

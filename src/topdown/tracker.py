@@ -4,9 +4,10 @@ Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
 Each frame is scored as one array operation: a sequence's poses are stacked
-once (:func:`~topdown.model.keypoint_arrays`, and :func:`box_corners`, which
-infers the boxes of box-less poses in one pass), a track keeps the row of its
-latest pose, and :func:`similarity_matrix` broadcasts the whole tracks x
+once (:func:`~topdown.model.keypoint_arrays`, :func:`box_corners`, which
+infers the boxes of box-less poses in one pass, and the boxes' areas), a
+track keeps the row of its latest pose, each frame's tracks are one index
+array of rows, and :func:`similarity_matrix` broadcasts the whole tracks x
 poses matrix in one call.  Keypoint pruning is one presence mask per pose.
 Unmatched ids survive a configurable retention window and are then discarded;
 ids are never reused within a sequence.
@@ -20,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_corners, box_error, iou_matrix
+from .geometry import _box_areas, _iou_of, box_corners, box_error
 from .model import (
     GROUPS,
     JOINTS,
@@ -83,15 +84,17 @@ class TrackerConfig:
 
 
 class PoseArrays(NamedTuple):
-    """Poses as arrays: ``xy`` (n, 15, 2), ``present`` (n, 15), ``box`` (n, 4) corners."""
+    """Poses as arrays: ``xy`` (n, 15, 2), ``present`` (n, 15), ``box`` (n, 4) corners
+    and the boxes' ``area`` (n,)."""
 
     xy: np.ndarray
     present: np.ndarray
     box: np.ndarray
+    area: np.ndarray
 
     def take(self, rows) -> "PoseArrays":
-        """The poses at ``rows`` (an index list or a slice)."""
-        return PoseArrays(self.xy[rows], self.present[rows], self.box[rows])
+        """The poses at ``rows`` (an index array or a slice)."""
+        return PoseArrays(self.xy[rows], self.present[rows], self.box[rows], self.area[rows])
 
 
 def kept_keypoints(confidence: np.ndarray, present: np.ndarray, threshold: float) -> np.ndarray:
@@ -159,7 +162,7 @@ def _stacked(poses: list[Pose]) -> tuple[PoseArrays, list[bool]]:
     """:class:`PoseArrays` of ``poses``, and which of them have or get a box."""
     xy, _, present = keypoint_arrays(poses)
     box, ok = box_corners(poses)
-    return PoseArrays(xy, present, box), ok.tolist()
+    return PoseArrays(xy, present, box, _box_areas(box)), ok.tolist()
 
 
 def _require_boxes(arrays: PoseArrays, ok: list[bool], rows: Iterable[int]) -> None:
@@ -197,17 +200,15 @@ def similarity_matrix(
     Each cell blends box IoU with a keypoint kernel by the weights ``w_iou``
     and ``w_pose``.  The kernel is exp(-d^2 / (2 (s * kappa_j)^2)) averaged
     over joints present in both poses, with s the square root of the track
-    box's area and ``kappa`` the per-joint width (15,); where that
+    box's ``area`` and ``kappa`` the per-joint width (15,); where that
     denominator is 0 a joint scores 1 at distance 0 and 0 otherwise, and a
     pair with no common joint scores 0 on the kernel.  A square beyond the
     float range gives a kernel of 0, its limit.
     """
-    overlap = iou_matrix(tracks.box, poses.box)
-    box = tracks.box
+    overlap = _iou_of(tracks.box, poses.box, tracks.area, poses.area)
     common = tracks.present[:, None, :] & poses.present[None, :, :]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        size = np.sqrt((box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1]))
-        scale = size[:, None] * kappa
+        scale = np.sqrt(tracks.area)[:, None] * kappa
         denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
         d = tracks.xy[:, None] - poses.xy[None, :]
         d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
@@ -216,8 +217,8 @@ def similarity_matrix(
     # a running sum runs joint by joint, in joint order: np.sum's pairwise
     # order would change the last bits
     total = np.add.accumulate(kernel, axis=-1)[..., -1]
-    count = common.sum(axis=-1)
-    kp_sim = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    # a pair with no common joint has a total of 0.0, so its mean is 0.0 / 1
+    kp_sim = total / np.maximum(common.sum(axis=-1), 1)
     return (w_iou * overlap + w_pose * kp_sim) / (w_iou + w_pose)
 
 
@@ -275,6 +276,7 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     """
     kappa = _kappa_vector(config)
     arrays, ok = _stacked(seq.all_poses())
+    boxed = all(ok)
     # id -> (last frame index, row of its latest pose); insertion order breaks assignment ties
     active: dict[int, tuple[int, int]] = {}
     next_id = 0
@@ -295,9 +297,10 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
         track_ids = list(active)
         assigned: dict[int, int] = {}
         if track_ids and frame.poses:
-            rows = [row for _, row in active.values()]
-            # a pose's box is needed, and its error raised, only once it is scored
-            _require_boxes(arrays, ok, chain(rows, range(start, stop)))
+            rows = np.fromiter((row for _, row in active.values()), np.intp, len(active))
+            if not boxed:
+                # a pose's box is needed, and its error raised, only once it is scored
+                _require_boxes(arrays, ok, chain(rows.tolist(), range(start, stop)))
             similarity = similarity_matrix(
                 arrays.take(rows),
                 arrays.take(slice(start, stop)),

@@ -11,6 +11,10 @@ kept as oracles that the array forms must equal bit for bit, errors included.
 document: it checks and builds field by field, in document order, where
 ``model`` builds a whole document in one bulk check and only walks the
 fields of a document that check refuses, to name the first fault.
+
+:func:`similarity_matrix` is the tracker's similarity as one array formula
+that derives every box area from its corners on each call, where
+``tracker`` stacks the areas once per sequence.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from topdown.ensemble import Route
-from topdown.geometry import DegenerateGeometryError
+from topdown.geometry import DegenerateGeometryError, iou_matrix
 from topdown.metrics import EvaluationError, PckhThreshold
 from topdown.model import (
     JOINTS,
@@ -295,3 +299,23 @@ def sequence_from_document(doc: Any, path: str = "$") -> Sequence:
             ))
         )
     return Sequence(name, tuple(frames))
+
+
+def similarity_matrix(tracks, poses, kappa: np.ndarray, w_iou: float, w_pose: float) -> np.ndarray:
+    """``tracker.similarity_matrix`` of two ``tracker.PoseArrays``, areas taken from the corners."""
+    overlap = iou_matrix(tracks.box, poses.box)
+    box = tracks.box
+    common = tracks.present[:, None, :] & poses.present[None, :, :]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        size = np.sqrt((box[:, 2] - box[:, 0]) * (box[:, 3] - box[:, 1]))
+        scale = size[:, None] * kappa
+        denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
+        d = tracks.xy[:, None] - poses.xy[None, :]
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
+        kernel = np.where(denom > 0.0, np.exp(-d2 / denom), d2 == 0.0)
+    kernel = np.where(common, kernel, 0.0)
+    # a running sum, joint by joint in joint order
+    total = np.add.accumulate(kernel, axis=-1)[..., -1]
+    count = common.sum(axis=-1)
+    kp_sim = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    return (w_iou * overlap + w_pose * kp_sim) / (w_iou + w_pose)

@@ -1031,6 +1031,10 @@ def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, v
         ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [["0.5"]]}}),
         ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [[True]]}}),
         ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "nose": [[None]]}}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "left_knee": [[1.5]]}}),
+        ("decode", {"maps": {**{j: [[0.5]] for j in JOINT_NAMES}, "left_knee": [[float("nan")]]}}),
+        ("decode", {"maps": {**{j: [[0.5, 0.5]] * 2 for j in JOINT_NAMES},
+                             "left_knee": [[0.5]] * 2}}),
     ],
     ids=[
         "config-array", "config-section-array", "spec-array", "spec-number",
@@ -1038,7 +1042,7 @@ def test_cli_sweep_value_outside_unit_interval_exits_3(tmp_path, capsys, axis, v
         "maps-stride-nan", "maps-stride-inf", "maps-origin-nan", "maps-origin-inf",
         "spec-width-beyond-float", "maps-stride-beyond-float", "maps-unknown-key",
         "maps-stride-string", "maps-unknown-joint", "maps-cell-string", "maps-cell-boolean",
-        "maps-cell-null",
+        "maps-cell-null", "maps-grid-out-of-range", "maps-grid-nan", "maps-grid-shape",
     ],
 )
 def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, command, document):
@@ -1057,6 +1061,26 @@ def test_cli_malformed_document_exits_2_without_traceback(tmp_path, capsys, comm
     assert "Traceback" not in err
     assert str(path) in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        ({"left_knee": [[1.5]], "right_ankle": [[-0.5]]},
+         "maps.left_knee: grid scores must lie in [0, 1]"),
+        ({"left_knee": [[float("nan")]]}, "maps.left_knee: grid contains non-finite scores"),
+        ({"left_knee": [[0.5]] * 2, "right_ankle": [[0.5]]},
+         "maps.left_knee: maps must share shape and stride"),
+    ],
+    ids=["out-of-range", "nan", "shape"],
+)
+def test_cli_heatmap_grid_fault_names_its_joint(tmp_path, capsys, grids, message):
+    """The first grid at fault in slot order is named; a shape is compared with nose's."""
+    maps = {j: [[0.5]] for j in JOINT_NAMES}
+    path = tmp_path / "maps.json"
+    path.write_text(json.dumps({"maps": {**maps, **grids}}))
+    assert cli.main(["decode", "--maps", str(path), "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
 
 
 def _write_named(directory: Path, seqs: list[Sequence]) -> Path:

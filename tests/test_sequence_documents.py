@@ -602,6 +602,14 @@ def test_the_bulk_check_leaves_value_rules_to_the_types(path, value):
     assert outcome.startswith("SequenceError: $.frames[")
 
 
+@pytest.mark.parametrize("frames", [(), (Frame(0, 640, 480), Frame(3, 640, 480))],
+                         ids=["no-frames", "no-poses"])
+def test_the_bulk_check_builds_a_document_without_poses(frames):
+    """Empty key columns pass the checks as any column does: the joint column equals 15 x 0 names."""
+    seq = Sequence("empty", frames)
+    assert model._plain_document(sequence_to_dict(seq)) == seq
+
+
 @pytest.mark.parametrize("boxes", [True, False], ids=["boxes", "box-less"])
 @pytest.mark.parametrize(
     "spec",

@@ -8,14 +8,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import points_pose, template_pose
 from topdown import synth, tracker
 from topdown.geometry import DegenerateGeometryError, bbox_from_keypoints, iou
 from topdown.metrics import evaluate_mot
-from topdown.model import BBox, Frame, JOINTS, Joint, Keypoint, Pose, Sequence, save_predictions
+from topdown.model import (
+    BBox,
+    ContractError,
+    Frame,
+    JOINTS,
+    Joint,
+    Keypoint,
+    Pose,
+    Sequence,
+    save_predictions,
+)
 from topdown.tracker import (
     PoseArrays,
     RetentionTable,
@@ -259,6 +269,86 @@ def test_similarity_matrix_matches_scalar_reference(track_poses, poses, kappa, w
     np.testing.assert_allclose(matrix, expected, rtol=0.0, atol=1e-12)
     if poses:
         assert pose_similarity(track_poses[0], poses[0], config) == matrix[0, 0]
+
+
+# exact values that make equal corners, and inexact ones whose sums round
+_ORDINARY = st.sampled_from([0.0, 1.0, 2.5]) | st.integers(0, 10**4).map(lambda k: k / 97.0)
+# and values whose areas, sums or squares leave the float range
+_EXTREME = st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308]) | _ORDINARY
+
+
+@st.composite
+def _extreme_pose(draw) -> Pose:
+    """A pose at ordinary or extreme coordinates, its box inferred, explicit or zero-area."""
+    values = draw(st.sampled_from([_ORDINARY, _ORDINARY, _EXTREME]))
+    present = draw(st.lists(st.booleans(), min_size=len(JOINTS), max_size=len(JOINTS)))
+    xy = draw(st.lists(values, min_size=2 * len(JOINTS), max_size=2 * len(JOINTS)))
+    keypoints = tuple(
+        Keypoint(joint=j, x=xy[2 * k], y=xy[2 * k + 1], confidence=1.0, present=p)
+        for k, (j, p) in enumerate(zip(JOINTS, present))
+    )
+    pose = Pose(keypoints=keypoints)
+    kind = draw(st.sampled_from(("inferred", "explicit", "zero_area")))
+    if kind == "inferred":
+        try:
+            oracles.bbox_from_keypoints(pose)
+            return pose
+        except DegenerateGeometryError:
+            kind = "explicit"
+    x1, x2 = sorted((draw(values), draw(values)))
+    y1, y2 = sorted((draw(values), draw(values)))
+    if kind == "zero_area":
+        y2 = y1
+    return replace(pose, bbox=BBox(x1, y1, x2, y2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_extreme_pose(), min_size=1, max_size=4),
+    st.lists(_extreme_pose(), max_size=4),
+    st.sampled_from([0.1, 0.5, 1e-300, 1e300]),
+    st.sampled_from([(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.3, 2.0)]),
+)
+def test_similarity_matrix_equals_the_array_oracle_bit_for_bit(track_poses, poses, kappa, weights):
+    """The areas stacked once per sequence give the bits of areas taken from the corners."""
+    tracks, candidates = pose_arrays(track_poses), pose_arrays(poses)
+    kappa_vector = tracker._kappa_vector(TrackerConfig(kappa=kappa))
+    try:
+        expected = oracles.similarity_matrix(tracks, candidates, kappa_vector, *weights)
+    except ContractError as exc:
+        with pytest.raises(ContractError) as got:
+            similarity_matrix(tracks, candidates, kappa_vector, *weights)
+        assert str(got.value) == str(exc)
+        return
+    matrix = similarity_matrix(tracks, candidates, kappa_vector, *weights)
+    assert np.array_equal(matrix, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(matrix), np.signbit(expected))
+
+
+@pytest.mark.parametrize(
+    "box_a, box_b, message",
+    [
+        (
+            BBox(-1e308, 0.0, 1e308, 10.0),
+            BBox(-1e308, 5.0, 1e308, 20.0),
+            "the union of boxes (-1e+308, 0.0, 1e+308, 10.0) and (-1e+308, 5.0, 1e+308, 20.0) "
+            "is beyond the float range",
+        ),
+        (
+            BBox(0.0, 0.0, 1.5e154, 1e154),
+            BBox(1.0, 2.0, 1.5e154, 1e154),
+            "the union of boxes (0.0, 0.0, 1.5e+154, 1e+154) and (1.0, 2.0, 1.5e+154, 1e+154) "
+            "is beyond the float range",
+        ),
+    ],
+    ids=["infinite-area", "finite-areas-infinite-sum"],
+)
+def test_a_scored_union_beyond_the_float_range_is_a_contract_error(box_a, box_b, message):
+    a = replace(template_pose((200, 200)), bbox=box_a)
+    b = replace(template_pose((210, 200)), bbox=box_b)
+    with pytest.raises(ContractError) as got:
+        track_sequence(_sequence_of([[a], [b]]))
+    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------
