@@ -6,6 +6,9 @@ seed, the stages are timed one after another on the outputs of the stage
 before, each as the minimum of three repeats:
 
   load      ``load_sequence`` of the det and gt documents
+  frames    the first ``.frames`` read of the loaded det sequence, which builds
+            its ``Frame``, ``Pose``, ``Keypoints`` and ``BBox`` objects from its
+            columns (no stage of a run reads it)
   detect    candidate pruning, box inference and NMS
   track     ``track_sequence``
   pair      ``pair_table`` of the tracked output against ground truth
@@ -33,7 +36,7 @@ from topdown import metrics, model, pipeline, synth, tracker
 SIZES = ((4, 30), (4, 300), (16, 300))  # persons x frames
 SEED = 1
 REPEATS = 3
-STAGES = ("load", "detect", "track", "pair", "score", "save", "run")
+STAGES = ("load", "frames", "detect", "track", "pair", "score", "save", "run")
 
 
 def _perfbench_stamp(seed: int) -> dict:
@@ -56,6 +59,7 @@ def _stage_times(det_text: str, gt_text: str, config: pipeline.PipelineConfig) -
     times["load"], (det, gt) = _timed(
         lambda: (model.load_sequence(det_text), model.load_sequence(gt_text))
     )
+    times["frames"], _ = _timed(lambda: det.frames)
     times["detect"], detected = _timed(lambda: pipeline._detect_sequence(det, None, config, None))
     times["track"], tracked = _timed(lambda: tracker.track_sequence(detected, config.tracker))
     times["pair"], table = _timed(lambda: metrics.pair_table([tracked], [gt], config.pckh))

@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 from . import heatmaps, metrics, model, pipeline, synth
 from .ensemble import fuse_all, route_codes
-from .geometry import DegenerateGeometryError, box_corners, box_error, with_corners
+from .geometry import DegenerateGeometryError, box_error, filled_corners
 from .model import ContractError, Sequence, load_sequence, pair_by_name, save_predictions
 from .pipeline import PipelineConfig, PipelineContractError
 
@@ -72,7 +72,7 @@ def _write_atomic(path: Path, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -126,7 +126,7 @@ def _read(path: str | Path, parse: Callable[[str], Any], members: bool = False) 
             if not files:
                 raise ValueError("no *.json files in directory")
             return [_read(f, parse) for f in files]
-        doc = parse(p.read_text())
+        doc = parse(p.read_text(encoding="utf-8"))  # JSON text is UTF-8 (RFC 8259)
         return [doc] if members else doc
     except (OSError, ValueError) as exc:  # a missing file, a directory, not UTF-8, ...
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
@@ -344,16 +344,16 @@ def _cmd_bbox_infer(args) -> int:
 
 def _boxed(seq: Sequence, enlarge: float) -> Sequence:
     """``seq`` with a box inferred for each box-less pose; an error names the pose it cannot box."""
-    poses = seq.all_poses()
-    corners, ok = box_corners(poses, enlarge)
+    c = seq.columns()
+    corners, ok = filled_corners(c.box, c.boxed, c.xy, c.present, enlarge)
     if not ok.all():
         s = ok.tolist().index(False)
-        frame, j = [(f, j) for f in seq.frames for j in range(len(f.poses))][s]
-        exc = box_error(poses[s].xy, poses[s].present, corners[s])
+        f = c.frame_of(s)
+        exc = box_error(c.xy[s], c.present[s], corners[s])
         raise DegenerateGeometryError(
-            f"sequence {seq.name!r}, frame {frame.index}, pose {j}: {exc}"
+            f"sequence {seq.name!r}, frame {c.index[f]}, pose {s - sum(c.counts[:f])}: {exc}"
         ) from exc
-    return seq.with_poses(map(with_corners, poses, corners.tolist()))
+    return Sequence.of_columns(seq.name, replace(c, box=corners, boxed=ok))
 
 
 def _cmd_ensemble(args) -> int:

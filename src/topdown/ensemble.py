@@ -6,9 +6,11 @@ same detection candidate (shared detection score and box), which is what the
 pipeline produces when two estimators run on one detector's output.
 
 The rule is written once, as an array pass over many pairs: a mode resolves
-to a (15,) route code (:func:`route_codes`), and :func:`fused_keypoints` /
-:func:`fuse_all` fuse every pair of a document under it.  A run resolves the
-code once; :func:`fuse_average` and :func:`fuse_expert` fuse one pair.
+to a (15,) route code (:func:`route_codes`), and :func:`fused_arrays` fuses
+every pair of rows of two keypoint arrays under it.  A run resolves the code
+once and fuses the columns of two documents; :func:`fused_keypoints` and
+:func:`fuse_all` fuse lists of poses, and :func:`fuse_average` /
+:func:`fuse_expert` one pair.
 
 Fusion cannot fail: the mean of two positions or box corners is
 :func:`midpoint`, which is finite for every pair of finite values, and
@@ -106,23 +108,33 @@ def route_codes(mode: str, route_map: ExpertMap) -> np.ndarray:
     raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def fused_keypoints(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Keypoints]:
-    """The fused keypoints of each pair ``(a[i], b[i])``, computed in one array pass.
+def fused_arrays(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], routes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fused ``xy``, ``confidence`` and ``present`` of each pair of rows of ``a`` and ``b``.
 
-    ``routes`` is a :func:`route_codes` array.  A slot routed to one model
-    takes that model's joint when it is present or the other model's is
-    absent, else the other's.  An AVG slot takes the mean when both or
-    neither are present (placeholders are averaged too, so fusing a pose with
-    itself is an exact identity) and copies the present one otherwise.
-    Positions are averaged by :func:`midpoint`, so every fused row is valid.
+    ``a`` and ``b`` are :func:`~topdown.model.keypoint_arrays` triples of
+    equal length, and ``routes`` a :func:`route_codes` array.  A slot routed
+    to one model takes that model's joint when it is present or the other
+    model's is absent, else the other's.  An AVG slot takes the mean when
+    both or neither are present (placeholders are averaged too, so fusing a
+    pose with itself is an exact identity) and copies the present one
+    otherwise.  Positions are averaged by :func:`midpoint`, so every fused
+    row is valid.
     """
-    (axy, ac, ap), (bxy, bc, bp) = keypoint_arrays(a), keypoint_arrays(b)
+    (axy, ac, ap), (bxy, bc, bp) = a, b
     avg = (routes == _CODE[Route.AVG]) & (ap == bp)
     take_a = np.where(routes == _CODE[Route.A], ap | ~bp, ap & ~bp)
     xy = np.where(avg[..., None], midpoint(axy, bxy), np.where(take_a[..., None], axy, bxy))
     confidence = np.where(avg, 0.5 * (ac + bc), np.where(take_a, ac, bc))
     present = np.where(take_a, ap, bp)
-    return list(map(Keypoints.from_checked, xy, confidence, present))
+    return xy, confidence, present
+
+
+def fused_keypoints(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Keypoints]:
+    """The fused keypoints of each pair ``(a[i], b[i])``: :func:`fused_arrays` of their arrays."""
+    fused = fused_arrays(keypoint_arrays(a), keypoint_arrays(b), routes)
+    return list(map(Keypoints.from_checked, *fused))
 
 
 def fuse_all(a: Sequence[Pose], b: Sequence[Pose], routes: np.ndarray) -> list[Pose]:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import BBox, ContractError, Pose, keypoint_arrays
+from .model import BBox, ContractError, Pose, _box_rows, keypoint_arrays
 
 __all__ = [
     "BBox",
@@ -15,10 +15,10 @@ __all__ = [
     "DegenerateGeometryError",
     "bbox_from_keypoints",
     "with_box",
-    "with_corners",
     "infer_corners",
     "box_error",
     "box_corners",
+    "filled_corners",
     "iou",
     "iou_matrix",
     "prune_candidates",
@@ -76,13 +76,6 @@ def with_box(pose: Pose, enlarge: float = 0.20) -> Pose:
     return Pose(pose.keypoints, pose.det_score, bbox_from_keypoints(pose, enlarge), pose.track_id)
 
 
-def with_corners(pose: Pose, corners: Sequence[float]) -> Pose:
-    """``pose`` itself when it has a box, else a copy boxed by ``corners``, as :func:`with_box` boxes it."""
-    if pose.bbox is not None:
-        return pose
-    return Pose(pose.keypoints, pose.det_score, BBox(*corners), pose.track_id)
-
-
 def infer_corners(
     xy: np.ndarray, present: np.ndarray, enlarge: float = 0.20
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -125,17 +118,29 @@ def box_error(
 def box_corners(poses: Sequence[Pose], enlarge: float = 0.20) -> tuple[np.ndarray, np.ndarray]:
     """Each pose's box as an ``(n, 4)`` corner array, and an ``(n,)`` mask of the poses that have one.
 
-    A pose's own box is taken as is; the boxes of all box-less poses are
-    inferred in one :func:`infer_corners` pass, and a row the mask marks
-    ``False`` holds that pass's corners for :func:`box_error`.
+    :func:`filled_corners` of the poses' own boxes and keypoint arrays.
     """
-    rows = [(math.nan,) * 4 if (b := p.bbox) is None else (b.x1, b.y1, b.x2, b.y2) for p in poses]
-    corners = np.array(rows).reshape(len(poses), 4)
-    ok = np.ones(len(poses), dtype=bool)
-    missing = [i for i, p in enumerate(poses) if p.bbox is None]
-    if missing:
-        xy, _, present = keypoint_arrays([poses[i] for i in missing])
-        corners[missing], ok[missing] = infer_corners(xy, present, enlarge)
+    box, boxed = _box_rows(poses)
+    xy, _, present = keypoint_arrays(poses)
+    return filled_corners(box, boxed, xy, present, enlarge)
+
+
+def filled_corners(
+    box: np.ndarray, boxed: np.ndarray, xy: np.ndarray, present: np.ndarray, enlarge: float = 0.20
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's box: its own corners where ``boxed``, else the inferred ones.
+
+    ``box`` is ``(n, 4)``, ``boxed`` ``(n,)``, and ``xy`` / ``present`` the
+    rows' keypoint arrays (the columns of a :class:`~topdown.model.Sequence`).
+    The boxes of all other rows are inferred in one :func:`infer_corners`
+    pass.  Returns the ``(n, 4)`` corners and the ``(n,)`` mask of rows that
+    have or get a box; a row it marks ``False`` holds that pass's corners for
+    :func:`box_error`.
+    """
+    corners, ok = box.copy(), boxed.copy()
+    missing = np.flatnonzero(~boxed)
+    if len(missing):
+        corners[missing], ok[missing] = infer_corners(xy[missing], present[missing], enlarge)
     return corners, ok
 
 
@@ -173,7 +178,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the same arithmetic, so it equals ``iou`` on the corresponding boxes and
     raises where it raises.
     """
-    return _iou_of(a, b, _box_areas(a), _box_areas(b))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _iou_of(a, b, _box_areas(a), _box_areas(b))
 
 
 def _box_areas(boxes: np.ndarray) -> np.ndarray:
@@ -183,19 +189,23 @@ def _box_areas(boxes: np.ndarray) -> np.ndarray:
 
 
 def _iou_of(a: np.ndarray, b: np.ndarray, area_a: np.ndarray, area_b: np.ndarray) -> np.ndarray:
-    """:func:`iou_matrix` of ``a`` and ``b``, given their :func:`_box_areas`."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # the x and y extents of every intersection at once
-        high = np.minimum(a[:, None, 2:], b[None, :, 2:])
-        extent = high - np.maximum(a[:, None, :2], b[None, :, :2])
-        ix, iy = extent[..., 0], extent[..., 1]
-        inter = ix * iy
-        union = area_a[:, None] + area_b[None, :] - inter
-        valid = (ix > 0.0) & (iy > 0.0)
-        if not np.isfinite(union[valid]).all():
-            i, j = np.argwhere(valid & ~np.isfinite(union))[0].tolist()
+    """:func:`iou_matrix` of ``a`` and ``b``, given their :func:`_box_areas`.
+
+    The caller ignores overflow, division and invalid-value warnings
+    (``np.errstate``): a union beyond the float range is raised here instead.
+    """
+    # the x and y extents of every intersection at once
+    extent = np.minimum(a[:, None, 2:], b[None, :, 2:]) - np.maximum(a[:, None, :2], b[None, :, :2])
+    ix, iy = extent[..., 0], extent[..., 1]
+    inter = ix * iy
+    union = area_a[:, None] + area_b[None, :] - inter
+    valid = np.minimum(ix, iy) > 0.0  # both extents positive (a NaN extent is not)
+    if not np.isfinite(union).all():
+        faults = valid & ~np.isfinite(union)
+        if faults.any():
+            i, j = np.argwhere(faults)[0].tolist()
             raise _overlap_error(a[i].tolist(), b[j].tolist())
-        return np.where(valid & (union > 0.0), inter / union, 0.0)
+    return np.where(valid & (union > 0.0), inter / union, 0.0)
 
 
 def prune_candidates(poses: list[Pose], threshold: float) -> list[Pose]:

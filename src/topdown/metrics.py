@@ -15,9 +15,9 @@ be recomputed from its parts.
 Every score is read from one :class:`PairTable`, built once per call by
 :func:`pair_table` over all aligned sequences (ordered by name):
 
-- the :func:`~topdown.model.keypoint_arrays` of every predicted and every
-  ground-truth pose, numbered frame by frame, whose confidence and presence
-  the table keeps, with the frame and track id of each pose;
+- the keypoint columns (:class:`~topdown.model.Columns`) of every predicted
+  and every ground-truth pose, numbered frame by frame, whose confidence and
+  presence the table keeps, with the frame and track id of each pose;
 - the correctness radius of each ground-truth pose, the boxes of head-less
   ones inferred in one pass;
 - every same-frame (prediction, ground truth) pair as flat index arrays,
@@ -58,21 +58,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import box_corners, box_error
+from .geometry import box_error, filled_corners
 from .model import (
     GROUPS,
     JOINTS,
+    Columns,
     ContractError,
     EvalGroup,
+    Frame,
     Joint,
     Pose,
     Sequence,
+    _box_rows,
     joint_group,
-    keypoint_arrays,
     pair_by_name,
     record_to_dict,
     require_real,
@@ -156,18 +159,25 @@ def reference_head_size(pose: Pose, t: PckhThreshold = PckhThreshold()) -> float
 def _reference_head_sizes(
     poses: list[Pose], xy: np.ndarray, present: np.ndarray, t: PckhThreshold
 ) -> np.ndarray:
-    """Reference head size of each of ``poses``; ``xy`` / ``present`` are their keypoint arrays.
+    """Reference head size of each of ``poses``; ``xy`` / ``present`` are their keypoint arrays."""
+    return _reference_sizes(*_box_rows(poses), xy, present, t)
 
-    Head keypoints give :func:`_head_sizes`; any other pose gets
+
+def _reference_sizes(
+    box: np.ndarray, boxed: np.ndarray, xy: np.ndarray, present: np.ndarray, t: PckhThreshold
+) -> np.ndarray:
+    """Reference head size of each row of box and keypoint columns.
+
+    Head keypoints give :func:`_head_sizes`; any other row gets
     ``bbox_diag_fraction`` of its box's ``math.hypot`` diagonal (the boxes
-    of all such poses from one :func:`box_corners` pass), at least
+    of all such rows from one :func:`filled_corners` pass), at least
     ``min_head_size``.  The first of them with no inferable box raises.
     """
-    sizes = np.empty(len(poses))
+    sizes = np.empty(len(xy))
     head = present[:, _TOP] & present[:, _BOTTOM]
     sizes[head] = _head_sizes(xy[head, :, 0], xy[head, :, 1], t)
-    rest = np.flatnonzero(~head).tolist()
-    corners, ok = box_corners([poses[i] for i in rest])
+    rest = np.flatnonzero(~head)
+    corners, ok = filled_corners(box[rest], boxed[rest], xy[rest], present[rest])
     if not ok.all():
         k = ok.tolist().index(False)
         raise EvaluationError(
@@ -175,7 +185,8 @@ def _reference_head_sizes(
         ) from box_error(xy[rest[k]], present[rest[k]], corners[k])
     width, height = (corners[:, 2:] - corners[:, :2]).T.tolist()
     diagonals = np.fromiter(map(math.hypot, width, height), float, len(rest))
-    sizes[rest] = np.maximum(t.bbox_diag_fraction * diagonals, t.min_head_size)
+    with np.errstate(over="ignore"):  # a size beyond the float range is inf, as in Python
+        sizes[rest] = np.maximum(t.bbox_diag_fraction * diagonals, t.min_head_size)
     return sizes
 
 
@@ -247,21 +258,29 @@ class PairTable:
         return Matching(self, threshold, present, pairs, hits[pairs])
 
 
+def _joined(columns: list[Columns], name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """The column ``name`` of every store in ``columns``, end to end."""
+    return np.concatenate([getattr(c, name) for c in columns] + [np.empty((0, *shape), dtype)])
+
+
 def _table(
     pred_seqs: tuple[Sequence, ...],
     gt_seqs: tuple[Sequence, ...],
     t: PckhThreshold,
-    frames: list[tuple[tuple[Pose, ...], tuple[Pose, ...], int]],
+    pairs: list[tuple[Columns, Columns]],
 ) -> PairTable:
-    """The table of ``frames``, each ``(predictions, ground truths, sequence number)``."""
-    preds = [p for poses, _, _ in frames for p in poses]
-    gts = [g for _, poses, _ in frames for g in poses]
-    n_pred = np.array([len(poses) for poses, _, _ in frames], dtype=np.intp)
-    n_gt = np.array([len(poses) for _, poses, _ in frames], dtype=np.intp)
+    """The table of the aligned ``(predictions, ground truth)`` column pairs, in order."""
+    preds = [p for p, _ in pairs]
+    gts = [g for _, g in pairs]
+    n_pred = np.array([n for p in preds for n in p.counts], dtype=np.intp)
+    n_gt = np.array([n for g in gts for n in g.counts], dtype=np.intp)
     pred_lo = np.cumsum(n_pred) - n_pred
     gt_lo = np.cumsum(n_gt) - n_gt
-    pred_xy, confidence, pred_present = keypoint_arrays(preds)
-    gt_xy, _, gt_present = keypoint_arrays(gts)
+    pred_xy = _joined(preds, "xy", (_N, 2))
+    confidence = _joined(preds, "confidence", (_N,))
+    pred_present = _joined(preds, "present", (_N,), bool)
+    gt_xy = _joined(gts, "xy", (_N, 2))
+    gt_present = _joined(gts, "present", (_N,), bool)
 
     scored = np.flatnonzero((n_pred > 0) & (n_gt > 0))
     sizes = n_pred[scored] * n_gt[scored]
@@ -273,10 +292,14 @@ def _table(
 
     # radii only for ground truth in frames with a prediction
     needed = np.flatnonzero(np.repeat(n_pred > 0, n_gt))
-    radius = np.zeros(len(gts))
+    radius = np.zeros(len(gt_xy))
     with np.errstate(over="ignore"):  # a radius or offset beyond the float range is inf
-        radius[needed] = t.factor * _reference_head_sizes(
-            [gts[i] for i in needed.tolist()], gt_xy[needed], gt_present[needed], t
+        radius[needed] = t.factor * _reference_sizes(
+            _joined(gts, "box", (4,))[needed],
+            _joined(gts, "boxed", (), bool)[needed],
+            gt_xy[needed],
+            gt_present[needed],
+            t,
         )
         r = np.broadcast_to(radius[pair_gt][:, None], (len(pair_gt), _N))
         d = pred_xy[pair_pred] - gt_xy[pair_gt]
@@ -291,18 +314,19 @@ def _table(
     with np.errstate(invalid="ignore"):  # inf / inf for coordinates near the float limit
         motp_term[near] = 1.0 - distance / r[near]
 
-    seq_of_gt = np.repeat([s for _, _, s in frames], n_gt).tolist()
     return PairTable(
         pred_seqs=pred_seqs,
         gt_seqs=gt_seqs,
         t=t,
-        pred_frame=np.repeat(np.arange(len(frames)), n_pred),
+        pred_frame=np.repeat(np.arange(len(n_pred)), n_pred),
         pred_confidence=confidence,
         pred_present=pred_present,
-        pred_track=_track_codes(p.track_id for p in preds),
+        pred_track=_track_codes(chain.from_iterable(p.track_id for p in preds)),
         gt_present=gt_present,
         gt_track=_track_codes(
-            None if g.track_id is None else (s, g.track_id) for s, g in zip(seq_of_gt, gts)
+            None if tid is None else (s, tid)
+            for s, g in enumerate(gts)
+            for tid in g.track_id
         ),
         pair_pred=pair_pred,
         pair_gt=pair_gt,
@@ -318,12 +342,8 @@ def pair_table(
     t: PckhThreshold = PckhThreshold(),
 ) -> PairTable:
     """Align sequences by name and build the pair table of all their frames, once."""
-    frames = [
-        (pred_frame.poses, gt_frame.poses, s)
-        for s, (pred_seq, gt_seq) in enumerate(_align(pred_seqs, gt_seqs))
-        for pred_frame, gt_frame in zip(pred_seq.frames, gt_seq.frames)
-    ]
-    return _table(tuple(pred_seqs), tuple(gt_seqs), t, frames)
+    pairs = [(p.columns(), g.columns()) for p, g in _align(pred_seqs, gt_seqs)]
+    return _table(tuple(pred_seqs), tuple(gt_seqs), t, pairs)
 
 
 def match_poses_frame(
@@ -335,7 +355,8 @@ def match_poses_frame(
     """
     if not preds or not gts:
         return []
-    table = _table((), (), t, [(tuple(preds), tuple(gts), 0)])
+    frames = [Columns.of_frames([Frame(0, 1, 1, tuple(poses))]) for poses in (preds, gts)]
+    table = _table((), (), t, [tuple(frames)])
     pairs = table.match().pairs
     return list(zip(table.pair_pred[pairs].tolist(), table.pair_gt[pairs].tolist()))
 
@@ -543,11 +564,12 @@ class MotReport:
 
 
 def _require_track_ids(seq: Sequence, role: str) -> None:
-    for frame, pose in seq.iter_poses():
-        if pose.track_id is None:
-            raise EvaluationError(
-                f"{role} sequence {seq.name!r} frame {frame.index}: pose lacks a track id"
-            )
+    c = seq.columns()
+    if None in c.track_id:
+        frame = c.index[c.frame_of(c.track_id.index(None))]
+        raise EvaluationError(
+            f"{role} sequence {seq.name!r} frame {frame}: pose lacks a track id"
+        )
 
 
 def evaluate_mot(

@@ -27,18 +27,32 @@ A box is its four corners: a candidate's only score is its pose's
 ``det_score``.  Unannotated or pruned keypoints are carried with
 ``present: false`` so the 15 joint slots keep stable indices.
 
-In memory a pose's keypoints are a :class:`Keypoints`: read-only arrays of
-positions, confidences and presence flags, indexed by joint slot, which read
-as :class:`Keypoint` values built on access.  The types check the values
-they hold as the loader checks a document, so whatever they accept saves to
-a document that loads back equal.  The pose layout lives here too: a
+In memory a sequence is held as :class:`Columns` first: per frame its
+index, width, height and pose count, and per pose (numbered frame by frame)
+a row of positions ``(n, 15, 2)``, confidences, presence flags, detection
+score, box corners with a has-box mask, and track id.  The loader builds the
+columns of a document directly, and each stage of a run reads columns and
+returns a sequence held as columns (:meth:`Sequence.of_columns`), so a run
+builds no per-pose object between load and save.  Such a sequence builds its
+``frames``, and the :class:`Frame`, :class:`Pose`, :class:`Keypoints` and
+:class:`BBox` objects in them, only when ``frames`` is first read; a
+sequence built through the types is stacked into columns on first use
+(:meth:`Sequence.columns`).  Either form, once made, is kept; the writer
+alone stacks a sequence without keeping its columns.
+
+A pose's keypoints are a :class:`Keypoints`: read-only arrays of positions,
+confidences and presence flags, indexed by joint slot, which read as
+:class:`Keypoint` values built on access.  The types check the values they
+hold as the loader checks a document, so whatever they accept saves to a
+document that loads back equal.  The pose layout lives here too: a
 sequence's poses laid flat frame by frame (:meth:`Sequence.all_poses`),
 regrouped into its frames (:meth:`Sequence.with_poses`) and stacked
 (:func:`keypoint_arrays`).
 
 :func:`save_predictions` writes the same bytes as
 ``json.dumps(sequence_to_dict(seq), indent=2)``; :func:`sequence_to_dict` is
-the plain-data view of the schema and the reference for that contract.
+the plain-data view of the schema, read from the columns, and the reference
+for that contract.
 The write rule: orjson encodes ``sequence_to_dict(seq)`` with an empty name
 and, in place of each score, corner, coordinate or confidence that is not 0
 and of magnitude outside [1e-4, 1e16) (found on whole columns), a hole: a
@@ -52,20 +66,22 @@ The decode rule of :func:`load_sequence`: text holding fewer than 20,000
 overflow the C stack) is decoded with orjson.  Any other text, and any
 whose orjson decoding is not accepted, is decoded with ``json``: orjson
 refuses ``NaN``, ``Infinity``, ``1e400`` and a lone surrogate, and reads an
-integer of 2**64 or more as a float.  One bulk check builds the sequence
+integer of 2**64 or more as a float.  One bulk check builds the columns
 of a decoded document: every object holds exactly the schema's keys, every
-value has its plain type, checked on whole columns, and the types accept
-the values.  A document it refuses is walked field by field in document
+value has its plain type, and the rules of the types hold, all checked on
+whole columns.  A document it refuses is walked field by field in document
 order, which builds nothing and raises a :class:`SequenceError` naming the
 path of the first field at fault (``$.frames[0].poses[1].keypoints[4].x``,
 ``$.frames[0].poses[0].note: unknown field``).  The keypoint arrays of a
-whole document are built once, and each pose holds views of them.
+whole document are built once, and the poses built on a read of ``frames``
+hold views of them.
 
 Configs, generator specs and reports are dataclass records, written as JSON
 by :func:`record_to_dict` and read back by :func:`record_from_dict`.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import json
@@ -74,8 +90,8 @@ import numbers
 import operator
 import re
 from collections import Counter, abc
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from itertools import chain, islice
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import accumulate, chain, islice
 from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -474,12 +490,132 @@ class Frame:
             raise ValueError(f"Frame size must be positive, got {self.width}x{self.height}")
 
 
+_NO_BOX = (math.nan,) * 4
+
+
+def _box_rows(poses: abc.Sequence[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """``(n, 4)`` corners of each pose's own box (NaN for none) and the ``(n,)`` has-box mask."""
+    rows = [_NO_BOX if (b := p.bbox) is None else (b.x1, b.y1, b.x2, b.y2) for p in poses]
+    boxed = np.array([p.bbox is not None for p in poses], dtype=bool)
+    return np.array(rows, dtype=float).reshape(len(poses), 4), boxed
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Columns:
+    """A sequence's frames and poses as columns: what a run passes from stage to stage.
+
+    Frame columns hold one entry per frame; pose columns hold one row per
+    pose, numbered frame by frame, ``counts[f]`` rows for frame ``f``.  The
+    arrays are read-only.  ``det_score`` and ``track_id`` hold the values
+    the types hold (an API-built pose's int ``det_score`` stays an int, a
+    missing track id is ``None``), and a ``box`` row is NaN where ``boxed``
+    is False.  The columns of a sequence obey the rules of :class:`Frame`,
+    :class:`Pose`, :class:`BBox` and :class:`Sequence`.
+    """
+
+    index: tuple[int, ...]
+    width: tuple[int, ...]
+    height: tuple[int, ...]
+    counts: tuple[int, ...]
+    xy: np.ndarray  # (n, 15, 2)
+    confidence: np.ndarray  # (n, 15)
+    present: np.ndarray  # (n, 15) bool
+    det_score: list  # (n,)
+    box: np.ndarray  # (n, 4) corners
+    boxed: np.ndarray  # (n,) bool
+    track_id: list  # (n,) int or None
+
+    def __post_init__(self) -> None:
+        for array in (self.xy, self.confidence, self.present, self.box, self.boxed):
+            array.flags.writeable = False
+
+    @classmethod
+    def of_frames(cls, frames: abc.Sequence[Frame]) -> "Columns":
+        """The columns of ``frames``, stacked from their poses."""
+        poses = [pose for frame in frames for pose in frame.poses]
+        xy, confidence, present = keypoint_arrays(poses)
+        box, boxed = _box_rows(poses)
+        return cls(
+            tuple(f.index for f in frames),
+            tuple(f.width for f in frames),
+            tuple(f.height for f in frames),
+            tuple(len(f.poses) for f in frames),
+            xy,
+            confidence,
+            present,
+            [p.det_score for p in poses],
+            box,
+            boxed,
+            [p.track_id for p in poses],
+        )
+
+    def frames(self) -> tuple[Frame, ...]:
+        """The frames the columns hold, each pose built from its row."""
+        boxes = [
+            BBox(*row) if ok else None for row, ok in zip(self.box.tolist(), self.boxed.tolist())
+        ]
+        rows = zip(self.xy, self.confidence, self.present, self.det_score, boxes, self.track_id)
+        poses = iter([Pose(_keypoints(xy, c, p), s, b, t) for xy, c, p, s, b, t in rows])
+        return tuple(
+            Frame(index, width, height, tuple(islice(poses, count)))
+            for index, width, height, count in zip(self.index, self.width, self.height, self.counts)
+        )
+
+    def frame_of(self, row: int) -> int:
+        """The position of the frame that holds pose ``row``."""
+        return bisect.bisect_right(list(accumulate(self.counts)), row)
+
+
+class _Frames:
+    """The ``frames`` slot of a :class:`Sequence`, built from its columns on first read."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot) -> None:
+        self.slot = slot
+
+    def __get__(self, seq, owner=None):
+        if seq is None:
+            return self
+        try:
+            return self.slot.__get__(seq, owner)
+        except AttributeError:  # a column-backed sequence whose frames were never read
+            frames = seq._columns.frames()
+            self.slot.__set__(seq, frames)
+            return frames
+
+    def __set__(self, seq, frames) -> None:
+        self.slot.__set__(seq, frames)
+
+
 @dataclass(frozen=True, slots=True)
 class Sequence:
-    """A named, ordered run of frames sharing one image size."""
+    """A named, ordered run of frames sharing one image size.
+
+    A sequence is held either as its frames (one built through the types) or
+    as :class:`Columns` (one that the loader or a stage of a run built); the
+    other form is made from it on first use and kept (:meth:`columns`, and
+    ``frames`` on first read).  The writer stacks a sequence without keeping
+    its columns.
+    """
 
     name: str
     frames: tuple[Frame, ...] = ()
+    _columns: Columns | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of_columns(cls, name: str, columns: Columns) -> "Sequence":
+        """The sequence ``name`` held as ``columns``, whose values obey the types' rules."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "name", name)
+        object.__setattr__(seq, "_columns", columns)
+        return seq
+
+    def columns(self) -> Columns:
+        """The sequence as :class:`Columns`, stacked from its frames on first use."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", Columns.of_frames(self.frames))
+        return self._columns
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
@@ -514,6 +650,10 @@ class Sequence:
         ))
 
 
+# a column-backed sequence leaves its frames slot empty until it is read
+Sequence.frames = _Frames(Sequence.frames)
+
+
 def keypoint_arrays(poses: abc.Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(n, 15, 2)`` float ``xy``, ``(n, 15)`` float ``confidence`` and ``(n, 15)`` bool
     ``present`` of ``poses``, with these shapes also at ``n = 0``."""
@@ -528,7 +668,8 @@ def keypoint_arrays(poses: abc.Sequence[Pose]) -> tuple[np.ndarray, np.ndarray, 
 
 def strip_track_ids(seq: Sequence) -> Sequence:
     """Copy of ``seq`` with every pose's track id cleared."""
-    return seq.with_poses(replace(p, track_id=None) for p in seq.all_poses())
+    columns = seq.columns()
+    return Sequence.of_columns(seq.name, replace(columns, track_id=[None] * len(columns.track_id)))
 
 
 def pair_by_name(
@@ -554,7 +695,7 @@ def pair_by_name(
             raise error(f"{what}: no sequence named {seq.name!r}")
     pairs = [(seq, by_name[seq.name]) for seq in seqs]
     for seq, other in pairs:
-        if [f.index for f in seq.frames] != [f.index for f in other.frames]:
+        if seq.columns().index != other.columns().index:
             raise error(f"{what}: sequence {seq.name!r}: frame indices do not align")
     return pairs
 
@@ -570,10 +711,10 @@ _NONE = type(None)
 _JOINT_COLUMN = list(JOINT_NAMES)  # one pose's joint column, as _columns reads it
 
 
-def _document_keypoints(
+def _keypoint_columns(
     xs: abc.Sequence, ys: abc.Sequence, confidences: abc.Sequence, flags: abc.Sequence
-) -> list[Keypoints] | None:
-    """One :class:`Keypoints` per pose, each a view of three arrays built once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The ``xy``, ``confidence`` and ``present`` arrays of a document's keypoints.
 
     The columns hold the float values and flags of every pose of a document,
     15 slots per pose in slot order.  ``None`` when a position is not finite
@@ -584,10 +725,8 @@ def _document_keypoints(
     confidence = np.array(confidences, dtype=float)
     if not (np.isfinite(xy).all() and ((confidence >= 0.0) & (confidence <= 1.0)).all()):
         return None
-    xy = _frozen(xy.reshape(n, _N, 2))
-    confidence = _frozen(confidence.reshape(n, _N))
-    present = _frozen(np.array(flags, dtype=bool).reshape(n, _N))
-    return list(map(_keypoints, xy, confidence, present))
+    present = np.array(flags, dtype=bool).reshape(n, _N)
+    return xy.reshape(n, _N, 2), confidence.reshape(n, _N), present
 
 
 def _columns(keys: tuple[str, ...], objects: list) -> list[list] | None:
@@ -628,11 +767,12 @@ def _plain_document(doc: Any) -> Sequence | None:
     its plain type: a ``str`` name, ``int`` frame fields, ``float`` or ``int``
     scores, corners and coordinates (an ``int`` is read as a float), an
     ``int`` or null track id, a null or 4-item box, ``bool`` flags, and
-    joints in slot order.  The keypoint range rules are checked on whole
-    columns as the keypoint arrays are built once; the frame, score, track id
-    and corner rules are those of the types, which check them as they are
-    built.  Anything else gives ``None``, and :func:`_check_document` says
-    why.  Exact key sets also bound the depth of an accepted document.
+    joints in slot order.  The sequence is held as :class:`Columns`, built
+    once from the key columns, and the rules of the types (keypoint ranges,
+    frame order and size, score range, non-negative track ids, finite and
+    ordered corners) are checked on them; no frame or pose is built.
+    Anything else gives ``None``, and :func:`_check_document` says why.
+    Exact key sets also bound the depth of an accepted document.
     """
     if doc.__class__ is not dict or len(doc) != 2 or "name" not in doc or "frames" not in doc:
         return None
@@ -667,9 +807,6 @@ def _plain_document(doc: Any) -> Sequence | None:
     det_scores = _float_column(det_scores)
     if floats is None or det_scores is None:
         return None
-    if floats is not corners:  # an int corner: every corner is read as a float
-        quads = zip(*[iter(floats)] * 4)
-        boxes = [None if box is None else next(quads) for box in boxes]
     columns = _columns(_KEYPOINT_KEYS, list(chain.from_iterable(keypoint_lists)))
     if columns is None:
         return None
@@ -683,24 +820,43 @@ def _plain_document(doc: Any) -> Sequence | None:
         and set(map(type, flags)) <= {bool}
     ):
         return None
-    keypoints = _document_keypoints(xs, ys, confidences, flags)
+    keypoints = _keypoint_columns(xs, ys, confidences, flags)
     if keypoints is None:
         return None
-    # the types check the frame, score, track id and corner rules as they are built
-    try:
-        built = iter([
-            Pose(kps, det, None if box is None else BBox(*box), track_id)
-            for kps, det, box, track_id in zip(keypoints, det_scores, boxes, track_ids)
-        ])
-        return Sequence(
-            name=name,
-            frames=tuple(
-                Frame(index, width, height, tuple(islice(built, len(pose_list))))
-                for index, width, height, pose_list in zip(indices, widths, heights, pose_lists)
-            ),
-        )
-    except ValueError:
+    # the rules of Frame, Sequence, Pose and BBox, on columns
+    tracked = [t for t in track_ids if t is not None]
+    box = np.array(floats, dtype=float).reshape(len(given), 4)
+    if indices and not (
+        indices[0] >= 0
+        and all(map(operator.lt, indices, indices[1:]))
+        and len(set(widths)) == 1
+        and len(set(heights)) == 1
+        and widths[0] > 0
+        and heights[0] > 0
+    ):
         return None
+    if not (
+        all(0.0 <= score <= 1.0 for score in det_scores)
+        and min(tracked, default=0) >= 0
+        and np.isfinite(box).all()
+        and (box[:, 2:] >= box[:, :2]).all()
+    ):
+        return None
+    boxed = np.array([b is not None for b in boxes], dtype=bool)
+    corners = np.full((len(poses), 4), math.nan)
+    corners[boxed] = box
+    columns = Columns(
+        tuple(indices),
+        tuple(widths),
+        tuple(heights),
+        tuple(map(len, pose_lists)),
+        *keypoints,
+        det_scores,
+        corners,
+        boxed,
+        track_ids,
+    )
+    return Sequence.of_columns(name, columns)
 
 
 # The walk: the checks of the schema, field by field in document order.  It
@@ -902,42 +1058,50 @@ def load_sequence(text: str) -> Sequence:
 def sequence_to_dict(seq: Sequence) -> dict:
     """Schema-conformant plain-data view of ``seq``.
 
-    Keypoint values come from each pose's arrays as Python floats and bools;
-    every other value is the one the types hold.
+    Keypoint values and box corners come from the sequence's
+    :class:`Columns` as Python floats and bools; every other value is the
+    one the types hold.
     """
-    poses = seq.all_poses()
-    return _document(seq, poses, keypoint_arrays(poses))
+    return _document(seq.name, _held_columns(seq))
 
 
-def _document(seq: Sequence, poses: list[Pose], arrays: tuple[np.ndarray, ...]) -> dict:
-    """:func:`sequence_to_dict` of ``seq``, given its poses and their :func:`keypoint_arrays`."""
-    xy, confidence, present = arrays
-    xs, ys = xy.reshape(-1, 2).T.tolist()
+def _held_columns(seq: Sequence) -> Columns:
+    """The columns of ``seq``, stacked from its frames if it has none, without keeping them.
+
+    A saved sequence built through the types would otherwise hold its poses twice.
+    """
+    return seq._columns if seq._columns is not None else Columns.of_frames(seq.frames)
+
+
+def _document(name: str, columns: Columns) -> dict:
+    """:func:`sequence_to_dict` of the sequence ``name`` held as ``columns``."""
+    c = columns
+    xs, ys = c.xy.reshape(-1, 2).T.tolist()
     keypoints = [
-        {"joint": joint, "x": x, "y": y, "confidence": c, "present": flag}
-        for joint, x, y, c, flag in zip(
-            JOINT_NAMES * len(poses), xs, ys, confidence.ravel().tolist(), present.ravel().tolist()
+        {"joint": joint, "x": x, "y": y, "confidence": conf, "present": flag}
+        for joint, x, y, conf, flag in zip(
+            JOINT_NAMES * len(c.det_score),
+            xs,
+            ys,
+            c.confidence.ravel().tolist(),
+            c.present.ravel().tolist(),
         )
     ]
+    boxes = [row if ok else None for row, ok in zip(c.box.tolist(), c.boxed.tolist())]
     rows = iter([
         {
-            "det_score": p.det_score,
-            "track_id": p.track_id,
-            "bbox": None if (b := p.bbox) is None else [b.x1, b.y1, b.x2, b.y2],
+            "det_score": score,
+            "track_id": track_id,
+            "bbox": box,
             "keypoints": keypoints[k * _N : (k + 1) * _N],
         }
-        for k, p in enumerate(poses)
+        for k, (score, track_id, box) in enumerate(zip(c.det_score, c.track_id, boxes))
     ])
     return {
-        "name": seq.name,
+        "name": name,
         "frames": [
-            {
-                "index": f.index,
-                "width": f.width,
-                "height": f.height,
-                "poses": list(islice(rows, len(f.poses))),
-            }
-            for f in seq.frames
+            {"index": index, "width": width, "height": height, "poses": list(islice(rows, count))}
+            for index, width, height, count in zip(c.index, c.width, c.height, c.counts)
         ],
     }
 
@@ -960,34 +1124,31 @@ def _misspelled(values: np.ndarray) -> np.ndarray:
     return ((magnitude < 1e-4) | (magnitude >= 1e16)) & (magnitude != 0.0)
 
 
-def _put_holes(poses: list[Pose], arrays: tuple[np.ndarray, ...], doc: dict) -> list[str]:
-    """Put a hole in ``doc`` (the document of ``poses``, whose :func:`keypoint_arrays` are
-    ``arrays``) for each float orjson spells otherwise.
+def _put_holes(columns: Columns, doc: dict) -> list[str]:
+    """Put a hole in ``doc`` (the document of ``columns``) for each float orjson spells otherwise.
 
     Returns the ``json`` spelling of each hole's float, indexed by the hole's
     number.  The columns are checked at once, and the rows of ``doc`` are
     only walked when some value needs a hole.
     """
-    boxes = {k: p.bbox for k, p in enumerate(poses) if p.bbox is not None}
-    scalars = [p.det_score for p in poses]  # a det_score held as an int is 0 or 1: no hole
-    for b in boxes.values():
-        scalars += (b.x1, b.y1, b.x2, b.y2)
-    positions, confidences, _ = arrays
+    c = columns
+    # a det_score held as an int is 0 or 1: no hole
+    scores = np.array(c.det_score, dtype=float)
     # the columns end to end: x and y, confidence, det_score, box corners
     mask = _misspelled(
-        np.concatenate((positions.ravel(), confidences.ravel(), np.array(scalars, dtype=float)))
+        np.concatenate((c.xy.ravel(), c.confidence.ravel(), scores, c.box[c.boxed].ravel()))
     )
     if not mask.any():
         return []
-    n = len(poses) * _N
-    xy, confidence, scores, corners = np.split(mask, [2 * n, 3 * n, 3 * n + len(poses)])
+    n = len(scores) * _N
+    xy, confidence, scores, corners = np.split(mask, [2 * n, 3 * n, 3 * n + len(scores)])
     rows = [row for frame in doc["frames"] for row in frame["poses"]]
     entries = [entry for row in rows for entry in row["keypoints"]]
     cells = (
         (xy.reshape(-1, 2), entries, ("x", "y")),
         (confidence[:, None], entries, ("confidence",)),
         (scores[:, None], rows, ("det_score",)),
-        (corners.reshape(-1, 4), [rows[k]["bbox"] for k in boxes], range(4)),
+        (corners.reshape(-1, 4), [rows[k]["bbox"] for k in np.flatnonzero(c.boxed)], range(4)),
     )
     spelled: list[str] = []
     for column, containers, keys in cells:
@@ -1003,17 +1164,16 @@ def save_predictions(seq: Sequence) -> str:
 
     The text is byte-identical to ``json.dumps(sequence_to_dict(seq),
     indent=2)``, which runs ``json``'s pure-Python encoder whenever
-    ``indent`` is set.  So orjson encodes ``sequence_to_dict(seq)`` with an
-    empty name and a hole in place of each float it would spell otherwise;
-    then each hole is filled with ``json``'s spelling, and the name as
-    ``json`` writes it is put in.  A document orjson refuses (an int beyond
-    64 bits, a float subclass, a numpy scalar) is written by ``json``.
+    ``indent`` is set.  So orjson encodes the document of the sequence's
+    :class:`Columns` with an empty name and a hole in place of each float it
+    would spell otherwise; then each hole is filled with ``json``'s
+    spelling, and the name as ``json`` writes it is put in.  A document
+    orjson refuses (an int beyond 64 bits, a float subclass, a numpy scalar)
+    is written by ``json``.
     """
-    poses = seq.all_poses()
-    arrays = keypoint_arrays(poses)
-    doc = _document(seq, poses, arrays)
-    doc["name"] = ""
-    spelled = _put_holes(poses, arrays, doc)
+    columns = _held_columns(seq)
+    doc = _document("", columns)
+    spelled = _put_holes(columns, doc)
     try:
         text = orjson.dumps(doc, option=orjson.OPT_INDENT_2).decode()
     except orjson.JSONEncodeError:

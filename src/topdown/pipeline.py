@@ -4,13 +4,17 @@ Stages run in order: drop low-likelihood candidates, infer missing boxes,
 suppress overlapping boxes, optionally fuse a second model's predictions for
 the surviving candidates, assign track ids, prune low-confidence keypoints,
 then score single-frame AP and tracking metrics against ground truth.
-Detection and fusion work on one document at a time: the boxes of all
-box-less poses are inferred in one array pass, and every pair of poses
-before the first pose-count mismatch is fused in one more, under a route
-code resolved once per run.  Fusion cannot fail, so one walk over the
-frames then prunes and suppresses each frame on corner rows and raises
-what it meets in frame order; ``Pose`` objects are built only for the
-survivors.
+Every stage reads the :class:`~topdown.model.Columns` of a sequence and
+returns a sequence held as columns, so a run builds no ``Pose``, ``Frame``
+or ``Keypoints`` between load and save.  Detection and fusion work on one
+document at a time: the boxes of all box-less poses are inferred in one
+array pass, and every pair of rows before the first pose-count mismatch is
+fused in one more, under a route code resolved once per run.  Fusion cannot
+fail, so one walk over the frames then prunes and suppresses each frame on
+corner rows and raises what it meets in frame order; the kept rows, fused
+where their pair has a box, are the columns of the detected sequence.
+Tracking sets their track ids, keypoint pruning their presence flags, and
+the pair table reads them.
 
 :func:`run_pipeline` builds one :class:`~topdown.metrics.PairTable` of the
 tracked output against ground truth, so errors in deriving a correctness
@@ -29,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -36,12 +41,12 @@ from . import metrics, model
 from .ensemble import (
     Route,
     default_expert_map,
-    fused_keypoints,
+    fused_arrays,
     midpoint,
     route_codes,
     validate_expert_map,
 )
-from .geometry import PRResult, box_corners, detection_pr, nms_indices, with_corners
+from .geometry import PRResult, detection_pr, filled_corners, nms_indices
 from .metrics import (
     ApReport,
     MotReport,
@@ -50,7 +55,7 @@ from .metrics import (
     ap_reports,
     mot_reports,
 )
-from .model import BBox, ContractError, Frame, Joint, Pose, Sequence, pair_by_name, require_real
+from .model import BBox, Columns, ContractError, Joint, Sequence, pair_by_name, require_real
 from .tracker import TrackerConfig, prune_sequence_keypoints, track_sequence
 
 log = logging.getLogger(__name__)
@@ -165,66 +170,94 @@ def _detect_sequence(
     at its input index (``routes`` from :func:`~topdown.ensemble.route_codes`),
     or passes through with a warning when that pose has no inferable box.
     Boxes are inferred for the whole document in one array pass, and the
-    pairs of the frames before the first pose-count mismatch are fused in
-    one more; fusion cannot fail, so one walk over the frames then raises,
-    warns and builds the kept poses in frame order.
+    rows of the frames before the first pose-count mismatch are fused in one
+    more; fusion cannot fail, so one walk over the frames then raises, warns
+    and picks the kept rows in frame order.  The result is held as columns:
+    the kept rows, each boxed.
     """
-    poses = det.all_poses()
-    scores = [p.det_score for p in poses]
-    corners, boxed = box_corners(poses, config.bbox_enlarge)
+    c = det.columns()
+    scores = c.det_score
+    corners, boxed = filled_corners(c.box, c.boxed, c.xy, c.present, config.bbox_enlarge)
     boxes, boxed = corners.tolist(), boxed.tolist()
-    aligned = len(det.frames)  # the frames before the first pose-count mismatch
+    aligned = len(c.counts)  # the frames before the first pose-count mismatch
     if det_b is not None:
-        counts_b = [len(f.poses) for f in det_b.frames]
-        aligned = next(
-            (k for k, f in enumerate(det.frames) if len(f.poses) != counts_b[k]), aligned
+        b = det_b.columns()
+        aligned = next((k for k, n in enumerate(c.counts) if n != b.counts[k]), aligned)
+        # these frames hold as many poses on both sides, so one row selects a pair
+        n = sum(c.counts[:aligned])
+        corners_b, boxed_b = filled_corners(
+            b.box[:n], b.boxed[:n], b.xy[:n], b.present[:n], config.bbox_enlarge
         )
-        # these frames hold as many poses on both sides, so one flat index selects a pair
-        n = sum(len(f.poses) for f in det.frames[:aligned])
-        poses_b = det_b.all_poses()[:n]
-        corners_b, boxed_b = box_corners(poses_b, config.bbox_enlarge)
-        fused = fused_keypoints(poses[:n], poses_b, routes)
-        fused_boxes = midpoint(corners[:n], corners_b).tolist()
+        fused = fused_arrays(
+            (c.xy[:n], c.confidence[:n], c.present[:n]),
+            (b.xy[:n], b.confidence[:n], b.present[:n]),
+            routes,
+        )
+        fused_boxes = midpoint(corners[:n], corners_b)
         boxed_b = boxed_b.tolist()
-    frames = []
+    keep: list[int] = []  # the kept rows, frame by frame in visit order
+    counts = []
     start = 0
-    for fi, frame in enumerate(det.frames):
+    for fi, (index, count) in enumerate(zip(c.index, c.counts)):
         if fi == aligned:
             raise PipelineContractError(
-                f"frame {frame.index}: second model has {counts_b[fi]} poses, "
-                f"expected {len(frame.poses)}"
+                f"frame {index}: second model has {b.counts[fi]} poses, expected {count}"
             )
         candidates = []
-        for i in range(start, start + len(frame.poses)):
+        for i in range(start, start + count):
             if scores[i] < config.candidate_drop_threshold:
                 continue
             if boxed[i]:
                 candidates.append(i)
             else:
-                log.warning(
-                    "frame %d: dropping pose %d with no inferable box", frame.index, i - start
-                )
-        kept = nms_indices(
-            [boxes[i] for i in candidates],
-            [scores[i] for i in candidates],
-            config.nms_iou_threshold,
-        )
-        out = []
-        for s in (candidates[k] for k in kept):
-            if det_b is not None and boxed_b[s]:
-                det_score = 0.5 * (scores[s] + poses_b[s].det_score)
-                out.append(Pose(fused[s], det_score, BBox(*fused_boxes[s])))
-                continue
-            if det_b is not None:
-                log.warning(
-                    "frame %d: second model pose %d has no box; using first model",
-                    frame.index,
-                    s - start,
-                )
-            out.append(with_corners(poses[s], boxes[s]))
-        frames.append(Frame(frame.index, frame.width, frame.height, tuple(out)))
-        start += len(frame.poses)
-    return replace(det, frames=tuple(frames))
+                log.warning("frame %d: dropping pose %d with no inferable box", index, i - start)
+        kept = [
+            candidates[k]
+            for k in nms_indices(
+                [boxes[i] for i in candidates],
+                [scores[i] for i in candidates],
+                config.nms_iou_threshold,
+            )
+        ]
+        if det_b is not None:
+            for s in kept:
+                if not boxed_b[s]:
+                    log.warning(
+                        "frame %d: second model pose %d has no box; using first model",
+                        index,
+                        s - start,
+                    )
+        keep += kept
+        counts.append(len(kept))
+        start += count
+    rows = np.array(keep, dtype=np.intp)
+    xy, confidence, present = c.xy[rows], c.confidence[rows], c.present[rows]
+    box = corners[rows]
+    det_score = [scores[s] for s in keep]
+    track_id = [c.track_id[s] for s in keep]
+    if det_b is not None:
+        # every kept row lies before the first mismatch, so it has a pair
+        pairs = [k for k, s in enumerate(keep) if boxed_b[s]]
+        for k in pairs:
+            det_score[k] = 0.5 * (scores[keep[k]] + b.det_score[keep[k]])
+            track_id[k] = None
+        to, of = np.array(pairs, dtype=np.intp), rows[pairs]
+        xy[to], confidence[to], present[to] = (array[of] for array in fused)
+        box[to] = fused_boxes[of]
+    columns = Columns(
+        c.index,
+        c.width,
+        c.height,
+        tuple(counts),
+        xy,
+        confidence,
+        present,
+        det_score,
+        box,
+        np.ones(len(keep), dtype=bool),
+        track_id,
+    )
+    return Sequence.of_columns(det.name, columns)
 
 
 def run_pipeline(
@@ -263,11 +296,13 @@ def run_pipeline(
 
 def _frame_boxes(seq: Sequence, enlarge: float) -> list[list[tuple[float, BBox]]]:
     """Each frame's ``(detection score, box)`` of every pose that has or gets a box."""
-    poses = seq.all_poses()
-    corners, boxed = box_corners(poses, enlarge)
-    boxes = zip(poses, corners.tolist(), boxed.tolist())
-    seq = seq.with_poses(with_corners(p, b) if ok else p for p, b, ok in boxes)
-    return [[(p.det_score, p.bbox) for p in f.poses if p.bbox is not None] for f in seq.frames]
+    c = seq.columns()
+    corners, ok = filled_corners(c.box, c.boxed, c.xy, c.present, enlarge)
+    boxes = iter([
+        (score, BBox(*row)) if boxed else None
+        for score, row, boxed in zip(c.det_score, corners.tolist(), ok.tolist())
+    ])
+    return [[box for box in islice(boxes, count) if box is not None] for count in c.counts]
 
 
 def _detection_prs(

@@ -48,7 +48,7 @@ Provenance = tuple[tuple[int | Literal["fp"], ...], ...]
 
 def load_skeleton_template() -> dict[Joint, tuple[float, float]]:
     """Unit-height joint offsets around the person anchor."""
-    doc = json.loads(_SKELETON_PATH.read_text())
+    doc = json.loads(_SKELETON_PATH.read_text(encoding="utf-8"))
     offsets = doc["offsets"]
     return {j: (float(offsets[j.value][0]), float(offsets[j.value][1])) for j in JOINTS}
 

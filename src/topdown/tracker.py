@@ -3,25 +3,28 @@
 Association combines box overlap with a Gaussian keypoint-distance kernel; the
 score is pluggable in the sense that everything downstream only consumes the
 cost matrix, so a motion- or appearance-based similarity can be dropped in.
-Each frame is scored as one array operation: a sequence's poses are stacked
-once (:func:`~topdown.model.keypoint_arrays`, :func:`box_corners`, which
-infers the boxes of box-less poses in one pass, and the boxes' areas), a
-track keeps the row of its latest pose, each frame's tracks are one index
-array of rows, and :func:`similarity_matrix` broadcasts the whole tracks x
-poses matrix in one call.  Keypoint pruning is one presence mask per pose.
+Each frame is scored as one array operation.  A sequence's columns
+(:meth:`~topdown.model.Sequence.columns`) give the stacked keypoints; the
+boxes of box-less rows are inferred in one pass (:func:`filled_corners`) and
+the boxes' areas computed, once per sequence.  A track keeps the row of its
+latest pose, each frame's tracks are one index array of rows, and
+:func:`similarity_matrix` broadcasts the whole tracks x poses matrix in one
+call, under one ``np.errstate``.  :func:`track_sequence` returns the columns
+with the new track ids, and keypoint pruning is one presence mask over them;
+neither builds a ``Pose``.
 Unmatched ids survive a configurable retention window and are then discarded;
 ids are never reused within a sequence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import _box_areas, _iou_of, box_corners, box_error
+from .geometry import _box_areas, _iou_of, box_error, filled_corners
 from .model import (
     GROUPS,
     JOINTS,
@@ -29,6 +32,7 @@ from .model import (
     EvalGroup,
     Pose,
     Sequence,
+    _box_rows,
     joint_group,
     keypoint_arrays,
     require_int,
@@ -122,7 +126,9 @@ def prune_sequence_keypoints(seq: Sequence, threshold: float) -> Sequence:
     """
     if threshold <= 0.0:
         return seq
-    return seq.with_poses(prune_keypoints(p, threshold) for p in seq.all_poses())
+    c = seq.columns()
+    present = kept_keypoints(c.confidence, c.present, threshold)
+    return Sequence.of_columns(seq.name, replace(c, present=present))
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,7 +145,9 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     A group with no keypoints at all reports the vacuous 100.0; an input with
     no keypoints anywhere is an error.
     """
-    _, confidence, present = keypoint_arrays([pose for seq in seqs for pose in seq.all_poses()])
+    columns = [seq.columns() for seq in seqs]
+    confidence = np.concatenate([c.confidence for c in columns] + [np.empty((0, len(JOINTS)))])
+    present = np.concatenate([c.present for c in columns] + [np.empty((0, len(JOINTS)), bool)])
     # per-joint counts summed into groups
     before_joint = present.sum(axis=0).tolist()
     kept_joint = kept_keypoints(confidence, present, threshold).sum(axis=0).tolist()
@@ -158,10 +166,11 @@ def retention_stats(seqs: list[Sequence], threshold: float) -> RetentionTable:
     return RetentionTable(per_group=per_group, total=total)
 
 
-def _stacked(poses: list[Pose]) -> tuple[PoseArrays, list[bool]]:
-    """:class:`PoseArrays` of ``poses``, and which of them have or get a box."""
-    xy, _, present = keypoint_arrays(poses)
-    box, ok = box_corners(poses)
+def _stacked(
+    xy: np.ndarray, present: np.ndarray, box: np.ndarray, boxed: np.ndarray
+) -> tuple[PoseArrays, list[bool]]:
+    """:class:`PoseArrays` of keypoint and box columns, and which rows have or get a box."""
+    box, ok = filled_corners(box, boxed, xy, present)
     return PoseArrays(xy, present, box, _box_areas(box)), ok.tolist()
 
 
@@ -179,7 +188,8 @@ def pose_arrays(poses: Iterable[Pose]) -> PoseArrays:
     no box and no inferable one.
     """
     poses = list(poses)
-    arrays, ok = _stacked(poses)
+    xy, _, present = keypoint_arrays(poses)
+    arrays, ok = _stacked(xy, present, *_box_rows(poses))
     _require_boxes(arrays, ok, range(len(poses)))
     return arrays
 
@@ -205,14 +215,15 @@ def similarity_matrix(
     pair with no common joint scores 0 on the kernel.  A square beyond the
     float range gives a kernel of 0, its limit.
     """
-    overlap = _iou_of(tracks.box, poses.box, tracks.area, poses.area)
-    common = tracks.present[:, None, :] & poses.present[None, :, :]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        overlap = _iou_of(tracks.box, poses.box, tracks.area, poses.area)
         scale = np.sqrt(tracks.area)[:, None] * kappa
         denom = (2.0 * scale * scale)[:, None, :]  # (tracks, 1, joints)
         d = tracks.xy[:, None] - poses.xy[None, :]
-        d2 = d[..., 0] ** 2 + d[..., 1] ** 2  # (tracks, poses, joints)
+        d *= d
+        d2 = d[..., 0] + d[..., 1]  # (tracks, poses, joints)
         kernel = np.where(denom > 0.0, np.exp(-d2 / denom), d2 == 0.0)
+    common = tracks.present[:, None, :] & poses.present[None, :, :]
     kernel = np.where(common, kernel, 0.0)
     # a running sum runs joint by joint, in joint order: np.sum's pairwise
     # order would change the last bits
@@ -242,7 +253,7 @@ def solve_assignment(cost, method: str = "hungarian") -> list[tuple[int, int]]:
         return []
     if matrix.ndim != 2:
         raise ValueError(f"cost must be 2-D, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise TrackingError("cost matrix contains non-finite entries")
     if method == "hungarian":
         rows, cols = linear_sum_assignment(matrix)
@@ -272,31 +283,35 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
     frame is matched against the active tracks on cost ``1 - similarity``;
     pairs reaching ``similarity_min`` keep the track's id, everything else
     gets a fresh id.  Tracks unmatched for more than ``retention_window``
-    frames (by frame index) are discarded first.
+    frames (by frame index) are discarded first.  The result holds the
+    columns of ``seq`` with the new track ids.
     """
+    c = seq.columns()
     kappa = _kappa_vector(config)
-    arrays, ok = _stacked(seq.all_poses())
+    arrays, ok = _stacked(c.xy, c.present, c.box, c.boxed)
     boxed = all(ok)
+    # the first pose that already has an id is refused when its frame is reached
+    carried = next((k for k, tid in enumerate(c.track_id) if tid is not None), None)
+    carried_frame = -1 if carried is None else c.frame_of(carried)
     # id -> (last frame index, row of its latest pose); insertion order breaks assignment ties
     active: dict[int, tuple[int, int]] = {}
     next_id = 0
-    tracked: list[Pose] = []
+    ids: list[int] = []
     start = 0
-    for frame in seq.frames:
-        for pose in frame.poses:
-            if pose.track_id is not None:
-                raise TrackingError(
-                    f"frame {frame.index}: pose already carries track_id {pose.track_id}"
-                )
-        stop = start + len(frame.poses)
+    for fi, (index, count) in enumerate(zip(c.index, c.counts)):
+        if fi == carried_frame:
+            raise TrackingError(
+                f"frame {index}: pose already carries track_id {c.track_id[carried]}"
+            )
+        stop = start + count
         active = {
             tid: track
             for tid, track in active.items()
-            if frame.index - track[0] <= config.retention_window
+            if index - track[0] <= config.retention_window
         }
-        track_ids = list(active)
         assigned: dict[int, int] = {}
-        if track_ids and frame.poses:
+        if active and count:
+            track_ids = list(active)
             rows = np.fromiter((row for _, row in active.values()), np.intp, len(active))
             if not boxed:
                 # a pose's box is needed, and its error raised, only once it is scored
@@ -311,12 +326,12 @@ def track_sequence(seq: Sequence, config: TrackerConfig = TrackerConfig()) -> Se
             for row, col in solve_assignment(1.0 - similarity, config.method):
                 if similarity[row, col] >= config.similarity_min:
                     assigned[col] = track_ids[row]
-        for idx, pose in enumerate(frame.poses):
+        for idx in range(count):
             tid = assigned.get(idx)
             if tid is None:
                 tid = next_id
                 next_id += 1
-            active[tid] = (frame.index, start + idx)
-            tracked.append(Pose(pose.keypoints, pose.det_score, pose.bbox, tid))
+            active[tid] = (index, start + idx)
+            ids.append(tid)
         start = stop
-    return seq.with_poses(tracked)
+    return Sequence.of_columns(seq.name, replace(c, track_id=ids))

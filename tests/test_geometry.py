@@ -150,6 +150,31 @@ def test_iou_matrix_equals_scalar_iou_cell_by_cell(rows, cols):
             assert matrix[r, c] == iou(a, b)
 
 
+# corners k / 97 are inexact, so the areas and their sum round: a reordered
+# union shows in the last bit
+_inexact = st.integers(0, 10**4).map(lambda k: k / 97.0)
+
+
+@st.composite
+def _inexact_boxes(draw):
+    x1, x2 = sorted((draw(_inexact), draw(_inexact)))
+    y1, y2 = sorted((draw(_inexact), draw(_inexact)))
+    return BBox(x1, y1, x2, y2)
+
+
+@given(st.lists(_inexact_boxes(), min_size=1, max_size=6), st.lists(_inexact_boxes(), max_size=6))
+def test_iou_matrix_equals_scalar_iou_bit_for_bit_on_inexact_corners(rows, cols):
+    """Overlapping boxes are common (each box spans a random interval of one range)."""
+    def corners(boxes):
+        return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float).reshape(-1, 4)
+
+    matrix = iou_matrix(corners(rows), corners(cols))
+    expected = [[iou(a, b) for b in cols] for a in rows]
+    assert [[float.hex(v) for v in row] for row in matrix.tolist()] == [
+        [float.hex(v) for v in row] for row in expected
+    ]
+
+
 # ---------------------------------------------------------------------------
 # candidate pruning
 
